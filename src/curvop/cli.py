@@ -50,8 +50,6 @@ def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None
     parser.add_argument("--output", help="write JSON results to this file")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="stdout rendering (default text)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="accepted for compatibility; results never depend on it")
     if with_seed:
         parser.add_argument("--seed", type=int, default=_default_seed(),
                             help="base RNG seed (default: CURV_SEED or 0)")
@@ -156,7 +154,7 @@ def _cmd_analyze(args) -> int:
         search = min_isotropic(tensor, args.trials, seed=args.seed)
         results["isotropicMin"] = search.best_value
         results["isotropicSamples"] = search.samples_used
-    config = {"trials": args.trials, "threads": args.threads}
+    config = {"trials": args.trials}
     _emit(args, results, args.seed, config)
     if args.format == "text":
         print(f"dim {tensor.dim}, second-kind eigenvalues:")
@@ -217,8 +215,7 @@ def _cmd_verify(args) -> int:
         "suites": suites,
         "pass": ok,
     }
-    config = {"dim": args.dim, "trials": args.trials, "tolIdentity": tol,
-              "threads": args.threads}
+    config = {"dim": args.dim, "trials": args.trials, "tolIdentity": tol}
     _emit(args, results, args.seed, config)
     if args.format == "text":
         print(f"checked {checked} cases in dim {args.dim}; "

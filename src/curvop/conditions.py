@@ -330,7 +330,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
 
 
 def ricci_min(t: CurvatureTensor) -> float:
-    """Smallest eigenvalue of the Ricci contraction, via the Jacobi solver."""
+    """Smallest eigenvalue of the Ricci contraction, via ``eigen_sym``."""
     return float(eigen_sym(ricci(t), vectors=False).eigenvalues[0])
 
 

@@ -38,7 +38,7 @@ class NotSymmetric(CurvopError):
 
 
 class NoConvergence(CurvopError):
-    """The eigensolver hit its sweep cap before reaching tolerance."""
+    """The LAPACK eigensolver reported that it failed to converge."""
 
 
 class ParameterOutOfRange(CurvopError):

@@ -164,16 +164,19 @@ def interpolate(t1: CurvatureTensor, t2: CurvatureTensor, t: float) -> Curvature
         raise DimensionMismatch(f"cannot blend dimensions {t1.dim} and {t2.dim}")
     if not 0.0 <= t <= 1.0:
         raise ParameterOutOfRange(f"blend parameter must lie in [0, 1], got {t}")
+    # Both arrays carry the symmetries exactly and rounding commutes with
+    # negation, so the blend does too.
     a = (1.0 - t) * t1.array + t * t2.array
-    return CurvatureTensor(t1.dim, _exact_symmetrize(a), validate=False)
+    return CurvatureTensor(t1.dim, a, validate=False)
 
 
 def shift(t1: CurvatureTensor, t2: CurvatureTensor, amount: float) -> CurvatureTensor:
     """The combination T1 + amount * T2 (used for hypothesis boosting)."""
     if t1.dim != t2.dim:
         raise DimensionMismatch(f"cannot combine dimensions {t1.dim} and {t2.dim}")
+    # Exactly symmetric for the same reason as ``interpolate``.
     a = t1.array + amount * t2.array
-    return CurvatureTensor(t1.dim, _exact_symmetrize(a), validate=False)
+    return CurvatureTensor(t1.dim, a, validate=False)
 
 
 @dataclass(frozen=True)

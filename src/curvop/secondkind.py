@@ -12,9 +12,9 @@ whose eigenvalues are basis-independent. Eigenvalue positivity is graded
 by the (k+alpha) conditions: the sum of the k smallest eigenvalues plus
 alpha times the next one is positive (or nonnegative).
 
-Eigenvalues come from a cyclic Jacobi solver written here so the library
-has no solver dependency; matrices in this problem are at most a few
-dozen rows, well inside Jacobi's comfort zone.
+Eigenvalues come from LAPACK through ``numpy.linalg``. For a fixed
+platform, NumPy/BLAS build and BLAS thread count they are bit-for-bit
+reproducible; the thread count can change their last bits.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .errors import (
     NoConvergence,
     NotSymmetric,
     ParameterOutOfRange,
+    ValidationFailure,
 )
-from .tensor import DEFAULT_TOL, CurvatureTensor, ToleranceConfig
+from .tensor import CurvatureTensor
 
 ALPHA_ALWAYS = "always"
 ALPHA_UNATTAINABLE = "unattainable"
@@ -162,13 +163,13 @@ class Spectrum:
 
     ``eigenvalues`` ascend; ``eigenvectors`` holds the matching
     orthonormal columns (None when the solve skipped them); ``residual``
-    is the largest entry of |M V - V diag(lambda)| actually achieved,
-    or the final off-diagonal Frobenius norm in the vector-free case.
+    is the largest entry of |M V - V diag(lambda)| of the returned
+    eigenpairs, or None when there are no eigenvectors.
     """
 
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray | None = field(repr=False)
-    residual: float
+    residual: float | None
 
     @property
     def size(self) -> int:
@@ -178,91 +179,36 @@ class Spectrum:
         return {"eigenvalues": [float(v) for v in self.eigenvalues]}
 
 
-def _off_norm(a: np.ndarray) -> float:
-    # Summed directly over off-diagonal entries: the subtraction form
-    # ``||A||_F^2 - ||diag||_F^2`` cancels catastrophically once the
-    # off-diagonal mass drops below ||A||_F * sqrt(eps).
-    od = a.copy()
-    np.fill_diagonal(od, 0.0)
-    return float(np.sqrt((od * od).sum()))
+def eigen_sym(m: np.ndarray, vectors: bool = True) -> Spectrum:
+    """Diagonalize a symmetric matrix with LAPACK.
 
-
-def eigen_sym(
-    m: np.ndarray,
-    tol: float | None = None,
-    max_sweeps: int = 100,
-    vectors: bool = True,
-) -> Spectrum:
-    """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps rotate every off-diagonal pair whose magnitude exceeds a
-    skip threshold, stopping when the off-diagonal Frobenius norm falls
-    below ``tol`` (default ``tol_eigen``) times the matrix Frobenius
-    norm. Raises NotSymmetric for non-square or asymmetric input and
-    NoConvergence if ``max_sweeps`` sweeps do not reach tolerance.
-    ``vectors=False`` skips the eigenvector accumulation (the returned
-    eigenvectors are None and the residual is the final off-diagonal
-    norm), which matters in eigenvalue-only inner loops.
+    Raises NotSymmetric for non-square input or input that is asymmetric
+    beyond 1e-10 of its Frobenius norm, ValidationFailure for non-finite
+    input or input whose norm overflows, and NoConvergence when LAPACK
+    reports failure. Eigenvalues come from the eigenvalue-only driver
+    in both modes, so ``vectors=False`` returns the same bits as
+    ``vectors=True``; the vector driver runs only when vectors are
+    requested.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    size = m.shape[0]
-    norm = float(np.sqrt((m * m).sum()))
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt((m * m).sum()))
+    if not math.isfinite(norm):
+        raise ValidationFailure("matrix has non-finite entries or its norm overflows")
     if norm > 0 and float(np.abs(m - m.T).max()) > 1e-10 * norm:
         raise NotSymmetric("matrix is not symmetric within 1e-10 of its norm")
-    if tol is None:
-        tol = DEFAULT_TOL.tol_eigen
 
-    a0 = (m + m.T) / 2.0
-    a = a0.copy()
-    v = np.eye(size) if vectors else None
-    if norm == 0.0 or size == 1:
-        order = np.argsort(np.diag(a))
-        return Spectrum(np.diag(a)[order], v[:, order] if vectors else None, 0.0)
-
-    off = _off_norm(a)
-    converged = False
-    for _ in range(max_sweeps):
-        if off <= tol * norm:
-            converged = True
-            break
-        skip = off / (size * size)
-        for p in range(size - 1):
-            for q in range(p + 1, size):
-                apq = a[p, q]
-                if abs(apq) <= skip * 1e-2:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sign = 1.0 if theta == 0 else math.copysign(1.0, theta)
-                t = sign / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = c * a[:, p] - s * a[:, q]
-                col_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = col_p, col_q
-                row_p = c * a[p, :] - s * a[q, :]
-                row_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = row_p, row_q
-                a[p, q] = a[q, p] = 0.0
-                if v is not None:
-                    vec_p = c * v[:, p] - s * v[:, q]
-                    vec_q = s * v[:, p] + c * v[:, q]
-                    v[:, p], v[:, q] = vec_p, vec_q
-        off = _off_norm(a)
-    else:
-        converged = off <= tol * norm
-    if not converged:
-        raise NoConvergence(
-            f"Jacobi did not reach tol {tol:.1e} in {max_sweeps} sweeps (off={off:.3e})"
-        )
-    diag = np.diag(a).copy()
-    order = np.argsort(diag, kind="stable")
-    eigenvalues = diag[order]
-    if v is None:
-        return Spectrum(eigenvalues, None, off)
-    eigenvectors = v[:, order]
-    residual = float(np.abs(a0 @ eigenvectors - eigenvectors * eigenvalues).max())
+    a = (m + m.T) / 2.0
+    try:
+        eigenvalues = np.linalg.eigvalsh(a)
+        if not vectors:
+            return Spectrum(eigenvalues, None, None)
+        eigenvectors = np.linalg.eigh(a).eigenvectors
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
+    residual = float(np.abs(a @ eigenvectors - eigenvectors * eigenvalues).max(initial=0.0))
     return Spectrum(eigenvalues, eigenvectors, residual)
 
 

@@ -23,6 +23,7 @@ so the unit round sphere has R_1212 = +1.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -49,17 +50,15 @@ class ToleranceConfig:
     """Numerical tolerances used across the package.
 
     tol_bianchi bounds the first Bianchi residual relative to the largest
-    component, tol_eigen is the eigensolver's off-diagonal stopping
-    threshold relative to the Frobenius norm, and tol_identity bounds the
-    relative residual of the frame identity checks.
+    component, and tol_identity bounds the relative residual of the frame
+    identity checks.
     """
 
     tol_bianchi: float = 1e-10
-    tol_eigen: float = 1e-12
     tol_identity: float = 1e-8
 
     def __post_init__(self):
-        for name in ("tol_bianchi", "tol_eigen", "tol_identity"):
+        for name in ("tol_bianchi", "tol_identity"):
             if not getattr(self, name) > 0:
                 raise ParameterOutOfRange(f"{name} must be strictly positive")
 
@@ -144,6 +143,7 @@ class CurvatureTensor:
         self.dim = dim
         self._a = a
         if validate:
+            _check_finite(a)
             _check_bianchi(a, tol or DEFAULT_TOL)
 
     @property
@@ -171,6 +171,17 @@ class CurvatureTensor:
 
     def __repr__(self) -> str:
         return f"CurvatureTensor(dim={self.dim}, max_abs={self.max_abs():.6g})"
+
+
+def _check_finite(a: np.ndarray) -> None:
+    # The second-kind matrix compresses R by an orthonormal basis, so its
+    # Frobenius norm is at most ||R||_F; the Ricci matrix's is at most
+    # sqrt(n) ||R||_F. The eigensolver squares entries to take those norms,
+    # so n ||R||_F^2 must stay finite.
+    if not math.isfinite(a.shape[0] * float(np.vdot(a, a))):
+        if not np.isfinite(a).all():
+            raise ValidationFailure("component array has non-finite entries")
+        raise ValidationFailure("components too large: the Ricci and second-kind norms overflow")
 
 
 def _check_bianchi(a: np.ndarray, tol: ToleranceConfig) -> None:

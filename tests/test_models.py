@@ -21,6 +21,7 @@ from curvop import (
     shift,
 )
 from curvop.models import ModelSpec, product
+from curvop.tensor import _exact_symmetrize
 
 
 def test_constant_curvature_sectional_is_kappa():
@@ -134,6 +135,17 @@ def test_shift_adds_scaled_second():
     assert np.abs(out.array - (t.array + 0.75 * s.array)).max() < 1e-15
     with pytest.raises(DimensionMismatch):
         shift(t, constant_curvature(5, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_linear_combinations_are_exactly_symmetric(n):
+    rng = np.random.default_rng(n)
+    for trial in range(10):
+        t1 = random_curvature(n, seed=(n, trial, 1), scale=float(rng.uniform(0.1, 10.0)))
+        t2 = random_curvature(n, seed=(n, trial, 2))
+        for out in (shift(t1, t2, float(rng.normal(0.0, 5.0))),
+                    interpolate(t1, t2, float(rng.uniform()))):
+            assert np.array_equal(out.array, _exact_symmetrize(out.array))
 
 
 def test_parse_model_atoms():

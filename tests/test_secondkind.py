@@ -1,4 +1,4 @@
-"""Bases, operator matrices, the Jacobi solver, and graded positivity."""
+"""Bases, operator matrices, the LAPACK eigensolver, and graded positivity."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import curvop
 from curvop import (
     ALPHA_ALWAYS,
     ALPHA_UNATTAINABLE,
-    NoConvergence,
+    CurvopError,
     NotSymmetric,
     ParameterOutOfRange,
     alpha_star,
@@ -20,6 +20,8 @@ from curvop import (
     lambda2_dim,
     named_conditions,
     positivity_profile,
+    ricci,
+    ricci_min,
     s20_basis,
     s20_dim,
     second_kind_matrix,
@@ -69,7 +71,7 @@ def test_first_kind_matrix_sphere_is_identity():
     assert np.abs(m - np.eye(10)).max() < 1e-14
 
 
-def test_jacobi_agrees_with_numpy_on_random_operators():
+def test_eigen_sym_agrees_with_numpy_on_random_operators():
     worst = 0.0
     for n in (2, 3, 4, 5, 6):
         for trial in range(6):
@@ -80,7 +82,7 @@ def test_jacobi_agrees_with_numpy_on_random_operators():
     assert worst < 1e-10
 
 
-def test_jacobi_reconstruction_and_orthogonality():
+def test_eigen_sym_reconstruction_and_orthogonality():
     m = second_kind_matrix(curvop.random_curvature(5, seed=77))
     sp = eigen_sym(m)
     v, lam = sp.eigenvectors, sp.eigenvalues
@@ -90,15 +92,15 @@ def test_jacobi_reconstruction_and_orthogonality():
     assert sp.residual <= 1e-10 * fro
 
 
-def test_jacobi_vector_free_mode_matches():
+def test_eigen_sym_vector_free_mode_matches():
     m = second_kind_matrix(curvop.random_curvature(6, seed=13))
     full = eigen_sym(m)
     lean = eigen_sym(m, vectors=False)
-    assert lean.eigenvectors is None
+    assert lean.eigenvectors is None and lean.residual is None
     assert np.array_equal(full.eigenvalues, lean.eigenvalues)
 
 
-def test_jacobi_handles_degenerate_clusters():
+def test_eigen_sym_handles_degenerate_clusters():
     # spectrum {-1/2, 0 x3, 1 x5} has two flat clusters
     t = curvop.product(curvop.constant_curvature(3, 1.0), curvop.flat(1))
     lam = eigen_sym(second_kind_matrix(t)).eigenvalues
@@ -106,16 +108,18 @@ def test_jacobi_handles_degenerate_clusters():
     assert np.abs(lam - expected).max() < 1e-12
 
 
-def test_jacobi_rejects_bad_input():
+def test_eigen_sym_rejects_bad_input():
     with pytest.raises(NotSymmetric):
         eigen_sym(np.zeros((3, 4)))
     with pytest.raises(NotSymmetric):
         eigen_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NoConvergence):
-        eigen_sym(second_kind_matrix(curvop.random_curvature(5, seed=1)), max_sweeps=1)
+    m = second_kind_matrix(curvop.random_curvature(5, seed=1))
+    m[2, 3] = m[3, 2] = np.nan
+    with pytest.raises(CurvopError):
+        eigen_sym(m)
 
 
-def test_jacobi_trivial_sizes():
+def test_eigen_sym_trivial_sizes():
     sp = eigen_sym(np.array([[3.0]]))
     assert sp.eigenvalues[0] == 3.0 and sp.residual == 0.0
     sp = eigen_sym(np.zeros((4, 4)))
@@ -178,3 +182,45 @@ def test_matrix_scales_linearly_with_tensor_scale(seed):
     t2 = curvop.random_curvature(4, seed=seed, scale=2.0)  # power of two: exact
     assert np.array_equal(t2.array, 2.0 * t1.array)
     assert np.abs(second_kind_matrix(t2) - 2.0 * second_kind_matrix(t1)).max() < 1e-12
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=8),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_sphere_shift_moves_every_eigenvalue_by_the_amount(n, seed, amount, scale):
+    t = curvop.random_curvature(n, seed=seed, scale=scale)
+    shifted = curvop.shift(t, curvop.constant_curvature(n, 1.0), amount)
+    lam = eigen_sym(second_kind_matrix(t), vectors=False).eigenvalues
+    lam_shifted = eigen_sym(second_kind_matrix(shifted), vectors=False).eigenvalues
+    bound = 1e-12 * max(1.0, t.max_abs(), abs(amount))
+    assert np.abs(lam_shifted - (lam + amount)).max() <= bound
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=8),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_spectrum_is_basis_independent(n, seed, scale):
+    t = curvop.random_curvature(n, seed=seed, scale=scale)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    lam = eigen_sym(second_kind_matrix(t), vectors=False).eigenvalues
+    lam_rot = eigen_sym(second_kind_matrix(t, s20_basis(n).rotated(q)), vectors=False).eigenvalues
+    assert np.abs(lam_rot - lam).max() <= 1e-12 * max(1.0, t.max_abs())
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=0, max_value=2**31 - 1),
+    st.floats(min_value=1e-3, max_value=1e3),
+)
+def test_ricci_min_is_the_smallest_ricci_eigenvalue(n, seed, scale):
+    t = curvop.random_curvature(n, seed=seed, scale=scale)
+    # The Ricci contraction is exactly symmetric, so both see the same matrix.
+    assert ricci_min(t) == np.linalg.eigvalsh(ricci(t))[0]

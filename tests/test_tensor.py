@@ -18,10 +18,12 @@ from curvop import (
     ParseError,
     SymmetryConflict,
     ToleranceConfig,
+    ValidationFailure,
     bianchi_project,
     canonical_index,
     canonical_quadruples,
     from_dense,
+    from_dict,
     load_tensor,
     new_from_components,
     ricci,
@@ -153,6 +155,22 @@ def test_json_parse_errors():
     with pytest.raises(ParseError):
         load_tensor(path)
     os.remove(path)
+
+
+@pytest.mark.parametrize("v", [float("nan"), float("inf"), float("-inf"), -1e308],
+                         ids=["nan", "inf", "-inf", "-1e308"])
+def test_from_dict_rejects_non_finite_and_overflowing_components(v):
+    doc = {"dim": 4, "entries": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": v}]}
+    with pytest.raises(ValidationFailure):
+        from_dict(doc)
+
+
+def test_from_dense_rejects_non_finite_components():
+    a = curvop.random_curvature(4, seed=3).array.copy()
+    a[0, 1, 0, 1] = a[1, 0, 1, 0] = np.nan
+    a[1, 0, 0, 1] = a[0, 1, 1, 0] = np.nan
+    with pytest.raises(ValidationFailure):
+        from_dense(a)
 
 
 def test_tolerance_config_rejects_nonpositive():
