@@ -9,6 +9,9 @@ a few model tensors, reads off components, and round-trips one through
 the canonical JSON format.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 import curvop
@@ -42,8 +45,10 @@ print("halfway to CP^2: R_1234 =", halfway.component(1, 2, 3, 4))
 
 # Tensors serialize to JSON with only the canonical components (i<j,
 # k<l, (i,j) <= (k,l)); everything else is reconstructed from symmetry.
-curvop.save_tensor(cp2, "/tmp/cp2.json")
-back = curvop.load_tensor("/tmp/cp2.json")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cp2.json")
+    curvop.save_tensor(cp2, path)
+    back = curvop.load_tensor(path)
 print("JSON round trip exact:", np.array_equal(back.array, cp2.array))
 
 # Sanity checks every tensor passes on construction: the Bianchi residual

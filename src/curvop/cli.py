@@ -240,7 +240,8 @@ def _cmd_search(args) -> int:
     else:
         print(f"dim {report.dim}: {report.hypothesis} => {report.conclusion}?")
         print(f"  {report.trials_passing}/{report.trials_attempted} samples satisfied the "
-              f"hypothesis ({report.shifts_applied} boosted)")
+              f"hypothesis ({report.shifts_applied} boosted, "
+              f"{report.capped_searches} isotropic searches capped)")
         if report.counterexamples:
             print(f"  {len(report.counterexamples)} counterexample(s):")
             for cex in report.counterexamples:
@@ -265,8 +266,9 @@ def _cmd_probe(args) -> int:
             star = row["alphaStar"]
             star_text = _sig(star) if isinstance(star, float) else star
             iso_text = _sig(row["isoMin"]) if row["isoMin"] is not None else "-"
+            capped = "  (search capped)" if row["converged"] is False else ""
             print(f"  {row['t']:6.3f}  {star_text:>14s}  {iso_text:>14s}  "
-                  f"{_sig(row['ricciMin']):>14s}")
+                  f"{_sig(row['ricciMin']):>14s}{capped}")
         for name, entry in results["boundary"].items():
             status = "ok" if entry["ok"] else "FAIL"
             print(f"  boundary {name}: expected {entry['expected']}, "

@@ -175,8 +175,13 @@ def _descend_batch(rmats: np.ndarray, frames: np.ndarray, noise: np.ndarray,
     improves the value by more than ``noise[i]``, which keeps the search
     from drifting below a zero minimum. Each iteration projects the
     Euclidean gradient to the tangent space and tries the frame's current
-    step and three halvings, retracted by QR, taking the first (largest)
-    sufficient decrease; after a success the step doubles, capped at 1.
+    step and three halvings, retracted by QR. Among the candidates that
+    beat ``noise`` it keeps the one of lowest value (ties go to the larger
+    step), not the largest step: near a Morse-Bott minimum the largest
+    step overshoots to the mirror point, still a decrease, and the frame
+    bounces there for hundreds of iterations while a smaller candidate
+    lands on the minimum. After a success the kept step doubles, capped
+    at 1.
     A frame is done when its tangent vanishes or its step underflows
     ``min_step``. Frames evolve independently, so a frame's result does
     not depend on the rest of the batch.
@@ -211,10 +216,10 @@ def _descend_batch(rmats: np.ndarray, frames: np.ndarray, noise: np.ndarray,
             vals, grads = _iso_value_grad(rmats[idx, None], cands)
             ok = (vals < (value[idx] - noise[idx])[:, None]) & (steps >= min_step)
             hit = ok.any(axis=1)
-            rows, first = np.flatnonzero(hit), ok.argmax(axis=1)[hit]
+            rows, best = np.flatnonzero(hit), np.where(ok, vals, np.inf).argmin(axis=1)[hit]
             won = idx[hit]
-            f[won], value[won], grad[won] = cands[rows, first], vals[rows, first], grads[rows, first]
-            step[won] = np.minimum(steps[rows, first] * 2.0, 1.0)
+            f[won], value[won], grad[won] = cands[rows, best], vals[rows, best], grads[rows, best]
+            step[won] = np.minimum(steps[rows, best] * 2.0, 1.0)
             accepted[searching[hit]] = True
             missed = idx[~hit]
             step[missed] *= 0.5 ** (steps[~hit] >= min_step).sum(axis=1)

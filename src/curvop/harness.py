@@ -135,7 +135,9 @@ class TrialReport:
 
     ``verdict`` is "consistent" when every hypothesis-passing sample also
     satisfied the conclusion, else "counterexample". ``shifts_applied``
-    counts samples that needed boosting into the hypothesis class.
+    counts samples that needed boosting into the hypothesis class, and
+    ``capped_searches`` the pic samples whose isotropic search hit the
+    descent's iteration cap (their sampled minimum is less trustworthy).
     """
 
     dim: int
@@ -144,6 +146,7 @@ class TrialReport:
     trials_attempted: int
     trials_passing: int
     shifts_applied: int
+    capped_searches: int
     counterexamples: tuple
     seed: int
     config: dict
@@ -160,6 +163,7 @@ class TrialReport:
             "trialsAttempted": self.trials_attempted,
             "trialsPassing": self.trials_passing,
             "shiftsApplied": self.shifts_applied,
+            "cappedSearches": self.capped_searches,
             "counterexamples": [c.to_dict() for c in self.counterexamples],
             "verdict": self.verdict,
         }
@@ -251,6 +255,7 @@ def implication_trial(
     basis = s20_basis(n)
     passing = 0
     shifts = 0
+    capped = 0
     counterexamples = []
     for lo in range(0, trials, _TRIAL_BLOCK):
         block = range(lo, min(lo + _TRIAL_BLOCK, trials))
@@ -260,6 +265,7 @@ def implication_trial(
         if concl.kind == "pic":
             results = min_isotropic_batch(samples, pic_trials, [(seed, trial, 1) for trial in block])
             concl_values = [r.best_value for r in results]
+            capped += sum(not r.converged for r in results)
         else:
             concl_values = [ricci_min(sample) for sample in samples]
         for trial, (sample, _, hyp_value, amount), concl_value in zip(block, boosted, concl_values):
@@ -284,6 +290,7 @@ def implication_trial(
         trials_attempted=trials,
         trials_passing=passing,
         shifts_applied=shifts,
+        capped_searches=capped,
         counterexamples=tuple(counterexamples),
         seed=seed,
         config={
@@ -318,12 +325,17 @@ def replay_counterexample(report: TrialReport, index: int = 0) -> CurvatureTenso
 
 @dataclass(frozen=True, eq=False)
 class ProbeRow:
-    """One interpolation step of a sharpness probe."""
+    """One interpolation step of a sharpness probe.
+
+    ``converged`` is False when the isotropic search hit the descent's
+    iteration cap, and None when there is no search (dimension < 4).
+    """
 
     t: float
     alpha_star: float | str
     iso_min: float | None
     ricci_min: float
+    converged: bool | None
 
     def to_dict(self) -> dict:
         return {
@@ -331,6 +343,7 @@ class ProbeRow:
             "alphaStar": self.alpha_star,
             "isoMin": self.iso_min,
             "ricciMin": self.ricci_min,
+            "converged": self.converged,
         }
 
 
@@ -413,10 +426,11 @@ def sharpness_probe(
         blend = interpolate(t_base, t_dir, float(t))
         spectrum = eigen_sym(second_kind_matrix(blend, basis), vectors=False)
         star = alpha_star(spectrum, k)
-        iso = None
+        iso = converged = None
         if n >= 4:
-            iso = min_isotropic(blend, iso_trials, seed=(seed, idx)).best_value
-        rows.append(ProbeRow(float(t), star, iso, ricci_min(blend)))
+            search = min_isotropic(blend, iso_trials, seed=(seed, idx))
+            iso, converged = search.best_value, search.converged
+        rows.append(ProbeRow(float(t), star, iso, ricci_min(blend), converged))
 
     boundary: dict[str, tuple] = {}
     first = rows[0]
@@ -481,6 +495,7 @@ def emit_report(report, path: str, seed: int | None = None, config: dict | None 
             trials_attempted=report.trials_attempted,
             trials_passing=report.trials_passing,
             shifts_applied=report.shifts_applied,
+            capped_searches=report.capped_searches,
             counterexamples=tuple(rewritten),
             seed=report.seed,
             config=report.config,

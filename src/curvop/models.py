@@ -32,10 +32,19 @@ from .errors import (
 from .tensor import (
     CurvatureTensor,
     ToleranceConfig,
+    _check_finite,
     _exact_symmetrize,
     bianchi_project,
     new_from_components,
 )
+
+
+def _model(a: np.ndarray) -> CurvatureTensor:
+    """Wrap an exactly symmetric model array, rejecting non-finite or
+    overflowing components (ValidationFailure). The arrays are Bianchi by
+    construction, so that check is skipped."""
+    _check_finite(a)
+    return CurvatureTensor(a.shape[0], a, validate=False)
 
 
 def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
@@ -50,7 +59,7 @@ def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
         raise DimensionTooSmall(f"need dimension >= 1, got {n}")
     eye = np.eye(n)
     a = kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    return CurvatureTensor(n, _exact_symmetrize(a), validate=False)
+    return _model(_exact_symmetrize(a))
 
 
 def flat(n: int) -> CurvatureTensor:
@@ -69,7 +78,7 @@ def product(t1: CurvatureTensor, t2: CurvatureTensor) -> CurvatureTensor:
     a = np.zeros((n, n, n, n))
     a[:n1, :n1, :n1, :n1] = t1.array
     a[n1:, n1:, n1:, n1:] = t2.array
-    return CurvatureTensor(n, _exact_symmetrize(a), validate=False)
+    return _model(_exact_symmetrize(a))
 
 
 def complex_space_form(m: int, c: float) -> CurvatureTensor:
@@ -101,7 +110,7 @@ def complex_space_form(m: int, c: float) -> CurvatureTensor:
         - np.einsum("il,jk->ijkl", jt, jt)
         + 2.0 * np.einsum("ij,kl->ijkl", jt, jt)
     )
-    return CurvatureTensor(n, _exact_symmetrize(a), validate=False)
+    return _model(_exact_symmetrize(a))
 
 
 def cp2_explicit(tol: ToleranceConfig | None = None) -> CurvatureTensor:
@@ -167,7 +176,7 @@ def interpolate(t1: CurvatureTensor, t2: CurvatureTensor, t: float) -> Curvature
     # Both arrays carry the symmetries exactly and rounding commutes with
     # negation, so the blend does too.
     a = (1.0 - t) * t1.array + t * t2.array
-    return CurvatureTensor(t1.dim, a, validate=False)
+    return _model(a)
 
 
 def shift(t1: CurvatureTensor, t2: CurvatureTensor, amount: float) -> CurvatureTensor:
@@ -176,7 +185,7 @@ def shift(t1: CurvatureTensor, t2: CurvatureTensor, amount: float) -> CurvatureT
         raise DimensionMismatch(f"cannot combine dimensions {t1.dim} and {t2.dim}")
     # Exactly symmetric for the same reason as ``interpolate``.
     a = t1.array + amount * t2.array
-    return CurvatureTensor(t1.dim, a, validate=False)
+    return _model(a)
 
 
 @dataclass(frozen=True)

@@ -147,14 +147,8 @@ def first_kind_matrix(t: CurvatureTensor) -> np.ndarray:
     k<l; with the 2-form inner product <A,B> = (1/2) tr(A^T B) this is
     the operator matrix in the basis ``lambda2_basis``.
     """
-    n = t.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    a = t.array
-    m = np.empty((len(pairs), len(pairs)))
-    for p, (i, j) in enumerate(pairs):
-        for q, (k, l) in enumerate(pairs):
-            m[p, q] = a[i, j, k, l]
-    return m
+    i, j = np.triu_indices(t.dim, 1)
+    return t.array[i[:, None], j[:, None], i, j]
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,4 +1,16 @@
+import functools
+
+import pytest
 from _acceptance_log import LINES
+
+from curvop import conditions
+
+
+@pytest.fixture
+def capped_descent(monkeypatch):
+    """Every descent stops after two iterations, so searches hit the cap."""
+    monkeypatch.setattr(conditions, "_descend_batch",
+                        functools.partial(conditions._descend_batch, max_iter=2))
 
 
 def pytest_terminal_summary(terminalreporter):

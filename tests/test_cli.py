@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import curvop
+from curvop import cli
 
 CLI = [sys.executable, "-c", "import curvop.cli, sys; sys.exit(curvop.cli.main())"]
 
@@ -185,3 +186,13 @@ def test_analyze_rejects_both_file_and_model(tmp_path):
     f = tmp_path / "t.json"
     run_cli("model", "--model", "flat:n=4", "--output", str(f))
     run_cli("analyze", str(f), "--model", "cp2", expect=2)
+
+
+def test_capped_searches_show_in_text_output(capped_descent, capsys):
+    assert cli.main(["search", "--dim", "4", "--hyp", "k4a0.5strict", "--concl", "pic",
+                     "--trials", "3", "--pic-trials", "2"]) == 0
+    assert "3 isotropic searches capped" in capsys.readouterr().out
+    cli.main(["probe", "--base", "product:(sphere:n=4,k=1)x(flat:n=1)",
+              "--direction", "random:n=5,seed=1", "--steps", "2", "--iso-trials", "4"])
+    table = capsys.readouterr().out
+    assert table.count("(search capped)") == 2

@@ -22,7 +22,14 @@ from curvop import (
     verify_pic_identities,
     verify_ric_identities,
 )
-from curvop.conditions import _coordinate_seed_frames, _iso_values_batch, min_isotropic_batch
+from curvop.conditions import (
+    _coordinate_seed_frames,
+    _descend_batch,
+    _iso_value_grad,
+    _iso_values_batch,
+    _retract,
+    min_isotropic_batch,
+)
 
 
 def test_check_frame_accepts_orthonormal_and_rejects_else():
@@ -130,6 +137,58 @@ def test_min_isotropic_never_exceeds_coordinate_minimum():
     coord_min = _iso_values_batch(t.array, frames).min()
     res = min_isotropic(t, trials=3, seed=0)
     assert res.best_value <= coord_min + 1e-12
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_descent_converges_on_sphere_times_circle(n, t):
+    # S^{n-1} x S^1 has a Morse-Bott isotropic minimum 2 (every frame orthogonal
+    # to the flat direction); blending toward the unit sphere (value 4 on every
+    # frame) moves it to 2 + 2t. Keeping the largest decreasing step bounced
+    # every start here to the 500-iteration cap.
+    base = curvop.build_model(f"product:(sphere:n={n - 1},k=1)x(flat:n=1)")
+    blend = curvop.interpolate(base, curvop.constant_curvature(n, 1.0), t)
+    expected = 2.0 + 2.0 * t
+    res = min_isotropic(blend, 32, seed=(n, int(2 * t)))
+    assert res.converged
+    assert res.refinement_steps <= 320
+    scale = max(1.0, blend.max_abs())
+    assert expected - 1e-12 * scale <= res.best_value <= expected + 1e-9
+
+
+def test_descent_keeps_cp2_minimum_sign_exact():
+    # CP^2 sits on the boundary: its isotropic minimum is exactly 0, and the
+    # program's boundary check requires 0 <= isoMin, so no descent may dip
+    # below 0 by rounding.
+    cp2 = curvop.cp2_explicit()
+    results = min_isotropic_batch([cp2] * 200, 32, list(range(200)))
+    assert all(0.0 <= r.best_value <= 1e-6 for r in results)
+    assert all(r.converged for r in results)
+
+
+def test_descent_step_keeps_lowest_sufficient_candidate():
+    # One iteration from random frames on S^5 x S^1: the kept frame is the
+    # lowest of the four candidate steps that beat the noise guard, which is
+    # not always the largest such step.
+    n, m = 6, 16
+    t = curvop.build_model("product:(sphere:n=5,k=1)x(flat:n=1)")
+    rng = np.random.default_rng(0)
+    frames = np.array([random_frame(n, 4, rng) for _ in range(m)])
+    rmats = np.repeat(t.array.reshape(1, n * n, n * n), m, axis=0)
+    noise = np.full(m, 1e-12)
+    value, grad = _iso_value_grad(rmats, frames)
+    sym = np.matmul(np.swapaxes(frames, -1, -2), grad)
+    tangent = grad - np.matmul(frames, (sym + np.swapaxes(sym, -1, -2)) / 2.0)
+    steps = 0.5 ** np.arange(4)
+    cands = _retract(frames[:, None] - steps[None, :, None, None] * tangent[:, None])
+    vals = _iso_value_grad(rmats[:, None], cands)[0]
+    ok = vals < (value - noise)[:, None]
+    assert ok.any(axis=1).all()
+    lowest = np.where(ok, vals, np.inf).argmin(axis=1)
+    assert (lowest != ok.argmax(axis=1)).any()
+    f, v, _, _ = _descend_batch(rmats, frames, noise, max_iter=1)
+    assert np.array_equal(f, cands[np.arange(m), lowest])
+    assert np.array_equal(v, vals[np.arange(m), lowest])
 
 
 def test_min_isotropic_batch_validation():

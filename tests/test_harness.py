@@ -182,4 +182,34 @@ def test_probe_report_round_trips_to_dict():
     assert d["base"] == "cp2" and d["k"] == 4
     assert d["boundaryOk"] is True
     assert len(d["rows"]) == 2
-    assert {"t", "alphaStar", "isoMin", "ricciMin"} <= set(d["rows"][0])
+    assert {"t", "alphaStar", "isoMin", "ricciMin", "converged"} <= set(d["rows"][0])
+
+
+def test_implication_trial_counts_capped_searches(capped_descent, tmp_path):
+    rep = implication_trial(4, "k4a0.5strict", "pic", trials=3, seed=5, pic_trials=2)
+    assert rep.capped_searches == 3
+    assert rep.to_dict()["cappedSearches"] == 3
+    weak = implication_trial(4, "k9a0strict", "pic", trials=40, seed=123, pic_trials=3)
+    assert weak.counterexamples
+    envelope = emit_report(weak, str(tmp_path / "weak.json"))
+    assert envelope["results"]["cappedSearches"] == weak.capped_searches == 40
+
+
+def test_implication_trial_reports_no_capped_searches_when_descents_converge():
+    assert implication_trial(4, "k4a0.5strict", "pic", trials=3, seed=5,
+                             pic_trials=2).capped_searches == 0
+    assert implication_trial(4, "k4a0.5strict", "ric", trials=3, seed=5).capped_searches == 0
+
+
+def test_probe_rows_carry_search_convergence(capped_descent):
+    rep = sharpness_probe("product:(sphere:n=4,k=1)x(flat:n=1)", "random:n=5,seed=1",
+                          steps=2, seed=0, iso_trials=4)
+    assert [r.converged for r in rep.rows] == [False, False]
+    assert [r["converged"] for r in rep.to_dict()["rows"]] == [False, False]
+
+
+def test_probe_rows_converged_is_none_without_search():
+    rep = sharpness_probe("cp2", "flat:n=4", steps=2, seed=0, iso_trials=4)
+    assert all(r.converged is True for r in rep.rows)
+    low = sharpness_probe("product:(sphere:n=2,k=1)x(flat:n=1)", "flat:n=3", steps=2)
+    assert all(r.converged is None and r.iso_min is None for r in low.rows)

@@ -7,6 +7,7 @@ import curvop
 from curvop import (
     DimensionMismatch,
     ParseError,
+    ValidationFailure,
     build_model,
     complex_space_form,
     constant_curvature,
@@ -21,6 +22,7 @@ from curvop import (
     shift,
 )
 from curvop.models import ModelSpec, product
+from curvop.cli import main
 from curvop.tensor import _exact_symmetrize
 
 
@@ -205,3 +207,29 @@ def test_build_model_requires_mandatory_params():
     for text in ("sphere", "flat", "csf", "random", "interp:(flat:n=4)x(cp2)"):
         with pytest.raises(ParseError):
             build_model(text)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("spec", [
+    "sphere:n=4,k=nan",
+    "sphere:n=4,k=inf",
+    "sphere:n=4,k=1e300",
+    "csf:m=2,c=inf",
+    "product:(sphere:n=3,k=nan)x(flat:n=1)",
+])
+def test_models_reject_non_finite_parameters(spec, capsys):
+    with pytest.raises(ValidationFailure):
+        build_model(spec)
+    assert main(["model", "--model", spec]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300])
+def test_linear_combinations_reject_non_finite_results(bad):
+    a, b = random_curvature(4, seed=1), constant_curvature(4, 1.0)
+    with pytest.raises(ValidationFailure):
+        shift(a, b, bad)
+    unchecked = curvop.CurvatureTensor(4, bad * b.array, validate=False)
+    with pytest.raises(ValidationFailure):
+        interpolate(a, unchecked, 0.5)

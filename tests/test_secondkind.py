@@ -71,6 +71,14 @@ def test_first_kind_matrix_sphere_is_identity():
     assert np.abs(m - np.eye(10)).max() < 1e-14
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_first_kind_matrix_matches_pair_loop(n):
+    t = curvop.random_curvature(n, seed=(77, n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    loop = np.array([[t.array[i, j, k, l] for (k, l) in pairs] for (i, j) in pairs])
+    assert np.array_equal(first_kind_matrix(t), loop)
+
+
 def test_eigen_sym_agrees_with_numpy_on_random_operators():
     worst = 0.0
     for n in (2, 3, 4, 5, 6):
