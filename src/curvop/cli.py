@@ -33,7 +33,7 @@ from .harness import (
 )
 from .models import build_model, parse_model, random_curvature
 from .secondkind import eigen_sym, positivity_profile, s20_basis, second_kind_matrix
-from .tensor import DEFAULT_TOL, load_tensor, save_tensor, to_dict, write_json_atomic
+from .tensor import DEFAULT_TOL, load_tensor, save_tensor, to_dict
 
 
 def _default_seed() -> int:
@@ -119,14 +119,7 @@ def _sig(v: float) -> str:
 
 def _emit(args, results: dict, seed: int | None, config: dict) -> None:
     if args.output:
-        envelope = {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "seed": seed,
-            "config": config,
-            "results": results,
-        }
-        write_json_atomic(envelope, args.output)
+        emit_report(results, args.output, seed=seed, config=config)
     if args.format == "json":
         print(json.dumps(results, indent=2, sort_keys=True))
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -477,29 +477,8 @@ def emit_report(report, path: str, seed: int | None = None, config: dict | None 
         for i, cex in enumerate(report.counterexamples):
             tensor_file = f"{stem}.counterexample{i}.json"
             save_tensor(cex.tensor, tensor_file)
-            rewritten.append(
-                Counterexample(
-                    trial=cex.trial,
-                    seed_material=cex.seed_material,
-                    shift_amount=cex.shift_amount,
-                    hypothesis_value=cex.hypothesis_value,
-                    conclusion_value=cex.conclusion_value,
-                    tensor=cex.tensor,
-                    tensor_file=os.path.basename(tensor_file),
-                )
-            )
-        report = TrialReport(
-            dim=report.dim,
-            hypothesis=report.hypothesis,
-            conclusion=report.conclusion,
-            trials_attempted=report.trials_attempted,
-            trials_passing=report.trials_passing,
-            shifts_applied=report.shifts_applied,
-            capped_searches=report.capped_searches,
-            counterexamples=tuple(rewritten),
-            seed=report.seed,
-            config=report.config,
-        )
+            rewritten.append(replace(cex, tensor_file=os.path.basename(tensor_file)))
+        report = replace(report, counterexamples=tuple(rewritten))
     envelope = {
         "tool": TOOL_NAME,
         "version": __version__,

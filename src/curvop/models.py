@@ -19,6 +19,7 @@ interpolation adds the blend parameter t in [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .errors import (
     DimensionTooSmall,
     ParameterOutOfRange,
     ParseError,
+    ValidationFailure,
 )
 from .tensor import (
     CurvatureTensor,
@@ -47,6 +49,12 @@ def _model(a: np.ndarray) -> CurvatureTensor:
     return CurvatureTensor(a.shape[0], a, validate=False)
 
 
+def _check_parameter(name: str, value: float) -> None:
+    """Reject a non-finite model parameter before any array is built from it."""
+    if not math.isfinite(value):
+        raise ValidationFailure(f"{name} must be finite, got {value}")
+
+
 def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
     """Space form of sectional curvature kappa in dimension n.
 
@@ -57,6 +65,7 @@ def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
     """
     if n < 1:
         raise DimensionTooSmall(f"need dimension >= 1, got {n}")
+    _check_parameter("curvature", kappa)
     eye = np.eye(n)
     a = kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
     return _model(_exact_symmetrize(a))
@@ -96,6 +105,7 @@ def complex_space_form(m: int, c: float) -> CurvatureTensor:
     """
     if m < 1:
         raise DimensionTooSmall(f"need complex dimension >= 1, got {m}")
+    _check_parameter("holomorphic curvature", c)
     n = 2 * m
     j = np.zeros((n, n))
     for a_idx in range(m):
@@ -140,8 +150,8 @@ def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     """Seeded random algebraic curvature tensor.
 
     Draws a Gaussian symmetric form on the 2-forms (upper triangle drawn,
-    then mirrored), scales it, expands to four indices, and projects onto
-    the Bianchi subspace. The same (n, seed, scale) always reproduces the
+    then mirrored), scales it, places it on the 2-form pairs, and projects
+    onto the Bianchi subspace. The same (n, seed, scale) always reproduces the
     same tensor, and the output is linear in ``scale`` up to rounding
     (bit-for-bit when the scale is a power of two). ``seed`` may be an
     int or a tuple of ints (hierarchical seeding).
@@ -151,20 +161,12 @@ def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     if not scale > 0:
         raise ParameterOutOfRange(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
-    g = rng.standard_normal((m, m))
+    i, j = np.triu_indices(n, 1)
+    g = rng.standard_normal((len(i), len(i)))
     form = np.triu(g) + np.triu(g, 1).T
-    form = form * scale
     a = np.zeros((n, n, n, n))
-    for p, (i, jj) in enumerate(pairs):
-        for q, (k, l) in enumerate(pairs):
-            v = form[p, q]
-            a[i, jj, k, l] = v
-            a[jj, i, k, l] = -v
-            a[i, jj, l, k] = -v
-            a[jj, i, l, k] = v
-    return bianchi_project(a)
+    a[i[:, None], j[:, None], i, j] = form * scale
+    return bianchi_project(_exact_symmetrize(a))
 
 
 def interpolate(t1: CurvatureTensor, t2: CurvatureTensor, t: float) -> CurvatureTensor:
@@ -183,6 +185,7 @@ def shift(t1: CurvatureTensor, t2: CurvatureTensor, amount: float) -> CurvatureT
     """The combination T1 + amount * T2 (used for hypothesis boosting)."""
     if t1.dim != t2.dim:
         raise DimensionMismatch(f"cannot combine dimensions {t1.dim} and {t2.dim}")
+    _check_parameter("shift amount", amount)
     # Exactly symmetric for the same reason as ``interpolate``.
     a = t1.array + amount * t2.array
     return _model(a)

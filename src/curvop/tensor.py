@@ -3,9 +3,11 @@
 A curvature tensor on n-dimensional Euclidean space is kept as the dense
 array of components R[i,j,k,l] (0-based internally, 1-based in the public
 entry and JSON formats). Only canonical components, those with i<j, k<l and
-(i,j) <= (k,l) lexicographically, are independent. Every constructor routes
-writes through the canonicalizer and fans each value out to all eight index
-images with the correct sign, so the antisymmetries
+(i,j) <= (k,l) lexicographically, are independent. ``canonical_index`` is the
+one statement of that rule; tabulated once per dimension it gives a map from
+every index quadruple to its canonical slot and sign, and every constructor
+rebuilds its array from the canonical slots with one gather through that
+map, so the antisymmetries
 
     R[j,i,k,l] = R[i,j,l,k] = -R[i,j,k,l],    R[k,l,i,j] = R[i,j,k,l]
 
@@ -22,6 +24,7 @@ so the unit round sphere has R_1212 = +1.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -43,6 +46,8 @@ from .errors import (
 )
 
 SIGN_CONVENTION = "R1212-positive-sphere"
+
+_SYM_TOL = 1e-12  # relative index-symmetry deviation accepted in a raw array
 
 
 @dataclass(frozen=True)
@@ -96,24 +101,34 @@ def canonical_quadruples(n: int):
             yield i, j, k, l
 
 
-def _fan_out(a: np.ndarray, i: int, j: int, k: int, l: int, v: float) -> None:
-    a[i, j, k, l] = v
-    a[j, i, k, l] = -v
-    a[i, j, l, k] = -v
-    a[j, i, l, k] = v
-    a[k, l, i, j] = v
-    a[l, k, i, j] = -v
-    a[k, l, j, i] = -v
-    a[l, k, j, i] = v
+@functools.lru_cache(maxsize=None)
+def _canonical_map(n: int) -> np.ndarray:
+    """Gather indices that rebuild an (n,n,n,n) array from its canonical slots.
+
+    With f the flattened array, entry [i,j,k,l] is the position in
+    ``concatenate((f, -f, [0.0]))`` of the value that component takes: the
+    flat canonical slot p of (i,j,k,l) for sign +1, n**4 + p for sign -1,
+    and the trailing zero 2 n**4 where the component vanishes.
+    """
+    shape = (n,) * 4
+    out = np.full(shape, 2 * n ** 4)
+    for quad in np.ndindex(shape):
+        canon, sign = canonical_index(*quad)
+        if canon is not None:
+            out[quad] = np.ravel_multi_index(canon, shape) + (n ** 4 if sign < 0 else 0)
+    out.setflags(write=False)
+    return out
 
 
-def _exact_symmetrize(raw: np.ndarray) -> np.ndarray:
-    """Rebuild an array from its canonical slots so symmetries are exact."""
-    n = raw.shape[0]
-    a = np.zeros_like(raw)
-    for i, j, k, l in canonical_quadruples(n):
-        _fan_out(a, i, j, k, l, raw[i, j, k, l])
-    return a
+def _exact_symmetrize(raw: np.ndarray, negated: np.ndarray | None = None) -> np.ndarray:
+    """Rebuild an array from its canonical slots so symmetries are exact.
+
+    Images of sign -1 take their value from ``negated`` (default ``-raw``),
+    so a caller can keep unset slots +0.0 on every image.
+    """
+    f = raw.ravel()
+    g = -f if negated is None else negated.ravel()
+    return np.concatenate((f, g, [0.0]))[_canonical_map(raw.shape[0])]
 
 
 def _bianchi_cyclic(a: np.ndarray) -> np.ndarray:
@@ -225,34 +240,43 @@ def new_from_components(n: int, entries, tol: ToleranceConfig | None = None) -> 
             )
         seen[quad] = canon_v
     a = np.zeros((n, n, n, n))
-    for (i, j, k, l), v in seen.items():
-        _fan_out(a, i, j, k, l, v)
-    return CurvatureTensor(n, a, tol=tol)
+    negated = np.zeros((n, n, n, n))
+    for quad, v in seen.items():
+        a[quad], negated[quad] = v, -v
+    return CurvatureTensor(n, _exact_symmetrize(a, negated), tol=tol)
 
 
-def from_dense(array, tol: ToleranceConfig | None = None, sym_tol: float = 1e-12) -> CurvatureTensor:
-    """Adopt a raw (n,n,n,n) array as a curvature tensor.
-
-    The array must satisfy the index symmetries within ``sym_tol`` relative
-    to its largest component (ValidationFailure otherwise); it is then
-    rebuilt exactly from canonical slots and Bianchi-checked.
-    """
+def _symmetric_array(array) -> np.ndarray:
+    """Coerce a raw (n,n,n,n) array; non-finite entries or index symmetries
+    off by more than ``_SYM_TOL`` times the largest entry raise ValidationFailure."""
     a = np.asarray(array, dtype=float)
     if a.ndim != 4 or len(set(a.shape)) != 1:
         raise ValidationFailure(f"expected a square 4-index array, got shape {a.shape}")
     n = a.shape[0]
     if n < 1:
         raise DimensionTooSmall(f"need dimension >= 1, got {n}")
+    _check_finite(a)
     scale = max(float(np.abs(a).max()), 1e-300)
     asym1 = float(np.abs(a + np.einsum("jikl->ijkl", a)).max())
     asym2 = float(np.abs(a + np.einsum("ijlk->ijkl", a)).max())
     pair = float(np.abs(a - np.einsum("klij->ijkl", a)).max())
     worst = max(asym1, asym2, pair)
-    if worst > sym_tol * scale:
+    if worst > _SYM_TOL * scale:
         raise ValidationFailure(
             f"index symmetries violated: worst deviation {worst:.3e} vs scale {scale:.3e}"
         )
-    return CurvatureTensor(n, _exact_symmetrize(a), tol=tol)
+    return a
+
+
+def from_dense(array, tol: ToleranceConfig | None = None) -> CurvatureTensor:
+    """Adopt a raw (n,n,n,n) array as a curvature tensor.
+
+    The array must satisfy the index symmetries within 1e-12 relative to
+    its largest component (ValidationFailure otherwise); it is then
+    rebuilt exactly from canonical slots and Bianchi-checked.
+    """
+    a = _symmetric_array(array)
+    return CurvatureTensor(a.shape[0], _exact_symmetrize(a), tol=tol)
 
 
 def bianchi_project(array, tol: ToleranceConfig | None = None) -> CurvatureTensor:
@@ -265,20 +289,7 @@ def bianchi_project(array, tol: ToleranceConfig | None = None) -> CurvatureTenso
     changes nothing, and a tensor already satisfying the identity is a
     fixed point.
     """
-    if isinstance(array, CurvatureTensor):
-        a = array.array
-    else:
-        a = np.asarray(array, dtype=float)
-        if a.ndim != 4 or len(set(a.shape)) != 1:
-            raise ValidationFailure(f"expected a square 4-index array, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise DimensionTooSmall(f"need dimension >= 1, got {a.shape[0]}")
-        scale = max(float(np.abs(a).max()), 1e-300)
-        asym1 = float(np.abs(a + np.einsum("jikl->ijkl", a)).max())
-        asym2 = float(np.abs(a + np.einsum("ijlk->ijkl", a)).max())
-        pair = float(np.abs(a - np.einsum("klij->ijkl", a)).max())
-        if max(asym1, asym2, pair) > 1e-12 * scale:
-            raise ValidationFailure("index symmetries violated; projection undefined")
+    a = array.array if isinstance(array, CurvatureTensor) else _symmetric_array(array)
     projected = a - _bianchi_cyclic(a) / 3.0
     return CurvatureTensor(a.shape[0], _exact_symmetrize(projected), tol=tol)
 

@@ -1,5 +1,10 @@
 """Model constructors and the model-spec mini-language."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -209,7 +214,6 @@ def test_build_model_requires_mandatory_params():
             build_model(text)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("spec", [
     "sphere:n=4,k=nan",
     "sphere:n=4,k=inf",
@@ -221,15 +225,27 @@ def test_models_reject_non_finite_parameters(spec, capsys):
     with pytest.raises(ValidationFailure):
         build_model(spec)
     assert main(["model", "--model", spec]) == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error" in err and "RuntimeWarning" not in err
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("spec", ["sphere:n=4,k=inf", "csf:m=2,c=inf"])
+def test_model_command_rejects_infinite_parameter_without_warning(spec):
+    env = dict(os.environ)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, "-m", "curvop.cli", "model", "--model", spec],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "error" in proc.stderr and "Warning" not in proc.stderr
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 1e300])
 def test_linear_combinations_reject_non_finite_results(bad):
     a, b = random_curvature(4, seed=1), constant_curvature(4, 1.0)
     with pytest.raises(ValidationFailure):
         shift(a, b, bad)
-    unchecked = curvop.CurvatureTensor(4, bad * b.array, validate=False)
+    with np.errstate(invalid="ignore"):  # inf * 0 here is the test's own arithmetic
+        unchecked = curvop.CurvatureTensor(4, bad * b.array, validate=False)
     with pytest.raises(ValidationFailure):
         interpolate(a, unchecked, 0.5)

@@ -192,3 +192,151 @@ def test_random_curvature_always_satisfies_contract(n, seed):
     assert np.array_equal(a, -np.swapaxes(a, 0, 1))
     assert np.array_equal(a, np.transpose(a, (2, 3, 0, 1)))
     assert t.bianchi_residual() <= 1e-10 * max(t.max_abs(), 1.0)
+
+
+def test_bianchi_project_rejects_asymmetric_array():
+    bad = np.zeros((3, 3, 3, 3))
+    bad[0, 1, 0, 1] = 1.0  # no compensating images
+    with pytest.raises(ValidationFailure):
+        bianchi_project(bad)
+    with pytest.raises(ValidationFailure):
+        bianchi_project(np.zeros((3, 3, 3)))
+
+
+def test_symmetry_check_accepts_rounding_and_rebuilds_from_canonical_slots():
+    a = curvop.random_curvature(5, seed=2).array.copy()
+    a[1, 0, 2, 3] *= 1.0 + 1e-14  # a non-canonical image, off by rounding
+    assert np.array_equal(from_dense(a).array, curvop.random_curvature(5, seed=2).array)
+    a[1, 0, 2, 3] *= 1.0 + 1e-9
+    with pytest.raises(ValidationFailure):
+        from_dense(a)
+
+
+# Reference implementations: the per-quadruple loops the index map replaced.
+# The vectorised constructors must reproduce them bit for bit, signed zeros
+# included.
+
+def _ref_fan_out(a, i, j, k, l, v):
+    a[i, j, k, l] = v
+    a[j, i, k, l] = -v
+    a[i, j, l, k] = -v
+    a[j, i, l, k] = v
+    a[k, l, i, j] = v
+    a[l, k, i, j] = -v
+    a[k, l, j, i] = -v
+    a[l, k, j, i] = v
+
+
+def _ref_symmetrize(raw):
+    a = np.zeros_like(raw)
+    for i, j, k, l in canonical_quadruples(raw.shape[0]):
+        _ref_fan_out(a, i, j, k, l, raw[i, j, k, l])
+    return a
+
+
+def _ref_from_components(n, entries):
+    seen = {}
+    for i, j, k, l, v in entries:
+        quad, sign = canonical_index(i - 1, j - 1, k - 1, l - 1)
+        if quad is not None:
+            seen[quad] = sign * float(v)
+    a = np.zeros((n, n, n, n))
+    for (i, j, k, l), v in seen.items():
+        _ref_fan_out(a, i, j, k, l, v)
+    return a
+
+
+def _ref_bianchi_project(a):
+    cyclic = a + np.einsum("iklj->ijkl", a) + np.einsum("iljk->ijkl", a)
+    return _ref_symmetrize(a - cyclic / 3.0)
+
+
+def _ref_random_curvature(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(pairs)
+    g = rng.standard_normal((m, m))
+    form = np.triu(g) + np.triu(g, 1).T
+    form = form * scale
+    a = np.zeros((n, n, n, n))
+    for p, (i, jj) in enumerate(pairs):
+        for q, (k, l) in enumerate(pairs):
+            v = form[p, q]
+            a[i, jj, k, l] = v
+            a[jj, i, k, l] = -v
+            a[i, jj, l, k] = -v
+            a[jj, i, l, k] = v
+    return _ref_bianchi_project(a)
+
+
+def _ref_constant_curvature(n, kappa):
+    eye = np.eye(n)
+    a = kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
+    return _ref_symmetrize(a)
+
+
+def _ref_complex_space_form(m, c):
+    n = 2 * m
+    j = np.zeros((n, n))
+    for a_idx in range(m):
+        j[2 * a_idx + 1, 2 * a_idx] = 1.0
+        j[2 * a_idx, 2 * a_idx + 1] = -1.0
+    jt = j.T
+    eye = np.eye(n)
+    a = (c / 4.0) * (
+        np.einsum("ik,jl->ijkl", eye, eye)
+        - np.einsum("il,jk->ijkl", eye, eye)
+        + np.einsum("ik,jl->ijkl", jt, jt)
+        - np.einsum("il,jk->ijkl", jt, jt)
+        + 2.0 * np.einsum("ij,kl->ijkl", jt, jt)
+    )
+    return _ref_symmetrize(a)
+
+
+def _same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+def test_index_map_reproduces_the_reference_loops_bit_for_bit(n, seed):
+    from curvop.tensor import _exact_symmetrize
+
+    rng = np.random.default_rng(seed)
+    # raw arrays with zeros and negative zeros in canonical and image slots
+    raw = rng.standard_normal((n,) * 4)
+    raw[rng.random(raw.shape) < 0.3] = 0.0
+    raw[rng.random(raw.shape) < 0.2] = -0.0
+    assert _same_bits(_exact_symmetrize(raw), _ref_symmetrize(raw))
+    sym = _ref_symmetrize(raw)
+    assert _same_bits(bianchi_project(sym).array, _ref_bianchi_project(sym))
+
+    scale = float(rng.choice([1.0, 0.5, rng.uniform(0.01, 100.0)]))
+    t = curvop.random_curvature(n, seed=(seed, n), scale=scale)
+    assert _same_bits(t.array, _ref_random_curvature(n, (seed, n), scale))
+    assert _same_bits(from_dense(t.array).array, t.array)
+    assert _same_bits(bianchi_project(t.array).array, _ref_bianchi_project(t.array))
+
+    # entries in any index order: some omitted, some explicitly +0.0 or -0.0,
+    # plus vanishing (i == j) entries; Bianchi is waived to allow any subset
+    entries = [(1, 1, 2, 2, 0.0), (2, 2, 1, 2, -0.0)]
+    for i, j, k, l in canonical_quadruples(n):
+        choice = int(rng.integers(4))
+        if choice == 0:
+            continue
+        v = (float(t.array[i, j, k, l]), 0.0, -0.0)[choice - 1]
+        image = int(rng.integers(3))
+        if image == 0:
+            entries.append((i + 1, j + 1, k + 1, l + 1, v))
+        elif image == 1:
+            entries.append((j + 1, i + 1, k + 1, l + 1, -v))
+        else:
+            entries.append((l + 1, k + 1, i + 1, j + 1, -v))
+    loose = ToleranceConfig(tol_bianchi=1e300)
+    assert _same_bits(new_from_components(n, entries, tol=loose).array,
+                      _ref_from_components(n, entries))
+
+    kappa = float(rng.choice([0.0, -0.0, rng.normal()]))
+    assert _same_bits(curvop.constant_curvature(n, kappa).array, _ref_constant_curvature(n, kappa))
+    c = float(rng.choice([4.0, -0.0, rng.normal()]))
+    assert _same_bits(curvop.complex_space_form(n // 2, c).array, _ref_complex_space_form(n // 2, c))
