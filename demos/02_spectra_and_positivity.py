@@ -50,8 +50,9 @@ for name, verdict in profile.to_dict()["verdicts"].items():
 
 # The LAPACK eigensolve behind all of this reports the eigenpair residual
 # max |M V - V diag(lambda)|, and the eigenvectors reconstruct the matrix
-# to machine precision.
-m = curvop.second_kind_matrix(cp2, curvop.s20_basis(4))
+# to machine precision. The matrix is written in the standard basis
+# s20_basis(n), which is built once per dimension and shared read-only.
+m = curvop.second_kind_matrix(cp2)
 full = curvop.eigen_sym(m)
 recon = np.linalg.norm(m - (full.eigenvectors * full.eigenvalues) @ full.eigenvectors.T)
 print("reconstruction error:", recon, " residual:", full.residual)

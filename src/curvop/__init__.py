@@ -70,7 +70,6 @@ from .conditions import (
     min_isotropic,
     phi_family,
     pullback,
-    quadratic_form,
     random_frame,
     ric_family,
     ricci_min,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .conditions import min_isotropic, random_frame, ricci_min, verify_pic_identities, verify_ric_identities
-from .errors import CurvopError
+from .errors import CurvopError, ParameterOutOfRange
 from .harness import (
     TOOL_NAME,
     emit_report,
@@ -32,7 +32,7 @@ from .harness import (
     sharpness_probe,
 )
 from .models import build_model, parse_model, random_curvature
-from .secondkind import eigen_sym, positivity_profile, s20_basis, second_kind_matrix
+from .secondkind import eigen_sym, positivity_profile, second_kind_matrix
 from .tensor import DEFAULT_TOL, load_tensor, save_tensor, to_dict
 
 
@@ -138,7 +138,7 @@ def _cmd_model(args) -> int:
 
 def _cmd_analyze(args) -> int:
     tensor = _load_input(args, required=True)
-    spectrum = eigen_sym(second_kind_matrix(tensor, s20_basis(tensor.dim)))
+    spectrum = eigen_sym(second_kind_matrix(tensor))
     profile = positivity_profile(spectrum, dim=tensor.dim)
     results = profile.to_dict()
     results["dim"] = tensor.dim
@@ -168,6 +168,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     extra = _load_input(args, required=False)
+    if args.dim < 3 or (extra is not None and extra.dim < 3):
+        raise ParameterOutOfRange("the identity suites need dimension >= 3")
+    fewest = 1 if extra is None else 0  # a run must check at least one case
+    if args.trials < fewest:
+        raise ParameterOutOfRange(f"--trials must be >= {fewest}, got {args.trials}")
     tol = args.tol_identity
     worst = 0.0
     checked = 0
@@ -177,17 +182,10 @@ def _cmd_verify(args) -> int:
     def run_case(tensor) -> None:
         nonlocal worst, checked, failures
         rng = np.random.default_rng((args.seed, checked))
-        if tensor.dim >= 4:
-            frame = random_frame(tensor.dim, 4, rng)
-            report = verify_pic_identities(tensor, frame)
-            suites["pic"] = max(suites.get("pic", 0.0), report.max_residual)
-            worst = max(worst, report.max_residual)
-            if report.max_residual > tol:
-                failures += 1
-        if tensor.dim >= 3:
-            frame = random_frame(tensor.dim, tensor.dim, rng)
-            report = verify_ric_identities(tensor, frame)
-            suites["ric"] = max(suites.get("ric", 0.0), report.max_residual)
+        runs = [("pic", verify_pic_identities, 4)] if tensor.dim >= 4 else []
+        for name, suite, width in runs + [("ric", verify_ric_identities, tensor.dim)]:
+            report = suite(tensor, random_frame(tensor.dim, width, rng))
+            suites[name] = max(suites.get(name, 0.0), report.max_residual)
             worst = max(worst, report.max_residual)
             if report.max_residual > tol:
                 failures += 1

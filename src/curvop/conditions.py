@@ -13,13 +13,18 @@ gradient descent on the Stiefel manifold from random starts.
 The module also carries two families of traceless symmetric 2-tensors
 attached to a frame, together with residual checks of the exact algebraic
 identities relating the second-kind bilinear form on those families to
-frame components of the tensor. The identities are what connects graded
+frame components of the tensor. Each family is a constant stack C of
+coordinate matrices carried to the frame F as F C F^T, and each suite
+reads its quadratic forms off the diagonal of ``second_kind_matrix`` on
+its family, while the closed forms they are checked against come from
+``pullback`` and ``ricci``. The identities are what connects graded
 eigenvalue positivity to the isotropic and Ricci conditions, so their
 residuals back the Monte Carlo harness with hard evidence.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -30,15 +35,17 @@ from .errors import (
     FrameNotOrthonormal,
     ParameterOutOfRange,
 )
-from .secondkind import eigen_sym, second_kind_matrix, s20_basis
+from .secondkind import (
+    SymTensorBasis,
+    eigen_sym,
+    lambda2_basis,
+    lambda2_dim,
+    s20_basis,
+    second_kind_matrix,
+)
 from .tensor import CurvatureTensor, ricci
 
 FRAME_TOL = 1e-12
-
-
-def sym_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Symmetrized outer product u (.) v = u v^T + v u^T."""
-    return np.outer(u, v) + np.outer(v, u)
 
 
 def check_frame(frame, width: int | None = None, dim: int | None = None) -> np.ndarray:
@@ -339,10 +346,25 @@ def ricci_min(t: CurvatureTensor) -> float:
     return float(eigen_sym(ricci(t), vectors=False).eigenvalues[0])
 
 
+def _phi_coordinates() -> np.ndarray:
+    """``phi_family`` of the standard 4-frame: three diagonal sign patterns,
+    then e_a(.)e_b +- e_c(.)e_d for the pair splits 14|23, 13|24, 12|34."""
+    diagonal = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])[:, None, :] * np.eye(4)
+    pairs = np.abs(lambda2_basis(4))  # e_a(.)e_b for ab = 12, 13, 14, 23, 24, 34
+    signs = np.tile([1.0, -1.0], 3)[:, None, None]
+    c = np.concatenate((diagonal, pairs[[2, 2, 1, 1, 0, 0]] + signs * pairs[[3, 3, 4, 4, 5, 5]]))
+    c.setflags(write=False)
+    return c
+
+
+_PHI = _phi_coordinates()
+
+
 def phi_family(frame) -> np.ndarray:
     """Nine traceless symmetric 2-tensors attached to an orthonormal 4-frame.
 
-    With (.) the symmetrized outer product and (e1..e4) the frame columns:
+    With (.) the symmetrized outer product u(.)v = u v^T + v u^T and
+    (e1..e4) the frame columns:
 
         phi1 = (e1(.)e1 + e2(.)e2 - e3(.)e3 - e4(.)e4)/2
         phi2 = (e1(.)e1 - e2(.)e2 + e3(.)e3 - e4(.)e4)/2
@@ -351,28 +373,12 @@ def phi_family(frame) -> np.ndarray:
         phi6 = e1(.)e3 + e2(.)e4        phi7 = e1(.)e3 - e2(.)e4
         phi8 = e1(.)e2 + e3(.)e4        phi9 = e1(.)e2 - e3(.)e4
 
-    Each has squared norm 4 and the family is orthogonal. Returned as a
-    (9, n, n) stack in the order above.
+    The family is orthogonal with every squared norm 4 (Gram matrix
+    4 I_9). Returned as a (9, n, n) stack F C F^T in the order above,
+    with C the family of the standard frame.
     """
     f = check_frame(frame, width=4)
-    e1, e2, e3, e4 = f[:, 0], f[:, 1], f[:, 2], f[:, 3]
-    d1, d2, d3, d4 = (sym_outer(e, e) for e in (e1, e2, e3, e4))
-    return np.array([
-        (d1 + d2 - d3 - d4) / 2.0,
-        (d1 - d2 + d3 - d4) / 2.0,
-        (d1 - d2 - d3 + d4) / 2.0,
-        sym_outer(e1, e4) + sym_outer(e2, e3),
-        sym_outer(e1, e4) - sym_outer(e2, e3),
-        sym_outer(e1, e3) + sym_outer(e2, e4),
-        sym_outer(e1, e3) - sym_outer(e2, e4),
-        sym_outer(e1, e2) + sym_outer(e3, e4),
-        sym_outer(e1, e2) - sym_outer(e3, e4),
-    ])
-
-
-def quadratic_form(t: CurvatureTensor, phi: np.ndarray) -> float:
-    """The second-kind bilinear form evaluated on one symmetric tensor."""
-    return float(np.einsum("iklj,ij,kl->", t.array, phi, phi))
+    return f @ _PHI @ f.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,8 +413,9 @@ def _relative(lhs: float, rhs: float, scale: float) -> float:
 def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
     """Check the nine diagonal identities of ``phi_family`` plus the master sum.
 
-    Each R(phi_a, phi_a) is compared against its closed form in frame
-    components; the grouped combinations and the master identity
+    Each R(phi_a, phi_a), read off the diagonal of ``second_kind_matrix``
+    on the family, is compared against its closed form in frame
+    components from ``pullback``; the grouped combinations and the master identity
 
         6 (q1 + q5 + q6) + (3/2)(q2+q3+q4+q7+q8+q9)
             = 27 (K13+K14+K23+K24) - 54 R(e1,e2,e3,e4)
@@ -419,8 +426,7 @@ def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
     if t.dim < 4:
         raise DimensionTooSmall(f"need dimension >= 4, got {t.dim}")
     f = check_frame(frame, width=4, dim=t.dim)
-    phis = phi_family(f)
-    q = np.einsum("iklj,aij,akl->a", t.array, phis, phis, optimize=True)
+    q = np.diagonal(second_kind_matrix(t, SymTensorBasis(t.dim, phi_family(f))))
 
     r4 = pullback(t.array, f)
     k12, k34 = r4[0, 1, 0, 1], r4[2, 3, 2, 3]
@@ -472,7 +478,20 @@ def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
     )
 
 
-def ric_family(frame) -> dict[str, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _ric_coordinates(n: int) -> np.ndarray:
+    """``ric_family`` of the standard n-frame: phi1, the off-diagonal block
+    of ``s20_basis(n)`` (phi_2..phi_n, then the psi_kl), and the diagonal
+    ladder of ``s20_basis(n - 1)`` moved onto axes 2..n (the xi_j)."""
+    phi1 = np.diag(np.r_[n - 1.0, -np.ones(n - 1)]) / np.sqrt(n * (n - 1))
+    xi = np.zeros((n - 2, n, n))
+    xi[:, 1:, 1:] = s20_basis(n - 1).elements[lambda2_dim(n - 1):]
+    c = np.concatenate((phi1[None], s20_basis(n).elements[:lambda2_dim(n)], xi))
+    c.setflags(write=False)
+    return c
+
+
+def ric_family(frame) -> np.ndarray:
     """Traceless symmetric basis adapted to a distinguished first vector.
 
     For an orthonormal n-frame with columns (e1, ..., en):
@@ -484,27 +503,15 @@ def ric_family(frame) -> dict[str, np.ndarray]:
                  / (2 sqrt(j(j-1)))                   for j = 2..n-1
 
     Together these are orthonormal and span the traceless symmetric
-    2-tensors of the span. Returned as a dict of stacks keyed by
-    "phi1", "phi", "psi", "xi".
+    2-tensors of the span. Returned as one ((n-1)(n+2)/2, m, m) stack
+    F C F^T for an (m, n) frame F, in the order phi1, phi_2..phi_n,
+    psi_kl (lexicographic in (k, l)), xi_2..xi_{n-1}.
     """
     f = check_frame(frame)
     n = f.shape[1]
     if n < 3:
         raise DimensionTooSmall(f"the adapted family needs an n-frame with n >= 3, got {n}")
-    cols = [f[:, i] for i in range(n)]
-    diags = [sym_outer(c, c) for c in cols]
-    phi1 = ((n - 1) * diags[0] - sum(diags[1:])) / (2.0 * np.sqrt(n * (n - 1)))
-    phi = np.array([sym_outer(cols[0], cols[i]) / np.sqrt(2.0) for i in range(1, n)])
-    psi = np.array([
-        sym_outer(cols[k], cols[l]) / np.sqrt(2.0)
-        for k in range(1, n)
-        for l in range(k + 1, n)
-    ])
-    xi = np.array([
-        (sum(diags[1:j]) - (j - 1) * diags[j]) / (2.0 * np.sqrt(j * (j - 1)))
-        for j in range(2, n)
-    ])
-    return {"phi1": phi1, "phi": phi, "psi": psi, "xi": xi}
+    return f @ _ric_coordinates(n) @ f.T
 
 
 def verify_ric_identities(t: CurvatureTensor, frame) -> IdentityReport:
@@ -522,23 +529,23 @@ def verify_ric_identities(t: CurvatureTensor, frame) -> IdentityReport:
         (n-2)(n+1)/2 * [(1)+(2)] + (n-2)/n * [(3)+(4)]
             = (n-2)(n+1)(n+2)/(2n) * R11,
 
-    which is what turns graded positivity into a Ricci bound. Residuals
-    are relative (see IdentityReport).
+    which is what turns graded positivity into a Ricci bound. The sums
+    (1)-(4) are slices of the diagonal of ``second_kind_matrix`` on the
+    family; R11 and S come from ``ricci``. Residuals are relative (see
+    IdentityReport).
     """
     n = t.dim
     if n < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
     f = check_frame(frame, width=n, dim=n)
-    fam = ric_family(f)
+    q = np.diagonal(second_kind_matrix(t, SymTensorBasis(n, ric_family(f))))
+    pairs = lambda2_dim(n)
+    q_phi1, q_phi = float(q[0]), float(q[1:n].sum())
+    q_psi, q_xi = float(q[n:1 + pairs].sum()), float(q[1 + pairs:].sum())
     ric_mat = ricci(t)
     r11 = float(f[:, 0] @ ric_mat @ f[:, 0])
     s = float(np.trace(ric_mat))
     scale = max(abs(r11), abs(s), t.max_abs())
-
-    q_phi1 = quadratic_form(t, fam["phi1"])
-    q_phi = float(np.einsum("iklj,aij,akl->", t.array, fam["phi"], fam["phi"], optimize=True))
-    q_psi = float(np.einsum("iklj,aij,akl->", t.array, fam["psi"], fam["psi"], optimize=True))
-    q_xi = float(np.einsum("iklj,aij,akl->", t.array, fam["xi"], fam["xi"], optimize=True))
 
     eq1_rhs = 2.0 * r11 / (n - 1) - s / (n * (n - 1))
     eq2_rhs = r11
@@ -569,4 +576,4 @@ def verify_ric_identities(t: CurvatureTensor, frame) -> IdentityReport:
 
 def second_kind_spectrum(t: CurvatureTensor):
     """Convenience: assemble the second-kind matrix and diagonalize it."""
-    return eigen_sym(second_kind_matrix(t, s20_basis(t.dim)))
+    return eigen_sym(second_kind_matrix(t))

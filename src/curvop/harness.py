@@ -33,7 +33,6 @@ from .secondkind import (
     alpha_star,
     eigen_sym,
     k_alpha_value,
-    s20_basis,
     s20_dim,
     second_kind_matrix,
 )
@@ -44,6 +43,11 @@ TOOL_NAME = "curvop"
 # Samples boosted and searched together in implication_trial; bounds the
 # samples held at once without changing any result.
 _TRIAL_BLOCK = 100
+
+# boost_to_hypothesis clears the analytic threshold by this margin
+# (relative plus absolute) and doubles the shift at most this often.
+_BOOST_MARGIN = 0.05
+_BOOST_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -177,17 +181,12 @@ def _hypothesis_holds(value: float, pred: PredicateSpec) -> bool:
     return value > 0.0 if pred.strict else value >= 0.0
 
 
-def boost_to_hypothesis(
-    t: CurvatureTensor,
-    pred: PredicateSpec,
-    basis=None,
-    margin: float = 0.05,
-    max_doublings: int = 60,
-) -> tuple[CurvatureTensor, Spectrum, float, float]:
+def boost_to_hypothesis(t: CurvatureTensor,
+                        pred: PredicateSpec) -> tuple[CurvatureTensor, Spectrum, float, float]:
     """Shift a tensor into the hypothesis class along the sphere direction.
 
     Adds t* times the unit-sphere tensor, where t* clears the analytic
-    threshold -(sigma_k + alpha lambda_{k+1})/(k + alpha) by ``margin``
+    threshold -(sigma_k + alpha lambda_{k+1})/(k + alpha) by ``_BOOST_MARGIN``
     (relative plus absolute); the spectrum is recomputed and the predicate
     re-verified, doubling the shift if rounding ate the margin. Returns
     (tensor, spectrum, hypothesis value, shift amount); the shift is 0.0
@@ -196,24 +195,22 @@ def boost_to_hypothesis(
     """
     if pred.kind != "k_alpha":
         raise ParameterOutOfRange("only k_alpha hypotheses support boosting")
-    if basis is None:
-        basis = s20_basis(t.dim)
-    spectrum = eigen_sym(second_kind_matrix(t, basis), vectors=False)
+    spectrum = eigen_sym(second_kind_matrix(t), vectors=False)
     value = _hypothesis_value(spectrum, pred)
     if _hypothesis_holds(value, pred):
         return t, spectrum, value, 0.0
     threshold = -value / (pred.k + pred.alpha)
-    amount = threshold * (1.0 + margin) + margin * max(1.0, abs(threshold))
+    amount = threshold * (1.0 + _BOOST_MARGIN) + _BOOST_MARGIN * max(1.0, abs(threshold))
     sphere = constant_curvature(t.dim, 1.0)
-    for _ in range(max_doublings):
+    for _ in range(_BOOST_DOUBLINGS):
         shifted = shift(t, sphere, amount)
-        spectrum = eigen_sym(second_kind_matrix(shifted, basis), vectors=False)
+        spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
         value = _hypothesis_value(spectrum, pred)
         if _hypothesis_holds(value, pred):
             return shifted, spectrum, value, amount
         amount *= 2.0
     raise ParameterOutOfRange(
-        f"boosting failed to reach hypothesis {pred.name} after {max_doublings} doublings"
+        f"boosting failed to reach hypothesis {pred.name} after {_BOOST_DOUBLINGS} doublings"
     )
 
 
@@ -252,14 +249,13 @@ def implication_trial(
             f"hypothesis {hyp.name} does not fit the spectrum size {size} for n={n}"
         )
 
-    basis = s20_basis(n)
     passing = 0
     shifts = 0
     capped = 0
     counterexamples = []
     for lo in range(0, trials, _TRIAL_BLOCK):
         block = range(lo, min(lo + _TRIAL_BLOCK, trials))
-        boosted = [boost_to_hypothesis(_random_for_trial(n, seed, trial, scale), hyp, basis)
+        boosted = [boost_to_hypothesis(_random_for_trial(n, seed, trial, scale), hyp)
                    for trial in block]
         samples = [b[0] for b in boosted]
         if concl.kind == "pic":
@@ -420,11 +416,10 @@ def sharpness_probe(
         raise ParameterOutOfRange(f"base dim {n} and direction dim {t_dir.dim} differ")
 
     k = 4 if base_spec.kind == "cp2" else n
-    basis = s20_basis(n)
     rows = []
     for idx, t in enumerate(np.linspace(0.0, 1.0, steps)):
         blend = interpolate(t_base, t_dir, float(t))
-        spectrum = eigen_sym(second_kind_matrix(blend, basis), vectors=False)
+        spectrum = eigen_sym(second_kind_matrix(blend), vectors=False)
         star = alpha_star(spectrum, k)
         iso = converged = None
         if n >= 4:

@@ -19,6 +19,7 @@ reproducible; the thread count can change their last bits.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -57,13 +58,11 @@ def lambda2_basis(n: int) -> np.ndarray:
     """
     if n < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {n}")
-    mats = np.zeros((lambda2_dim(n), n, n))
-    a = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats[a, i, j] = 1.0
-            mats[a, j, i] = -1.0
-            a += 1
+    i, j = np.triu_indices(n, 1)
+    a = np.arange(i.size)
+    mats = np.zeros((i.size, n, n))
+    mats[a, i, j] = 1.0
+    mats[a, j, i] = -1.0
     return mats
 
 
@@ -73,7 +72,9 @@ class SymTensorBasis:
 
     ``elements`` is an (N, n, n) stack, orthonormal under <A,B> = tr(A B)
     with every element traceless. ``rotated`` conjugates each element by
-    an orthogonal matrix, producing the image basis.
+    an orthogonal matrix, producing the image basis. The identity suites
+    also wrap their frame families in it (the phi-family is orthogonal
+    with squared norms 4) to evaluate the bilinear form on them.
     """
 
     dim: int
@@ -85,42 +86,34 @@ class SymTensorBasis:
     def gram(self) -> np.ndarray:
         return np.einsum("aij,bij->ab", self.elements, self.elements)
 
-    def max_trace(self) -> float:
-        return float(np.abs(np.einsum("aii->a", self.elements)).max())
-
     def rotated(self, q: np.ndarray) -> "SymTensorBasis":
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"rotation must be {self.dim}x{self.dim}, got {q.shape}")
-        rotated = np.einsum("ip,apq,jq->aij", q, self.elements, q)
-        return SymTensorBasis(self.dim, rotated)
+        return SymTensorBasis(self.dim, q @ self.elements @ q.T)
 
 
+@functools.lru_cache(maxsize=None)
 def s20_basis(n: int) -> SymTensorBasis:
     """Standard orthonormal basis of the traceless symmetric 2-tensors.
 
-    Off-diagonal elements (e_i (.) e_j)/sqrt(2) for i<j followed by the
-    diagonal ladder xi_j = (e_1 (.) e_1 + ... - j e_{j+1} (.) e_{j+1}) /
-    (2 sqrt(j(j+1))) for j = 1..n-1, written as symmetric matrices. Count
-    is exactly (n-1)(n+2)/2.
+    Off-diagonal elements (e_i (.) e_j)/sqrt(2) for i<j in lexicographic
+    order followed by the diagonal ladder xi_j = (e_1 (.) e_1 + ... - j
+    e_{j+1} (.) e_{j+1}) / (2 sqrt(j(j+1))) for j = 1..n-1, written as
+    symmetric matrices. Count is exactly (n-1)(n+2)/2. Built once per n;
+    the elements are read-only.
     """
     if n < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {n}")
-    els = []
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n))
-            m[i, j] = m[j, i] = inv_sqrt2
-            els.append(m)
-    for j in range(1, n):
-        m = np.zeros((n, n))
-        c = 1.0 / np.sqrt(j * (j + 1))
-        for p in range(j):
-            m[p, p] = c
-        m[j, j] = -j * c
-        els.append(m)
-    return SymTensorBasis(n, np.array(els))
+    j = np.arange(1, n)[:, None]
+    p = np.arange(n)
+    c = 1.0 / np.sqrt(j * (j + 1))
+    ladder = np.zeros((n - 1, n, n))
+    ladder[:, p, p] = np.where(p < j, c, np.where(p == j, -j * c, 0.0))
+    # |e_i ^ e_j| = e_i (.) e_j entrywise, in the same lexicographic order
+    elements = np.concatenate((np.abs(lambda2_basis(n)) / np.sqrt(2.0), ladder))
+    elements.setflags(write=False)
+    return SymTensorBasis(n, elements)
 
 
 def second_kind_matrix(t: CurvatureTensor, basis: SymTensorBasis | None = None) -> np.ndarray:

@@ -108,6 +108,24 @@ def test_verify_accepts_extra_model_case():
     assert results["pass"] is True
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--dim", "2", "--trials", "3"), "dimension >= 3"),
+    (("--dim", "4", "--trials", "0"), "--trials must be >= 1"),
+    (("--dim", "4", "--trials", "-2"), "--trials must be >= 1"),
+    (("--model", "cp2", "--trials", "-2"), "--trials must be >= 0"),
+    (("--model", "flat:n=2", "--trials", "0"), "dimension >= 3"),
+])
+def test_verify_rejects_runs_that_check_nothing(args, message):
+    proc = run_cli("verify", *args, expect=2)
+    assert message in proc.stderr
+    assert "PASS" not in proc.stdout
+
+
+def test_verify_checks_a_lone_tensor_with_zero_trials():
+    proc = run_cli("verify", "--model", "cp2", "--trials", "0", "--format", "json")
+    assert json.loads(proc.stdout)["casesChecked"] == 1
+
+
 def test_search_consistent_exits_zero(tmp_path):
     out = tmp_path / "report.json"
     proc = run_cli(

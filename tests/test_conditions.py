@@ -15,7 +15,6 @@ from curvop import (
     min_isotropic,
     phi_family,
     pullback,
-    quadratic_form,
     random_frame,
     ric_family,
     ricci_min,
@@ -224,15 +223,26 @@ def test_phi_family_shapes_norms_and_tracelessness():
         assert np.abs(phi - phi.T).max() < 1e-14
         assert abs(np.trace(phi)) < 1e-13
         assert (phi * phi).sum() == pytest.approx(4.0, abs=1e-12)
+    # orthogonal, every squared norm 4
+    gram = np.einsum("aij,bij->ab", phis, phis)
+    assert np.abs(gram - 4.0 * np.eye(9)).max() < 1e-13
 
 
-def test_quadratic_form_definition():
-    t = curvop.random_curvature(4, seed=3)
-    rng = np.random.default_rng(7)
-    f = random_frame(4, 4, rng)
-    phi = phi_family(f)[0]
-    direct = float(np.einsum("iklj,ij,kl->", t.array, phi, phi))
-    assert quadratic_form(t, phi) == pytest.approx(direct, abs=1e-12)
+def test_phi_family_matches_its_outer_product_definition():
+    f = random_frame(5, 4, np.random.default_rng(17))
+    e1, e2, e3, e4 = f.T
+
+    def sym(u, v):
+        return np.outer(u, v) + np.outer(v, u)
+
+    d1, d2, d3, d4 = (sym(e, e) for e in (e1, e2, e3, e4))
+    expected = [
+        (d1 + d2 - d3 - d4) / 2.0, (d1 - d2 + d3 - d4) / 2.0, (d1 - d2 - d3 + d4) / 2.0,
+        sym(e1, e4) + sym(e2, e3), sym(e1, e4) - sym(e2, e3),
+        sym(e1, e3) + sym(e2, e4), sym(e1, e3) - sym(e2, e4),
+        sym(e1, e2) + sym(e3, e4), sym(e1, e2) - sym(e3, e4),
+    ]
+    assert np.abs(phi_family(f) - np.array(expected)).max() < 1e-14
 
 
 def test_pic_identities_hold_on_random_tensors():
@@ -271,17 +281,33 @@ def test_ric_identities_hold_on_random_tensors():
 
 def test_ric_family_sizes_and_orthonormality_viewpoint():
     rng = np.random.default_rng(10)
+    for n in (3, 4, 5, 8):
+        f = random_frame(n, n, rng)
+        fam = ric_family(f)
+        # 1 + (n-1) + C(n-1,2) + (n-2) members, orthonormal and traceless
+        size = (n - 1) * (n + 2) // 2
+        assert fam.shape == (size, n, n)
+        assert np.abs(fam - np.swapaxes(fam, 1, 2)).max() < 1e-13
+        assert np.abs(np.trace(fam, axis1=1, axis2=2)).max() < 1e-13
+        gram = np.einsum("aij,bij->ab", fam, fam)
+        assert np.abs(gram - np.eye(size)).max() < 1e-13
+
+
+def test_ric_family_matches_its_outer_product_definition():
     n = 5
-    f = random_frame(n, n, rng)
-    fam = ric_family(f)
-    # 1 + (n-1) + C(n-1,2) + (n-2) members
-    assert fam["phi1"].shape == (n, n)
-    assert fam["phi"].shape == (n - 1, n, n)
-    assert fam["psi"].shape == ((n - 1) * (n - 2) // 2, n, n)
-    assert fam["xi"].shape == (n - 2, n, n)
-    # every member is symmetric
-    for m in [fam["phi1"], *fam["phi"], *fam["psi"], *fam["xi"]]:
-        assert np.abs(m - m.T).max() < 1e-13
+    f = random_frame(n, n, np.random.default_rng(18))
+    e = f.T
+
+    def sym(u, v):
+        return np.outer(u, v) + np.outer(v, u)
+
+    diags = [sym(c, c) for c in e]
+    expected = [((n - 1) * diags[0] - sum(diags[1:])) / (2.0 * np.sqrt(n * (n - 1)))]
+    expected += [sym(e[0], e[i]) / np.sqrt(2.0) for i in range(1, n)]
+    expected += [sym(e[k], e[l]) / np.sqrt(2.0) for k in range(1, n) for l in range(k + 1, n)]
+    expected += [(sum(diags[1:j]) - (j - 1) * diags[j]) / (2.0 * np.sqrt(j * (j - 1)))
+                 for j in range(2, n)]
+    assert np.abs(ric_family(f) - np.array(expected)).max() < 1e-14
 
 
 def test_identity_suites_reject_small_dimensions():
@@ -297,9 +323,33 @@ def test_master_identity_ties_family_to_isotropic_value(seed):
     t = curvop.random_curvature(4, seed=seed)
     rng = np.random.default_rng(seed)
     f = random_frame(4, 4, rng)
-    phis = phi_family(f)
-    q = np.array([quadratic_form(t, phi) for phi in phis])
+    q = np.array([bilinear_form(t.array, phi) for phi in phi_family(f)])
     combo = 6.0 * (q[0] + q[4] + q[5]) + 1.5 * (q[1] + q[2] + q[3] + q[6] + q[7] + q[8])
     r4 = pullback(t.array, f)
     s4 = r4[0, 2, 0, 2] + r4[0, 3, 0, 3] + r4[1, 2, 1, 2] + r4[1, 3, 1, 3]
     assert combo == pytest.approx(27.0 * s4 - 54.0 * r4[0, 1, 2, 3], rel=1e-9, abs=1e-9)
+
+
+def bilinear_form(r: np.ndarray, phis: np.ndarray) -> float:
+    """Reference: R_iklj phi_ij phi_kl, summed over a stack of tensors."""
+    phis = phis.reshape(-1, *r.shape[:2])
+    return float(np.einsum("iklj,aij,akl->", r, phis, phis))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=3, max_value=8), st.integers(min_value=0, max_value=2**31 - 1))
+def test_suite_values_equal_the_bilinear_form_on_each_family_slice(n, seed):
+    t = curvop.random_curvature(n, seed=seed)
+    rng = np.random.default_rng(seed)
+    frame = random_frame(n, n, rng)
+    fam = ric_family(frame)
+    pairs = n * (n - 1) // 2
+    slices = {"eq1": fam[0], "eq2": fam[1:n], "eq3": fam[n:1 + pairs], "eq4": fam[1 + pairs:]}
+    if n >= 4:
+        frame4 = random_frame(n, 4, rng)
+        pic = verify_pic_identities(t, frame4).values
+        for a, phi in enumerate(phi_family(frame4), start=1):
+            assert pic[f"q_phi{a}"] == pytest.approx(bilinear_form(t.array, phi), rel=1e-12, abs=1e-12)
+    ric = verify_ric_identities(t, frame).values
+    for name, members in slices.items():
+        assert ric[name] == pytest.approx(bilinear_form(t.array, members), rel=1e-12, abs=1e-12)

@@ -17,6 +17,7 @@ from curvop import (
     first_kind_matrix,
     k_alpha_positive,
     k_alpha_value,
+    lambda2_basis,
     lambda2_dim,
     named_conditions,
     positivity_profile,
@@ -39,7 +40,7 @@ def test_s20_basis_is_orthonormal_and_traceless():
         assert basis.elements.shape == (s20_dim(n), n, n)
         gram = basis.gram()
         assert np.abs(gram - np.eye(s20_dim(n))).max() < 1e-14
-        assert basis.max_trace() < 1e-14
+        assert np.abs(np.trace(basis.elements, axis1=1, axis2=2)).max() < 1e-14
 
 
 def test_rotated_basis_stays_orthonormal():
@@ -47,7 +48,60 @@ def test_rotated_basis_stays_orthonormal():
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     basis = s20_basis(5).rotated(q)
     assert np.abs(basis.gram() - np.eye(14)).max() < 1e-12
-    assert basis.max_trace() < 1e-12
+    assert np.abs(np.trace(basis.elements, axis1=1, axis2=2)).max() < 1e-12
+
+
+def reference_s20_basis(n):
+    """The element-by-element loop the index-array basis replaced."""
+    els = []
+    inv_sqrt2 = 1.0 / np.sqrt(2.0)
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = np.zeros((n, n))
+            m[i, j] = m[j, i] = inv_sqrt2
+            els.append(m)
+    for j in range(1, n):
+        m = np.zeros((n, n))
+        c = 1.0 / np.sqrt(j * (j + 1))
+        for p in range(j):
+            m[p, p] = c
+        m[j, j] = -j * c
+        els.append(m)
+    return np.array(els)
+
+
+def reference_lambda2_basis(n):
+    mats = np.zeros((lambda2_dim(n), n, n))
+    a = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            mats[a, i, j] = 1.0
+            mats[a, j, i] = -1.0
+            a += 1
+    return mats
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_bases_equal_the_reference_loops_bit_for_bit(n):
+    basis = s20_basis(n)
+    assert basis.elements.tobytes() == reference_s20_basis(n).tobytes()
+    assert basis.elements.shape == (s20_dim(n), n, n)
+    assert lambda2_basis(n).tobytes() == reference_lambda2_basis(n).tobytes()
+    assert lambda2_basis(n).shape == (lambda2_dim(n), n, n)
+
+
+def test_s20_basis_is_cached_and_read_only():
+    assert s20_basis(5) is s20_basis(5)
+    with pytest.raises(ValueError):
+        s20_basis(5).elements[0, 0, 1] = 1.0
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_lambda2_basis_carries_the_first_kind_matrix(n):
+    t = curvop.random_curvature(n, seed=(8, n))
+    forms = lambda2_basis(n)
+    m = np.einsum("ijkl,aij,bkl->ab", t.array, forms, forms) / 4.0
+    assert np.array_equal(m, first_kind_matrix(t))
 
 
 def test_second_kind_matrix_matches_bilinear_form_definition():
