@@ -25,10 +25,8 @@ from .errors import (
     ValidationFailure,
 )
 from .tensor import (
-    DEFAULT_TOL,
     SIGN_CONVENTION,
     CurvatureTensor,
-    ToleranceConfig,
     bianchi_project,
     canonical_index,
     canonical_quadruples,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -33,7 +34,10 @@ from .harness import (
 )
 from .models import build_model, parse_model, random_curvature
 from .secondkind import eigen_sym, positivity_profile, second_kind_matrix
-from .tensor import DEFAULT_TOL, load_tensor, save_tensor, to_dict
+from .tensor import load_tensor, save_tensor, to_dict
+
+# Default relative residual bound of the identity suites run by ``verify``.
+_TOL_IDENTITY = 1e-8
 
 
 def _default_seed() -> int:
@@ -78,8 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dim", type=int, default=4, help="dimension for random tensors")
     p_verify.add_argument("--trials", type=int, default=100,
                           help="random tensor/frame pairs per suite (default 100)")
-    p_verify.add_argument("--tol-identity", type=float, default=DEFAULT_TOL.tol_identity,
-                          help="relative residual bound (default 1e-8)")
+    p_verify.add_argument("--tol-identity", type=float, default=_TOL_IDENTITY,
+                          help=f"relative residual bound (default {_TOL_IDENTITY:g})")
     _add_common(p_verify)
 
     p_search = sub.add_parser("search", help="Monte Carlo implication search")
@@ -174,6 +178,8 @@ def _cmd_verify(args) -> int:
     if args.trials < fewest:
         raise ParameterOutOfRange(f"--trials must be >= {fewest}, got {args.trials}")
     tol = args.tol_identity
+    if not 0.0 < tol < math.inf:  # a nan bound would pass every residual
+        raise ParameterOutOfRange(f"--tol-identity must be finite and positive, got {tol}")
     worst = 0.0
     checked = 0
     failures = 0

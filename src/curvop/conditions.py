@@ -8,7 +8,10 @@ where Kab = R(ea, eb, ea, eb). Positivity of this quantity over all
 orthonormal 4-frames is decided here by sampled minimization: evaluation
 at every coordinate 4-subset (all pair splits, both cross-term signs,
 which covers all 4! * 2^4 signed permutations of a subset) plus projected
-gradient descent on the Stiefel manifold from random starts.
+gradient descent on the Stiefel manifold from random starts. One batched
+kernel, ``_iso_value_grad``, evaluates every isotropic value: single
+frames, the seeds, the descent and the reported minimum. ``pullback``
+stays apart from it, as the independent reference of the identity checks.
 
 The module also carries two families of traceless symmetric 2-tensors
 attached to a frame, together with residual checks of the exact algebraic
@@ -69,13 +72,17 @@ def check_frame(frame, width: int | None = None, dim: int | None = None) -> np.n
     return f
 
 
+def _retract(f: np.ndarray) -> np.ndarray:
+    """QR retraction with positive-diagonal sign fix; accepts (n, k) or a stack."""
+    q, r = np.linalg.qr(f)
+    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    signs = np.where(signs == 0, 1.0, signs)
+    return q * signs[..., None, :]
+
+
 def random_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthonormal (n, k) frame via QR of a Gaussian block."""
-    x = rng.standard_normal((n, k))
-    q, r = np.linalg.qr(x)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return q * signs
+    """Haar-ish random orthonormal (n, k) frame: the retraction of a Gaussian block."""
+    return _retract(rng.standard_normal((n, k)))
 
 
 def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
@@ -85,17 +92,6 @@ def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
     out = np.tensordot(out, frame, axes=([1], [0]))  # i d c b
     out = np.tensordot(out, frame, axes=([0], [0]))  # d c b a
     return np.ascontiguousarray(out.transpose(3, 2, 1, 0))
-
-
-def isotropic_value(t: CurvatureTensor, frame) -> float:
-    """Isotropic curvature of one orthonormal 4-frame."""
-    if t.dim < 4:
-        raise DimensionTooSmall(f"isotropic curvature needs dimension >= 4, got {t.dim}")
-    f = check_frame(frame, width=4, dim=t.dim)
-    r4 = pullback(t.array, f)
-    return float(
-        r4[0, 2, 0, 2] + r4[0, 3, 0, 3] + r4[1, 2, 1, 2] + r4[1, 3, 1, 3] - 2.0 * r4[0, 1, 2, 3]
-    )
 
 
 # Frame pairs (a, c) whose blocks vec(e_a e_c^T) enter the isotropic value
@@ -136,41 +132,40 @@ def _iso_value_grad(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, 
     return values, grads
 
 
-def _iso_values_batch(array: np.ndarray, frames: np.ndarray) -> np.ndarray:
-    """Isotropic values of one tensor on an (m, n, 4) stack of frames."""
-    n = array.shape[0]
-    return _iso_value_grad(array.reshape(n * n, n * n), frames)[0]
+def isotropic_value(t: CurvatureTensor, frame) -> float:
+    """Isotropic curvature of one orthonormal 4-frame.
+
+    Evaluated by the same kernel as the search, so it reproduces a
+    ``FrameSearchResult.best_value`` from its ``best_frame`` bit for bit.
+    """
+    if t.dim < 4:
+        raise DimensionTooSmall(f"isotropic curvature needs dimension >= 4, got {t.dim}")
+    f = check_frame(frame, width=4, dim=t.dim)
+    return float(_iso_value_grad(t.array.reshape(t.dim ** 2, t.dim ** 2), f)[0])
 
 
+# The six orderings of a 4-subset (a, b, c, d) that seed the search.
+_SEED_ORDERINGS = np.array([
+    [0, 1, 2, 3], [0, 1, 3, 2], [0, 2, 1, 3], [0, 2, 3, 1], [0, 3, 1, 2], [0, 3, 2, 1],
+])
+
+
+@functools.lru_cache(maxsize=None)
 def _coordinate_seed_frames(n: int) -> np.ndarray:
     """Representative coordinate 4-frames covering all signed permutations.
 
     For each 4-subset of axes the isotropic value depends only on the
     pair split (three choices) and the sign of the cross term (both signs
     occur among signed permutations), so six orderings per subset attain
-    every value the full 4! * 2^4 family can produce.
+    every value the full 4! * 2^4 family can produce. Returned as an
+    (m, n, 4) stack, subsets in lexicographic order; built once per n and
+    read-only.
     """
-    eye = np.eye(n)
-    frames = []
-    for a, b, c, d in combinations(range(n), 4):
-        for cols in (
-            (a, b, c, d),
-            (a, b, d, c),
-            (a, c, b, d),
-            (a, c, d, b),
-            (a, d, b, c),
-            (a, d, c, b),
-        ):
-            frames.append(eye[:, cols])
-    return np.array(frames)
-
-
-def _retract(f: np.ndarray) -> np.ndarray:
-    """QR retraction with positive-diagonal sign fix; accepts (n, 4) or a stack."""
-    q, r = np.linalg.qr(f)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0, 1.0, signs)
-    return q * signs[..., None, :]
+    cols = np.array(list(combinations(range(n), 4)))[:, _SEED_ORDERINGS].reshape(-1, 4)
+    frames = np.zeros((cols.shape[0], n, 4))
+    frames[np.arange(cols.shape[0])[:, None], cols, np.arange(4)] = 1.0
+    frames.setflags(write=False)
+    return frames
 
 
 def _descend_batch(rmats: np.ndarray, frames: np.ndarray, noise: np.ndarray,
@@ -242,8 +237,9 @@ def _descend_batch(rmats: np.ndarray, frames: np.ndarray, noise: np.ndarray,
 class FrameSearchResult:
     """Outcome of a sampled isotropic-curvature minimization.
 
-    ``best_value`` equals the isotropic value of ``best_frame`` (an (n,4)
-    orthonormal block); ``samples_used`` counts frames evaluated as seeds
+    ``best_value`` is the value the search minimized, and equals
+    ``isotropic_value(t, best_frame)`` bit for bit (``best_frame`` is an
+    (n,4) orthonormal block); ``samples_used`` counts frames evaluated as seeds
     (random starts plus coordinate representatives), ``refinement_steps``
     the total descent iterations, and ``converged`` whether every descent
     terminated by step underflow rather than the iteration cap. The value
@@ -255,15 +251,6 @@ class FrameSearchResult:
     samples_used: int
     refinement_steps: int
     converged: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "bestValue": self.best_value,
-            "bestFrame": [[float(x) for x in row] for row in self.best_frame],
-            "samplesUsed": self.samples_used,
-            "refinementSteps": self.refinement_steps,
-            "converged": self.converged,
-        }
 
 
 def min_isotropic(t: CurvatureTensor, trials: int, seed=0) -> FrameSearchResult:
@@ -287,7 +274,8 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
 
     Result i equals ``min_isotropic(tensors[i], trials, seed=seeds[i])``
     bit for bit: the starts of all tensors descend together in fixed-size
-    batches, and a frame's descent does not depend on its batch.
+    batches, and a frame's descent does not depend on its batch. Seeds,
+    descent and the reported value all come from ``_iso_value_grad``.
     """
     tensors, seeds = list(tensors), list(seeds)
     if len(seeds) != len(tensors):
@@ -322,19 +310,19 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         )
 
     coordinate = _coordinate_seed_frames(n)
+    seeded = coordinate.shape[0]
     results = []
-    for i, t in enumerate(tensors):
-        seed_values = _iso_values_batch(t.array, coordinate)
-        best = int(np.argmin(seed_values))
-        best_value, best_frame = float(seed_values[best]), coordinate[best]
+    for i in range(len(tensors)):
         rows = slice(i * trials, (i + 1) * trials)
-        best = int(np.argmin(values[rows]))
-        if values[rows][best] < best_value:
-            best_frame = frames[rows][best]
+        # One argmin over the seed values followed by the descent values:
+        # the first minimum wins, so a seed wins a tie.
+        candidates = np.concatenate((_iso_value_grad(rmats[i], coordinate)[0], values[rows]))
+        best = int(np.argmin(candidates))
+        best_frame = coordinate[best] if best < seeded else frames[rows][best - seeded]
         results.append(FrameSearchResult(
-            best_value=isotropic_value(t, best_frame),
+            best_value=float(candidates[best]),
             best_frame=best_frame,
-            samples_used=trials + coordinate.shape[0],
+            samples_used=trials + seeded,
             refinement_steps=int(iterations[rows].sum()),
             converged=bool(converged[rows].all()),
         ))

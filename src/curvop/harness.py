@@ -45,9 +45,8 @@ TOOL_NAME = "curvop"
 _TRIAL_BLOCK = 100
 
 # boost_to_hypothesis clears the analytic threshold by this margin
-# (relative plus absolute) and doubles the shift at most this often.
+# (relative plus absolute), which dwarfs the rounding of the shift.
 _BOOST_MARGIN = 0.05
-_BOOST_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,10 @@ def boost_to_hypothesis(t: CurvatureTensor,
 
     Adds t* times the unit-sphere tensor, where t* clears the analytic
     threshold -(sigma_k + alpha lambda_{k+1})/(k + alpha) by ``_BOOST_MARGIN``
-    (relative plus absolute); the spectrum is recomputed and the predicate
-    re-verified, doubling the shift if rounding ate the margin. Returns
+    (relative plus absolute). The sphere's second-kind matrix is the
+    identity, so the shift moves every eigenvalue by t*; the shifted
+    spectrum is solved once and the predicate re-verified, and a shifted
+    tensor that still fails it raises ParameterOutOfRange. Returns
     (tensor, spectrum, hypothesis value, shift amount); the shift is 0.0
     when the tensor already satisfies the predicate. The returned
     spectrum is eigenvalue-only (no eigenvectors).
@@ -201,17 +202,14 @@ def boost_to_hypothesis(t: CurvatureTensor,
         return t, spectrum, value, 0.0
     threshold = -value / (pred.k + pred.alpha)
     amount = threshold * (1.0 + _BOOST_MARGIN) + _BOOST_MARGIN * max(1.0, abs(threshold))
-    sphere = constant_curvature(t.dim, 1.0)
-    for _ in range(_BOOST_DOUBLINGS):
-        shifted = shift(t, sphere, amount)
-        spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
-        value = _hypothesis_value(spectrum, pred)
-        if _hypothesis_holds(value, pred):
-            return shifted, spectrum, value, amount
-        amount *= 2.0
-    raise ParameterOutOfRange(
-        f"boosting failed to reach hypothesis {pred.name} after {_BOOST_DOUBLINGS} doublings"
-    )
+    shifted = shift(t, constant_curvature(t.dim, 1.0), amount)
+    spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
+    value = _hypothesis_value(spectrum, pred)
+    if not _hypothesis_holds(value, pred):
+        raise ParameterOutOfRange(
+            f"a shift by {amount:.6g} left hypothesis {pred.name} failing at {value:.6g}"
+        )
+    return shifted, spectrum, value, amount
 
 
 def implication_trial(

@@ -33,7 +33,6 @@ from .errors import (
 )
 from .tensor import (
     CurvatureTensor,
-    ToleranceConfig,
     _check_finite,
     _exact_symmetrize,
     bianchi_project,
@@ -44,7 +43,8 @@ from .tensor import (
 def _model(a: np.ndarray) -> CurvatureTensor:
     """Wrap an exactly symmetric model array, rejecting non-finite or
     overflowing components (ValidationFailure). The arrays are Bianchi by
-    construction, so that check is skipped."""
+    construction, or about to be projected (``random_curvature``), so that
+    check is skipped."""
     _check_finite(a)
     return CurvatureTensor(a.shape[0], a, validate=False)
 
@@ -123,7 +123,7 @@ def complex_space_form(m: int, c: float) -> CurvatureTensor:
     return _model(_exact_symmetrize(a))
 
 
-def cp2_explicit(tol: ToleranceConfig | None = None) -> CurvatureTensor:
+def cp2_explicit() -> CurvatureTensor:
     """The Fubini-Study CP^2 tensor from its nine nonzero components.
 
     In an adapted orthonormal frame (e1, e2 = Je1, e3, e4 = Je3):
@@ -143,7 +143,7 @@ def cp2_explicit(tol: ToleranceConfig | None = None) -> CurvatureTensor:
         (1, 3, 4, 2, -1.0),
         (1, 4, 2, 3, -1.0),
     ]
-    return new_from_components(4, entries, tol=tol)
+    return new_from_components(4, entries)
 
 
 def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
@@ -165,8 +165,10 @@ def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     g = rng.standard_normal((len(i), len(i)))
     form = np.triu(g) + np.triu(g, 1).T
     a = np.zeros((n, n, n, n))
-    a[i[:, None], j[:, None], i, j] = form * scale
-    return bianchi_project(_exact_symmetrize(a))
+    with np.errstate(over="ignore"):  # an overflowing scale is refused by _model
+        a[i[:, None], j[:, None], i, j] = form * scale
+    # _model checks finiteness; the rebuilt array needs no symmetry re-check.
+    return bianchi_project(_model(_exact_symmetrize(a)))
 
 
 def interpolate(t1: CurvatureTensor, t2: CurvatureTensor, t: float) -> CurvatureTensor:

@@ -80,9 +80,6 @@ class SymTensorBasis:
     dim: int
     elements: np.ndarray = field(repr=False)
 
-    def __len__(self) -> int:
-        return self.elements.shape[0]
-
     def gram(self) -> np.ndarray:
         return np.einsum("aij,bij->ab", self.elements, self.elements)
 
@@ -157,13 +154,6 @@ class Spectrum:
     eigenvalues: np.ndarray = field(repr=False)
     eigenvectors: np.ndarray | None = field(repr=False)
     residual: float | None
-
-    @property
-    def size(self) -> int:
-        return self.eigenvalues.shape[0]
-
-    def to_dict(self) -> dict:
-        return {"eigenvalues": [float(v) for v in self.eigenvalues]}
 
 
 def eigen_sym(m: np.ndarray, vectors: bool = True) -> Spectrum:

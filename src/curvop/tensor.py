@@ -29,7 +29,6 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +38,6 @@ from .errors import (
     DimensionTooSmall,
     IndexOutOfRange,
     IoFailure,
-    ParameterOutOfRange,
     ParseError,
     SymmetryConflict,
     ValidationFailure,
@@ -48,27 +46,8 @@ from .errors import (
 SIGN_CONVENTION = "R1212-positive-sphere"
 
 _SYM_TOL = 1e-12  # relative index-symmetry deviation accepted in a raw array
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Numerical tolerances used across the package.
-
-    tol_bianchi bounds the first Bianchi residual relative to the largest
-    component, and tol_identity bounds the relative residual of the frame
-    identity checks.
-    """
-
-    tol_bianchi: float = 1e-10
-    tol_identity: float = 1e-8
-
-    def __post_init__(self):
-        for name in ("tol_bianchi", "tol_identity"):
-            if not getattr(self, name) > 0:
-                raise ParameterOutOfRange(f"{name} must be strictly positive")
-
-
-DEFAULT_TOL = ToleranceConfig()
+_BIANCHI_TOL = 1e-10  # first Bianchi residual accepted, relative to the largest component
+_GRAM_TOL = 1e-12  # relative Gram determinant below which two vectors span no plane
 
 
 def canonical_index(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int] | None, int]:
@@ -146,8 +125,7 @@ class CurvatureTensor:
 
     __slots__ = ("dim", "_a")
 
-    def __init__(self, dim: int, array: np.ndarray, *, validate: bool = True,
-                 tol: ToleranceConfig | None = None):
+    def __init__(self, dim: int, array: np.ndarray, *, validate: bool = True):
         if dim < 1:
             raise DimensionTooSmall(f"need dimension >= 1, got {dim}")
         a = np.asarray(array, dtype=float)
@@ -159,7 +137,7 @@ class CurvatureTensor:
         self._a = a
         if validate:
             _check_finite(a)
-            _check_bianchi(a, tol or DEFAULT_TOL)
+            _check_bianchi(a)
 
     @property
     def array(self) -> np.ndarray:
@@ -199,23 +177,24 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValidationFailure("components too large: the Ricci and second-kind norms overflow")
 
 
-def _check_bianchi(a: np.ndarray, tol: ToleranceConfig) -> None:
+def _check_bianchi(a: np.ndarray) -> None:
     residual = float(np.abs(_bianchi_cyclic(a)).max())
     scale = float(np.abs(a).max())
-    if residual > tol.tol_bianchi * scale:
+    if residual > _BIANCHI_TOL * scale:
         raise BianchiViolation(
-            f"first Bianchi residual {residual:.3e} exceeds {tol.tol_bianchi:.1e} * {scale:.3e}"
+            f"first Bianchi residual {residual:.3e} exceeds {_BIANCHI_TOL:.1e} * {scale:.3e}"
         )
 
 
-def new_from_components(n: int, entries, tol: ToleranceConfig | None = None) -> CurvatureTensor:
+def new_from_components(n: int, entries) -> CurvatureTensor:
     """Build a tensor from 1-based component entries.
 
     ``entries`` is an iterable of (i, j, k, l, value). Indices may appear
     in any order; each is canonicalized with its sign. Supplying two
     entries that disagree under the symmetries raises SymmetryConflict;
     components not mentioned are zero. The assembled tensor must satisfy
-    the first Bianchi identity within ``tol.tol_bianchi``.
+    the first Bianchi identity within ``_BIANCHI_TOL`` relative to its
+    largest component.
     """
     if n < 1:
         raise DimensionTooSmall(f"need dimension >= 1, got {n}")
@@ -243,7 +222,7 @@ def new_from_components(n: int, entries, tol: ToleranceConfig | None = None) -> 
     negated = np.zeros((n, n, n, n))
     for quad, v in seen.items():
         a[quad], negated[quad] = v, -v
-    return CurvatureTensor(n, _exact_symmetrize(a, negated), tol=tol)
+    return CurvatureTensor(n, _exact_symmetrize(a, negated))
 
 
 def _symmetric_array(array) -> np.ndarray:
@@ -268,7 +247,7 @@ def _symmetric_array(array) -> np.ndarray:
     return a
 
 
-def from_dense(array, tol: ToleranceConfig | None = None) -> CurvatureTensor:
+def from_dense(array) -> CurvatureTensor:
     """Adopt a raw (n,n,n,n) array as a curvature tensor.
 
     The array must satisfy the index symmetries within 1e-12 relative to
@@ -276,10 +255,10 @@ def from_dense(array, tol: ToleranceConfig | None = None) -> CurvatureTensor:
     rebuilt exactly from canonical slots and Bianchi-checked.
     """
     a = _symmetric_array(array)
-    return CurvatureTensor(a.shape[0], _exact_symmetrize(a), tol=tol)
+    return CurvatureTensor(a.shape[0], _exact_symmetrize(a))
 
 
-def bianchi_project(array, tol: ToleranceConfig | None = None) -> CurvatureTensor:
+def bianchi_project(array) -> CurvatureTensor:
     """Orthogonally project a raw array onto the Bianchi subspace.
 
     Accepts any array with the index symmetries (checked as in
@@ -291,7 +270,7 @@ def bianchi_project(array, tol: ToleranceConfig | None = None) -> CurvatureTenso
     """
     a = array.array if isinstance(array, CurvatureTensor) else _symmetric_array(array)
     projected = a - _bianchi_cyclic(a) / 3.0
-    return CurvatureTensor(a.shape[0], _exact_symmetrize(projected), tol=tol)
+    return CurvatureTensor(a.shape[0], _exact_symmetrize(projected))
 
 
 def ricci(t: CurvatureTensor) -> np.ndarray:
@@ -304,12 +283,12 @@ def scalar(t: CurvatureTensor) -> float:
     return float(np.trace(ricci(t)))
 
 
-def sectional(t: CurvatureTensor, u, v, gram_tol: float = 1e-12) -> float:
+def sectional(t: CurvatureTensor, u, v) -> float:
     """Sectional curvature of the 2-plane spanned by u and v.
 
     K(u, v) = R(u, v, u, v) / (|u|^2 |v|^2 - <u,v>^2). The vectors need not
     be orthonormal but must span a genuine 2-plane: the Gram determinant
-    must exceed ``gram_tol`` times |u|^2 |v|^2, else DegeneratePlane.
+    must exceed ``_GRAM_TOL`` times |u|^2 |v|^2, else DegeneratePlane.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -319,7 +298,7 @@ def sectional(t: CurvatureTensor, u, v, gram_tol: float = 1e-12) -> float:
     g22 = float(v @ v)
     g12 = float(u @ v)
     gram = g11 * g22 - g12 * g12
-    if gram <= gram_tol * max(g11 * g22, 1e-300):
+    if gram <= _GRAM_TOL * max(g11 * g22, 1e-300):
         raise DegeneratePlane("vectors do not span a 2-plane")
     num = float(np.einsum("ijkl,i,j,k,l->", t.array, u, v, u, v))
     return num / gram
@@ -336,7 +315,7 @@ def to_dict(t: CurvatureTensor) -> dict:
     return {"dim": t.dim, "convention": SIGN_CONVENTION, "entries": entries}
 
 
-def from_dict(doc, tol: ToleranceConfig | None = None) -> CurvatureTensor:
+def from_dict(doc) -> CurvatureTensor:
     """Build a tensor from the JSON structure produced by ``to_dict``.
 
     Entries need not be canonical; they pass through the same
@@ -363,7 +342,7 @@ def from_dict(doc, tol: ToleranceConfig | None = None) -> CurvatureTensor:
             entries.append((e["i"], e["j"], e["k"], e["l"], float(e["v"])))
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"malformed entry {e!r}") from exc
-    return new_from_components(n, entries, tol=tol)
+    return new_from_components(n, entries)
 
 
 def write_json_atomic(doc: dict, path: str) -> None:
@@ -389,7 +368,7 @@ def save_tensor(t: CurvatureTensor, path: str) -> None:
     write_json_atomic(to_dict(t), path)
 
 
-def load_tensor(path: str, tol: ToleranceConfig | None = None) -> CurvatureTensor:
+def load_tensor(path: str) -> CurvatureTensor:
     """Read a tensor JSON file written by ``save_tensor``."""
     try:
         with open(path) as fh:
@@ -398,4 +377,4 @@ def load_tensor(path: str, tol: ToleranceConfig | None = None) -> CurvatureTenso
         raise IoFailure(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-    return from_dict(doc, tol=tol)
+    return from_dict(doc)

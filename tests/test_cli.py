@@ -121,6 +121,13 @@ def test_verify_rejects_runs_that_check_nothing(args, message):
     assert "PASS" not in proc.stdout
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_verify_rejects_unusable_tolerances(tol):
+    proc = run_cli("verify", "--dim", "4", "--trials", "1", f"--tol-identity={tol}", expect=2)
+    assert "--tol-identity must be finite and positive" in proc.stderr
+    assert "PASS" not in proc.stdout
+
+
 def test_verify_checks_a_lone_tensor_with_zero_trials():
     proc = run_cli("verify", "--model", "cp2", "--trials", "0", "--format", "json")
     assert json.loads(proc.stdout)["casesChecked"] == 1

@@ -1,5 +1,7 @@
 """Frames, isotropic curvature, the descent search, and identity suites."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +27,6 @@ from curvop.conditions import (
     _coordinate_seed_frames,
     _descend_batch,
     _iso_value_grad,
-    _iso_values_batch,
     _retract,
     min_isotropic_batch,
 )
@@ -84,13 +85,14 @@ def test_isotropic_value_on_unit_sphere_is_four():
         assert isotropic_value(t, f) == pytest.approx(4.0, abs=1e-10)
 
 
-def test_batch_evaluator_matches_scalar_path():
-    t = curvop.random_curvature(5, seed=14)
-    rng = np.random.default_rng(4)
-    frames = np.stack([random_frame(5, 4, rng) for _ in range(9)])
-    batch = _iso_values_batch(t.array, frames)
-    singles = np.array([isotropic_value(t, f) for f in frames])
-    assert np.abs(batch - singles).max() < 1e-12
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=2**32 - 1))
+def test_isotropic_value_matches_the_pullback_closed_form(n, seed):
+    t = curvop.random_curvature(n, seed=seed)
+    f = random_frame(n, 4, np.random.default_rng(seed))
+    r4 = pullback(t.array, f)
+    closed = r4[0, 2, 0, 2] + r4[0, 3, 0, 3] + r4[1, 2, 1, 2] + r4[1, 3, 1, 3] - 2.0 * r4[0, 1, 2, 3]
+    assert abs(isotropic_value(t, f) - closed) <= 1e-12 * max(1.0, t.max_abs())
 
 
 def test_coordinate_seed_frames_cover_subsets():
@@ -98,6 +100,22 @@ def test_coordinate_seed_frames_cover_subsets():
     assert frames.shape == (5 * 6, 5, 4)  # C(5,4) subsets x six orderings
     for f in frames[:12]:
         assert np.abs(f.T @ f - np.eye(4)).max() == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_coordinate_seed_frames_match_the_reference_loop_and_are_cached(n):
+    eye = np.eye(n)
+    reference = np.array([
+        eye[:, cols]
+        for a, b, c, d in combinations(range(n), 4)
+        for cols in ((a, b, c, d), (a, b, d, c), (a, c, b, d),
+                     (a, c, d, b), (a, d, b, c), (a, d, c, b))
+    ])
+    frames = _coordinate_seed_frames(n)
+    assert frames.dtype == reference.dtype and frames.shape == reference.shape
+    assert frames.tobytes() == reference.tobytes()
+    assert _coordinate_seed_frames(n) is frames
+    assert not frames.flags.writeable
 
 
 def test_pullback_in_full_frame_is_change_of_basis():
@@ -114,9 +132,7 @@ def test_min_isotropic_cp2_boundary_is_zero():
     assert 0.0 <= res.best_value <= 1e-6
     assert res.converged
     # reported value equals a fresh evaluation of the reported frame
-    assert res.best_value == pytest.approx(
-        isotropic_value(curvop.cp2_explicit(), res.best_frame), abs=1e-12
-    )
+    assert res.best_value == isotropic_value(curvop.cp2_explicit(), res.best_frame)
 
 
 def test_min_isotropic_is_deterministic_and_monotone_in_trials():
@@ -133,7 +149,7 @@ def test_min_isotropic_is_deterministic_and_monotone_in_trials():
 def test_min_isotropic_never_exceeds_coordinate_minimum():
     t = curvop.random_curvature(6, seed=17)
     frames = _coordinate_seed_frames(6)
-    coord_min = _iso_values_batch(t.array, frames).min()
+    coord_min = _iso_value_grad(t.array.reshape(36, 36), frames)[0].min()
     res = min_isotropic(t, trials=3, seed=0)
     assert res.best_value <= coord_min + 1e-12
 

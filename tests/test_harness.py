@@ -5,9 +5,19 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curvop
-from curvop import ParameterOutOfRange, ParseError
+from curvop import (
+    ParameterOutOfRange,
+    ParseError,
+    eigen_sym,
+    isotropic_value,
+    k_alpha_value,
+    second_kind_matrix,
+)
+from curvop.conditions import min_isotropic_batch
 from curvop.harness import (
     PredicateSpec,
     boost_to_hypothesis,
@@ -55,6 +65,38 @@ def test_boost_reaches_hypothesis():
     sphere = curvop.constant_curvature(4, 1.0).array
     scale = diff[0, 1, 0, 1]
     assert np.abs(diff - scale * sphere).max() < 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([4, 5, 6, 8]), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=-8.0, max_value=8.0),
+       st.sampled_from(["k4a0.5strict", "k4a0.5nonneg", "k1a0strict", "k5a0.6strict"]))
+def test_boost_shifts_by_the_closed_form_amount(n, seed, exponent, name):
+    pred = parse_predicate(name)
+    t = curvop.random_curvature(n, seed=seed, scale=10.0 ** exponent)
+    before = k_alpha_value(eigen_sym(second_kind_matrix(t), vectors=False), pred.k, pred.alpha)
+    _, _, value, amount = boost_to_hypothesis(t, pred)
+    assert value > 0.0
+    if before > 0.0:
+        assert amount == 0.0 and value == before
+    else:
+        threshold = -before / (pred.k + pred.alpha)
+        assert amount == threshold * (1.0 + 0.05) + 0.05 * max(1.0, abs(threshold))
+
+
+def test_boost_raises_when_the_shift_misses(monkeypatch):
+    monkeypatch.setattr(curvop.harness, "shift", lambda t1, t2, amount: t1)
+    with pytest.raises(ParameterOutOfRange, match="failing"):
+        boost_to_hypothesis(curvop.random_curvature(4, seed=(3, 1)), parse_predicate("k4a0.5strict"))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_search_reports_the_value_of_its_frame_bit_for_bit(n):
+    pred = parse_predicate("k4a0.5strict")
+    samples = [boost_to_hypothesis(curvop.random_curvature(n, seed=(n, i)), pred)[0]
+               for i in range(20)]
+    for t, r in zip(samples, min_isotropic_batch(samples, 5, [(n, i, 1) for i in range(20)])):
+        assert r.best_value == isotropic_value(t, r.best_frame)
 
 
 def test_boost_is_identity_when_already_passing():

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import curvop
 from curvop import (
     DimensionMismatch,
+    ParameterOutOfRange,
     ParseError,
     ValidationFailure,
     build_model,
@@ -112,6 +114,20 @@ def test_random_curvature_scale_power_of_two_is_exact():
     base = random_curvature(4, seed=5, scale=1.0)
     doubled = random_curvature(4, seed=5, scale=2.0)
     assert np.array_equal(doubled.array, 2.0 * base.array)
+
+
+@pytest.mark.parametrize("scale, error", [
+    (1e300, ValidationFailure),
+    (1e308, ValidationFailure),
+    (float("inf"), ValidationFailure),
+    (float("nan"), ParameterOutOfRange),
+])
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_random_curvature_refuses_unusable_scales_without_warning(n, scale, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            random_curvature(n, seed=1, scale=scale)
 
 
 def test_random_curvature_satisfies_symmetries():

@@ -2,6 +2,7 @@
 
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from curvop import (
     IndexOutOfRange,
     ParseError,
     SymmetryConflict,
-    ToleranceConfig,
     ValidationFailure,
     bianchi_project,
     canonical_index,
@@ -171,11 +171,6 @@ def test_from_dense_rejects_non_finite_components():
     a[1, 0, 0, 1] = a[0, 1, 1, 0] = np.nan
     with pytest.raises(ValidationFailure):
         from_dense(a)
-
-
-def test_tolerance_config_rejects_nonpositive():
-    with pytest.raises(curvop.ParameterOutOfRange):
-        ToleranceConfig(tol_bianchi=0.0)
 
 
 def test_tensor_array_is_read_only():
@@ -332,9 +327,8 @@ def test_index_map_reproduces_the_reference_loops_bit_for_bit(n, seed):
             entries.append((j + 1, i + 1, k + 1, l + 1, -v))
         else:
             entries.append((l + 1, k + 1, i + 1, j + 1, -v))
-    loose = ToleranceConfig(tol_bianchi=1e300)
-    assert _same_bits(new_from_components(n, entries, tol=loose).array,
-                      _ref_from_components(n, entries))
+    with mock.patch.object(curvop.tensor, "_BIANCHI_TOL", 1e300):
+        assert _same_bits(new_from_components(n, entries).array, _ref_from_components(n, entries))
 
     kappa = float(rng.choice([0.0, -0.0, rng.normal()]))
     assert _same_bits(curvop.constant_curvature(n, kappa).array, _ref_constant_curvature(n, kappa))
