@@ -7,11 +7,15 @@ The isotropic curvature of an orthonormal 4-frame (e1, e2, e3, e4) is
 where Kab = R(ea, eb, ea, eb). Positivity of this quantity over all
 orthonormal 4-frames is decided here by sampled minimization: evaluation
 at every coordinate 4-subset (all pair splits, both cross-term signs,
-which covers all 4! * 2^4 signed permutations of a subset) plus projected
-gradient descent on the Stiefel manifold from random starts. One batched
-kernel, ``_iso_value_grad``, evaluates every isotropic value: single
-frames, the seeds, the descent and the reported minimum. ``pullback``
-stays apart from it, as the independent reference of the identity checks.
+which covers all 4! * 2^4 signed permutations of a subset) plus a descent
+on the Stiefel manifold from random starts, projected gradient steps for
+a warm-up and Polak-Ribiere+ conjugate gradient after it. One batched
+kernel, ``_iso_values`` (with ``_iso_grads`` for the gradient of a kept
+frame), evaluates every isotropic value: single frames, the descent and
+the reported minimum; the coordinate seeds read their five components
+directly, in the kernel's order, and equal its values bit for bit.
+``pullback`` stays apart from it, as the independent reference of the
+identity checks.
 
 The module also carries two families of traceless symmetric 2-tensors
 attached to a frame, together with residual checks of the exact algebraic
@@ -99,17 +103,16 @@ def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
 _PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1))
 
 
-def _iso_value_grad(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Isotropic values and Euclidean gradients for a stack of frames.
+def _iso_values(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Isotropic values of a stack of frames, and the products behind them.
 
     ``frames`` has shape (..., n, 4) and ``rmats`` holds the (n^2, n^2)
     matrix view of each frame's tensor, broadcastable against the leading
-    dimensions; returns values (...) and gradients (..., n, 4). Row p of
-    y = x @ R is the 2-form R(., ., e_a, e_c) of pair p, so one product
-    feeds the value and, through the antisymmetry of the 2-forms, the
-    gradient. Every product is a stacked ``matmul`` of one fixed shape
-    per frame, so a frame's numbers do not depend on how many other
-    frames share the call.
+    dimensions; returns values (...) and y (..., 6, n^2). Row p of
+    y = x @ R is the 2-form R(., ., e_a, e_c) of pair p, which feeds the
+    value here and the gradient in ``_iso_grads``. Every product is a
+    stacked ``matmul`` of one fixed shape per frame, so a frame's numbers
+    do not depend on how many other frames share the call.
     """
     n = frames.shape[-2]
     lead = frames.shape[:-2]
@@ -119,17 +122,23 @@ def _iso_value_grad(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, 
     y = np.matmul(x, rmats)
     dots = (x[..., :4, :] * y[..., :4, :]).sum(axis=-1)
     cross = (x[..., 5, :] * y[..., 4, :]).sum(axis=-1)
-    values = dots[..., 0] + dots[..., 1] + dots[..., 2] + dots[..., 3] - 2.0 * cross
+    return dots[..., 0] + dots[..., 1] + dots[..., 2] + dots[..., 3] - 2.0 * cross, y
+
+
+def _iso_grads(y: np.ndarray, frames: np.ndarray) -> np.ndarray:
+    """Euclidean gradients (..., n, 4) of the isotropic value at ``frames``,
+    from the products y that ``_iso_values`` returned for the same frames;
+    the antisymmetry of the 2-forms turns y into the gradient."""
+    n = frames.shape[-2]
     # w[..., p, :, j] = R(., e_j, e_a, e_c), and R(e_j, ., e_a, e_c) = -w[..., p, :, j]
-    w = np.matmul(y.reshape(*lead, 6, n, n), frames[..., None, :, :])
+    w = np.matmul(y.reshape(*y.shape[:-2], 6, n, n), frames[..., None, :, :])
     w02, w03, w12, w13, w23, w01 = (w[..., p, :, :] for p in range(6))
-    grads = 2.0 * np.stack([
+    return 2.0 * np.stack([
         w02[..., 2] + w03[..., 3] - w23[..., 1],
         w12[..., 2] + w13[..., 3] + w23[..., 0],
         -w02[..., 0] - w12[..., 1] - w01[..., 3],
         -w03[..., 0] - w13[..., 1] + w01[..., 2],
     ], axis=-1)
-    return values, grads
 
 
 def isotropic_value(t: CurvatureTensor, frame) -> float:
@@ -141,7 +150,7 @@ def isotropic_value(t: CurvatureTensor, frame) -> float:
     if t.dim < 4:
         raise DimensionTooSmall(f"isotropic curvature needs dimension >= 4, got {t.dim}")
     f = check_frame(frame, width=4, dim=t.dim)
-    return float(_iso_value_grad(t.array.reshape(t.dim ** 2, t.dim ** 2), f)[0])
+    return float(_iso_values(t.array.reshape(t.dim ** 2, t.dim ** 2), f)[0])
 
 
 # The six orderings of a 4-subset (a, b, c, d) that seed the search.
@@ -168,22 +177,77 @@ def _coordinate_seed_frames(n: int) -> np.ndarray:
     return frames
 
 
-def _descend_batch(rmats: np.ndarray, frames: np.ndarray, noise: np.ndarray,
-                   max_iter: int = 500, min_step: float = 1e-10):
-    """Projected gradient descent on the Stiefel manifold, one frame per row.
+@functools.lru_cache(maxsize=None)
+def _seed_components(n: int) -> np.ndarray:
+    """Flat indices into an (n, n, n, n) array of the five components that
+    each coordinate seed's value reads: R_acac, R_adad, R_bcbc, R_bdbd and
+    R_cdab (the cross term as the kernel reads it), shape (m, 5). Frame
+    columns (e_a, e_b, e_c, e_d) are the coordinate axes a, b, c, d."""
+    a, b, c, d = _coordinate_seed_frames(n).argmax(axis=1).T
+    idx = np.ravel_multi_index(
+        ([a, a, b, b, c], [c, d, c, d, d], [a, a, b, b, a], [c, d, c, d, b]), (n,) * 4
+    ).T
+    idx.setflags(write=False)
+    return idx
 
-    Frame i of the (m, n, 4) stack descends on the tensor with matrix view
-    ``rmats[i]`` (shape (m, n^2, n^2)) and accepts a step only if it
-    improves the value by more than ``noise[i]``, which keeps the search
-    from drifting below a zero minimum. Each iteration projects the
-    Euclidean gradient to the tangent space and tries the frame's current
-    step and three halvings, retracted by QR. Among the candidates that
-    beat ``noise`` it keeps the one of lowest value (ties go to the larger
-    step), not the largest step: near a Morse-Bott minimum the largest
-    step overshoots to the mirror point, still a decrease, and the frame
-    bounces there for hundreds of iterations while a smaller candidate
-    lands on the minimum. After a success the kept step doubles, capped
-    at 1.
+
+def _seed_values(arrays: np.ndarray) -> np.ndarray:
+    """Isotropic values of every coordinate seed frame for a stack of
+    (n, n, n, n) arrays, shape (tensors, m). Five component reads per frame,
+    summed in the kernel's order, equal ``_iso_values`` on
+    ``_coordinate_seed_frames(n)`` bit for bit."""
+    n = arrays.shape[-1]
+    r = arrays.reshape(arrays.shape[0], n ** 4)[:, _seed_components(n)]
+    return r[..., 0] + r[..., 1] + r[..., 2] + r[..., 3] - 2.0 * r[..., 4]
+
+
+# Plain projected-gradient iterations before the conjugate directions start.
+# They keep each random start in the basin the plain descent reaches, and
+# the descents on the structured models stop inside them.
+_WARM = 8
+
+# Groups of four halvings that one line-search pass evaluates, the last
+# entry repeated: a frame whose first group misses tries its next groups
+# two at a time, so running a step down to ``min_step`` takes five passes
+# instead of nine. Wider passes hold more candidates at once.
+_LADDER = (1, 2)
+_HALVINGS = 0.5 ** np.arange(4 * max(_LADDER))
+
+
+def _tangent(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Projection of ``v`` onto the tangent spaces of the Stiefel manifold at a
+    stack of frames: v - F sym(F^T v)."""
+    sym = np.matmul(np.swapaxes(frames, -1, -2), v)
+    return v - np.matmul(frames, (sym + np.swapaxes(sym, -1, -2)) / 2.0)
+
+
+def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
+                   noise: np.ndarray, max_iter: int = 500, min_step: float = 1e-10):
+    """Conjugate gradient descent on the Stiefel manifold, one frame per row.
+
+    Frame i of the (m, n, 4) stack descends on tensor ``owner[i]``, whose
+    (n^2, n^2) matrix view is ``rmats[owner[i]]`` and whose noise guard is
+    ``noise[owner[i]]``: a step is accepted only if it improves the value
+    by more than the guard, which keeps the search from drifting below a
+    zero minimum. Each iteration projects the Euclidean gradient to the
+    tangent space (r). For the first ``_WARM`` iterations a frame moves
+    along r; after that along the Polak-Ribiere+ direction
+    d = r + beta P(d_prev), with P the projection onto the new tangent
+    space and beta = max(0, <r, r - r_prev> / <r_prev, r_prev>) (P is
+    self-adjoint, so the old tangent needs no transport), and along r
+    whenever <d, r> <= 0 (Absil, Mahony & Sepulchre 2008, ch. 8).
+    The line search tries the frame's current step and three halvings,
+    retracted by QR. Among the candidates that beat the guard it keeps the
+    one of lowest value (ties go to the larger step), not the largest
+    step: near a Morse-Bott minimum the largest step overshoots to the
+    mirror point, still a decrease, and the frame bounces there for
+    hundreds of iterations while a smaller candidate lands on the minimum.
+    If no candidate beats the guard, the next four halvings are tried; a
+    frame that has missed evaluates them in passes of ``_LADDER`` groups,
+    and the first group in halving order with a sufficient candidate
+    decides, so the wider passes change no result. After a success the
+    kept step doubles, capped at 1. Only the kept candidate's gradient is
+    computed.
     A frame is done when its tangent vanishes or its step underflows
     ``min_step``. Frames evolve independently, so a frame's result does
     not depend on the rest of the batch.
@@ -193,34 +257,48 @@ def _descend_batch(rmats: np.ndarray, frames: np.ndarray, noise: np.ndarray,
     """
     m = frames.shape[0]
     f = frames.copy()
-    value, grad = _iso_value_grad(rmats, f)
+    value, products = _iso_values(rmats[owner], f)
+    grad = _iso_grads(products, f)
+    tangent_prev, direction_prev = np.empty_like(f), np.empty_like(f)
     step = np.ones(m)
     iterations = np.full(m, max_iter)
     active = np.arange(m)
-    halvings = 0.5 ** np.arange(4)
     for iteration in range(max_iter):
         if active.size == 0:
             break
-        fa, ga = f[active], grad[active]
-        sym = np.matmul(np.swapaxes(fa, -1, -2), ga)
-        tangent = ga - np.matmul(fa, (sym + np.swapaxes(sym, -1, -2)) / 2.0)
+        fa = f[active]
+        tangent = _tangent(fa, grad[active])
         moving = np.abs(tangent).max(axis=(1, 2)) != 0.0
         iterations[active[~moving]] = iteration
         active, fa, tangent = active[moving], fa[moving], tangent[moving]
-        # Each pass tries four halvings of every searching frame's step;
-        # candidates below min_step are evaluated but never accepted.
+        direction = tangent
+        if iteration >= _WARM:
+            previous = tangent_prev[active]
+            beta = np.maximum(0.0, (tangent * (tangent - previous)).sum(axis=(1, 2))
+                              / (previous * previous).sum(axis=(1, 2)))
+            cg = tangent + beta[:, None, None] * _tangent(fa, direction_prev[active])
+            descending = (cg * tangent).sum(axis=(1, 2)) > 0.0
+            direction = np.where(descending[:, None, None], cg, tangent)
+        tangent_prev[active], direction_prev[active] = tangent, direction
+        # Candidates below min_step are evaluated but never accepted.
         searching = np.flatnonzero(step[active] >= min_step)
         accepted = np.zeros(active.size, dtype=bool)
+        passes = 0
         while searching.size:
+            width = 4 * _LADDER[min(passes, len(_LADDER) - 1)]
+            passes += 1
             idx = active[searching]
-            steps = step[idx][:, None] * halvings
-            cands = _retract(fa[searching, None] - steps[:, :, None, None] * tangent[searching, None])
-            vals, grads = _iso_value_grad(rmats[idx, None], cands)
-            ok = (vals < (value[idx] - noise[idx])[:, None]) & (steps >= min_step)
-            hit = ok.any(axis=1)
-            rows, best = np.flatnonzero(hit), np.where(ok, vals, np.inf).argmin(axis=1)[hit]
+            steps = step[idx][:, None] * _HALVINGS[:width]
+            cands = _retract(fa[searching, None] - steps[:, :, None, None] * direction[searching, None])
+            vals, ys = _iso_values(rmats[owner[idx], None], cands)
+            ok = (vals < (value[idx] - noise[owner[idx]])[:, None]) & (steps >= min_step)
+            groups = ok.reshape(idx.size, width // 4, 4).any(axis=2)
+            hit = groups.any(axis=1)
+            rows = np.flatnonzero(hit)
+            first = np.arange(width) // 4 == groups.argmax(axis=1)[rows, None]
+            best = np.where(ok[rows] & first, vals[rows], np.inf).argmin(axis=1)
             won = idx[hit]
-            f[won], value[won], grad[won] = cands[rows, best], vals[rows, best], grads[rows, best]
+            f[won], value[won], products[won] = cands[rows, best], vals[rows, best], ys[rows, best]
             step[won] = np.minimum(steps[rows, best] * 2.0, 1.0)
             accepted[searching[hit]] = True
             missed = idx[~hit]
@@ -228,6 +306,7 @@ def _descend_batch(rmats: np.ndarray, frames: np.ndarray, noise: np.ndarray,
             searching = searching[~hit][step[missed] >= min_step]
         iterations[active[~accepted]] = iteration + 1
         active = active[accepted]
+        grad[active] = _iso_grads(products[active], f[active])
     converged = np.ones(m, dtype=bool)
     converged[active] = False
     return f, value, iterations, converged
@@ -256,16 +335,17 @@ class FrameSearchResult:
 def min_isotropic(t: CurvatureTensor, trials: int, seed=0) -> FrameSearchResult:
     """Sampled minimum of isotropic curvature over orthonormal 4-frames.
 
-    Evaluates the coordinate seed frames, then runs ``trials`` gradient
-    descents from random orthonormal starts (one child RNG per trial, so
-    enlarging ``trials`` only appends candidates and the best value is
-    nonincreasing in ``trials`` for a fixed seed).
+    Evaluates the coordinate seed frames, then runs ``trials`` descents
+    (see ``_descend_batch``) from random orthonormal starts (one child RNG
+    per trial, so enlarging ``trials`` only appends candidates and the best
+    value is nonincreasing in ``trials`` for a fixed seed).
     """
     return min_isotropic_batch([t], trials, [seed])[0]
 
 
-# Frames per descent batch: bounds the working set (each frame carries a
-# copy of its tensor's matrix view) without changing any result.
+# Frames per descent batch: bounds the working set (the candidates of a
+# line-search pass and the per-pass gather of their tensors' matrix views)
+# without changing any result.
 _DESCENT_CHUNK = 512
 
 
@@ -274,8 +354,9 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
 
     Result i equals ``min_isotropic(tensors[i], trials, seed=seeds[i])``
     bit for bit: the starts of all tensors descend together in fixed-size
-    batches, and a frame's descent does not depend on its batch. Seeds,
-    descent and the reported value all come from ``_iso_value_grad``.
+    batches, and a frame's descent does not depend on its batch. The seed
+    values are five component reads per frame, equal to the kernel's bit
+    for bit; the descent and the reported value come from the kernel.
     """
     tensors, seeds = list(tensors), list(seeds)
     if len(seeds) != len(tensors):
@@ -297,7 +378,8 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         for trial in range(trials)
     ])
     owner = np.repeat(np.arange(len(tensors)), trials)
-    rmats = np.stack([t.array.reshape(n * n, n * n) for t in tensors])
+    arrays = np.stack([t.array for t in tensors])
+    rmats = arrays.reshape(len(tensors), n * n, n * n)
     noise = np.array([1e-12 * max(1.0, t.max_abs()) for t in tensors])
     frames = np.empty_like(starts)
     values = np.empty(starts.shape[0])
@@ -306,9 +388,10 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     for lo in range(0, starts.shape[0], _DESCENT_CHUNK):
         rows = slice(lo, lo + _DESCENT_CHUNK)
         frames[rows], values[rows], iterations[rows], converged[rows] = _descend_batch(
-            rmats[owner[rows]], starts[rows], noise[owner[rows]]
+            rmats, owner[rows], starts[rows], noise
         )
 
+    seed_values = _seed_values(arrays)
     coordinate = _coordinate_seed_frames(n)
     seeded = coordinate.shape[0]
     results = []
@@ -316,7 +399,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         rows = slice(i * trials, (i + 1) * trials)
         # One argmin over the seed values followed by the descent values:
         # the first minimum wins, so a seed wins a tie.
-        candidates = np.concatenate((_iso_value_grad(rmats[i], coordinate)[0], values[rows]))
+        candidates = np.concatenate((seed_values[i], values[rows]))
         best = int(np.argmin(candidates))
         best_frame = coordinate[best] if best < seeded else frames[rows][best - seeded]
         results.append(FrameSearchResult(

@@ -24,12 +24,16 @@ from curvop import (
     verify_ric_identities,
 )
 from curvop.conditions import (
+    _WARM,
     _coordinate_seed_frames,
     _descend_batch,
-    _iso_value_grad,
+    _iso_grads,
+    _iso_values,
     _retract,
+    _seed_values,
     min_isotropic_batch,
 )
+from curvop.harness import boost_to_hypothesis, parse_predicate
 
 
 def test_check_frame_accepts_orthonormal_and_rejects_else():
@@ -149,7 +153,7 @@ def test_min_isotropic_is_deterministic_and_monotone_in_trials():
 def test_min_isotropic_never_exceeds_coordinate_minimum():
     t = curvop.random_curvature(6, seed=17)
     frames = _coordinate_seed_frames(6)
-    coord_min = _iso_value_grad(t.array.reshape(36, 36), frames)[0].min()
+    coord_min = _iso_values(t.array.reshape(36, 36), frames)[0].min()
     res = min_isotropic(t, trials=3, seed=0)
     assert res.best_value <= coord_min + 1e-12
 
@@ -191,17 +195,18 @@ def test_descent_step_keeps_lowest_sufficient_candidate():
     frames = np.array([random_frame(n, 4, rng) for _ in range(m)])
     rmats = np.repeat(t.array.reshape(1, n * n, n * n), m, axis=0)
     noise = np.full(m, 1e-12)
-    value, grad = _iso_value_grad(rmats, frames)
+    value, y = _iso_values(rmats, frames)
+    grad = _iso_grads(y, frames)
     sym = np.matmul(np.swapaxes(frames, -1, -2), grad)
     tangent = grad - np.matmul(frames, (sym + np.swapaxes(sym, -1, -2)) / 2.0)
     steps = 0.5 ** np.arange(4)
     cands = _retract(frames[:, None] - steps[None, :, None, None] * tangent[:, None])
-    vals = _iso_value_grad(rmats[:, None], cands)[0]
+    vals = _iso_values(rmats[:, None], cands)[0]
     ok = vals < (value - noise)[:, None]
     assert ok.any(axis=1).all()
     lowest = np.where(ok, vals, np.inf).argmin(axis=1)
     assert (lowest != ok.argmax(axis=1)).any()
-    f, v, _, _ = _descend_batch(rmats, frames, noise, max_iter=1)
+    f, v, _, _ = _descend_batch(rmats, np.arange(m), frames, noise, max_iter=1)
     assert np.array_equal(f, cands[np.arange(m), lowest])
     assert np.array_equal(v, vals[np.arange(m), lowest])
 
@@ -369,3 +374,145 @@ def test_suite_values_equal_the_bilinear_form_on_each_family_slice(n, seed):
     ric = verify_ric_identities(t, frame).values
     for name, members in slices.items():
         assert ric[name] == pytest.approx(bilinear_form(t.array, members), rel=1e-12, abs=1e-12)
+
+
+# --- The descent against the plain projected-gradient loop ---------------
+
+def _reference_descent(rmats, frames, noise, max_iter=500, min_step=1e-10):
+    """The plain descent as first written: steps along the projected gradient,
+    one pass per group of four halvings, every candidate's gradient computed,
+    and one copy of its tensor's matrix per frame (``rmats``, ``noise`` and
+    ``frames`` are all per frame)."""
+    m = frames.shape[0]
+    f = frames.copy()
+    value, y = _iso_values(rmats, f)
+    grad = _iso_grads(y, f)
+    step = np.ones(m)
+    iterations = np.full(m, max_iter)
+    active = np.arange(m)
+    halvings = 0.5 ** np.arange(4)
+    for iteration in range(max_iter):
+        if active.size == 0:
+            break
+        fa, ga = f[active], grad[active]
+        sym = np.matmul(np.swapaxes(fa, -1, -2), ga)
+        tangent = ga - np.matmul(fa, (sym + np.swapaxes(sym, -1, -2)) / 2.0)
+        moving = np.abs(tangent).max(axis=(1, 2)) != 0.0
+        iterations[active[~moving]] = iteration
+        active, fa, tangent = active[moving], fa[moving], tangent[moving]
+        searching = np.flatnonzero(step[active] >= min_step)
+        accepted = np.zeros(active.size, dtype=bool)
+        while searching.size:
+            idx = active[searching]
+            steps = step[idx][:, None] * halvings
+            cands = _retract(fa[searching, None] - steps[:, :, None, None] * tangent[searching, None])
+            vals, ys = _iso_values(rmats[idx, None], cands)
+            grads = _iso_grads(ys, cands)
+            ok = (vals < (value[idx] - noise[idx])[:, None]) & (steps >= min_step)
+            hit = ok.any(axis=1)
+            rows, best = np.flatnonzero(hit), np.where(ok, vals, np.inf).argmin(axis=1)[hit]
+            won = idx[hit]
+            f[won], value[won], grad[won] = cands[rows, best], vals[rows, best], grads[rows, best]
+            step[won] = np.minimum(steps[rows, best] * 2.0, 1.0)
+            accepted[searching[hit]] = True
+            missed = idx[~hit]
+            step[missed] *= 0.5 ** (steps[~hit] >= min_step).sum(axis=1)
+            searching = searching[~hit][step[missed] >= min_step]
+        iterations[active[~accepted]] = iteration + 1
+        active = active[accepted]
+    converged = np.ones(m, dtype=bool)
+    converged[active] = False
+    return f, value, iterations, converged
+
+
+def _assert_descent_matches_the_reference(tensors, starts_per_tensor, seed, max_iter=500):
+    n = tensors[0].dim
+    rmats = np.stack([t.array.reshape(n * n, n * n) for t in tensors])
+    noise = np.array([1e-12 * max(1.0, t.max_abs()) for t in tensors])
+    owner = np.repeat(np.arange(len(tensors)), starts_per_tensor)
+    rng = np.random.default_rng(seed)
+    starts = np.array([random_frame(n, 4, rng) for _ in owner])
+    got = _descend_batch(rmats, owner, starts, noise, max_iter=max_iter)
+    want = _reference_descent(rmats[owner], starts, noise[owner], max_iter=max_iter)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("scale", [1.0, 16.0, 4096.0])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_warm_up_reproduces_the_reference_descent_bit_for_bit(n, scale):
+    # Inside the warm-up the descent takes the plain steps, so the wider
+    # line-search passes, the winner-only gradients and the shared matrix
+    # stack must leave every frame, value, count and flag as they were. On
+    # the scaled tensors the first unit step overshoots by orders of
+    # magnitude, so wide passes often hold sufficient candidates in more
+    # than one group, and only the first such group may decide.
+    pred = parse_predicate("k4a0.5strict")
+    tensors = [boost_to_hypothesis(curvop.random_curvature(n, seed=(81, n, i), scale=scale), pred)[0]
+               for i in range(6)]
+    _assert_descent_matches_the_reference(tensors, 4, seed=n, max_iter=_WARM)
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("spec", ["cp2"] + [
+    f"product:(sphere:n={n - 1},k=1)x(flat:n=1)" for n in (4, 5, 6, 7, 8)
+])
+def test_structured_descents_reproduce_the_reference_bit_for_bit(spec, t):
+    # The descents on CP^2 and on S^(n-1) x S^1, blended toward the unit
+    # sphere, stop inside the warm-up, so whole runs (each ending in a line
+    # search run down to min_step) equal the plain descent's.
+    model = curvop.build_model(spec)
+    blend = curvop.interpolate(model, curvop.constant_curvature(model.dim, 1.0), t)
+    _assert_descent_matches_the_reference([blend], 32, seed=(model.dim, int(2 * t)))
+
+
+@pytest.mark.parametrize(("n", "seed", "trial", "plain_value"), [
+    (6, 0, 1, 20.290724455052928),
+    (6, 17, 5, 16.97336868165245),
+    (7, 11, 0, 21.544384856908604),
+    (7, 14, 0, 21.345756980467662),
+])
+def test_formerly_capped_searches_converge_no_higher(n, seed, trial, plain_value):
+    # The plain projected-gradient descent hit the 500-iteration cap on these
+    # implication-search samples (907 to 1741 iterations over five starts)
+    # and reported the pinned value.
+    pred = parse_predicate("k4a0.5strict")
+    t = boost_to_hypothesis(curvop.random_curvature(n, seed=(seed, trial)), pred)[0]
+    res = min_isotropic(t, 5, seed=(seed, trial, 1))
+    assert res.converged
+    assert res.refinement_steps <= 400
+    assert res.best_value <= plain_value + 1e-12 * max(1.0, t.max_abs())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+def test_seed_values_equal_the_kernel_bit_for_bit(n):
+    pred = parse_predicate("k4a0.5strict")
+    tensors = [
+        curvop.random_curvature(n, seed=(73, n)),
+        boost_to_hypothesis(curvop.random_curvature(n, seed=(74, n)), pred)[0],
+        curvop.build_model(f"product:(sphere:n={n - 1},k=1)x(flat:n=1)"),
+    ]
+    if n == 4:
+        tensors.append(curvop.cp2_explicit())
+    arrays = np.stack([t.array for t in tensors])
+    frames = _coordinate_seed_frames(n)
+    for array, values in zip(arrays, _seed_values(arrays)):
+        kernel = _iso_values(array.reshape(n * n, n * n), frames)[0]
+        assert values.dtype == kernel.dtype and values.tobytes() == kernel.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.floats(min_value=-3.0, max_value=3.0))
+def test_sampled_minimum_lies_between_the_ky_fan_bound_and_the_seeds(n, seed, log_scale):
+    # 27 iso = 24 (q1 + q5 + q6) + 6 (q2 + q3 + q4 + q7 + q8 + q9) on the
+    # orthonormal phi-family, with Ky Fan's weighted minimum principle, bounds
+    # every frame's value from below; the search starts from the seeds.
+    pred = parse_predicate("k4a0.5strict")
+    t = boost_to_hypothesis(curvop.random_curvature(n, seed=seed, scale=10.0 ** log_scale), pred)[0]
+    ev = curvop.second_kind_spectrum(t).eigenvalues
+    bound = 2.0 / 9.0 * (4.0 * ev[:3].sum() + ev[3:9].sum())
+    res = min_isotropic(t, 3, seed=seed)
+    assert res.best_value >= bound - 1e-12 * max(1.0, t.max_abs())
+    assert res.best_value <= _seed_values(t.array[None])[0].min()
