@@ -42,7 +42,7 @@ for n in (4, 5, 6):
 
 # The positivity profile sweeps every k at once and names the standard
 # conditions along the way.
-profile = curvop.positivity_profile(curvop.second_kind_spectrum(cp2), dim=4)
+profile = curvop.positivity_profile(curvop.second_kind_spectrum(cp2))
 for row in profile.to_dict()["profile"]:
     print(f"  k={row['k']}  sigma_k={row['sigma']:+.6f}  alphaStar={row['alphaStar']}")
 for name, verdict in profile.to_dict()["verdicts"].items():

@@ -32,7 +32,7 @@ from .harness import (
     parse_predicate,
     sharpness_probe,
 )
-from .models import build_model, parse_model, random_curvature
+from .models import build_model, random_curvature
 from .secondkind import eigen_sym, positivity_profile, second_kind_matrix
 from .tensor import load_tensor, save_tensor, to_dict
 
@@ -41,13 +41,11 @@ _TOL_IDENTITY = 1e-8
 
 
 def _default_seed() -> int:
-    env = os.environ.get("CURV_SEED")
-    if env is None:
-        return 0
+    env = os.environ.get("CURV_SEED", "0")
     try:
         return int(env)
     except ValueError:
-        return 0
+        raise CurvopError(f"CURV_SEED must be an integer, got {env!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None:
@@ -55,7 +53,7 @@ def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="stdout rendering (default text)")
     if with_seed:
-        parser.add_argument("--seed", type=int, default=_default_seed(),
+        parser.add_argument("--seed", type=int,
                             help="base RNG seed (default: CURV_SEED or 0)")
 
 
@@ -121,11 +119,16 @@ def _sig(v: float) -> str:
     return f"{v:.12g}"
 
 
-def _emit(args, results: dict, seed: int | None, config: dict) -> None:
+def _emit(args, report, seed: int | None = None, config: dict | None = None) -> dict:
+    """Write the envelope to --output, print its results for --format json
+    and return them, so the file, stdout and the text renderer agree."""
     if args.output:
-        emit_report(results, args.output, seed=seed, config=config)
+        results = emit_report(report, args.output, seed=seed, config=config)["results"]
+    else:
+        results = report if isinstance(report, dict) else report.to_dict()
     if args.format == "json":
         print(json.dumps(results, indent=2, sort_keys=True))
+    return results
 
 
 def _cmd_model(args) -> int:
@@ -142,8 +145,8 @@ def _cmd_model(args) -> int:
 
 def _cmd_analyze(args) -> int:
     tensor = _load_input(args, required=True)
-    spectrum = eigen_sym(second_kind_matrix(tensor))
-    profile = positivity_profile(spectrum, dim=tensor.dim)
+    spectrum = eigen_sym(second_kind_matrix(tensor), vectors=False)
+    profile = positivity_profile(spectrum)
     results = profile.to_dict()
     results["dim"] = tensor.dim
     results["ricciMin"] = ricci_min(tensor)
@@ -229,12 +232,8 @@ def _cmd_search(args) -> int:
     report = implication_trial(
         args.dim, hyp, concl, trials=args.trials, seed=args.seed, pic_trials=args.pic_trials
     )
-    if args.output:
-        emit_report(report, args.output)
-    results = report.to_dict()
-    if args.format == "json":
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
+    _emit(args, report)
+    if args.format == "text":
         print(f"dim {report.dim}: {report.hypothesis} => {report.conclusion}?")
         print(f"  {report.trials_passing}/{report.trials_attempted} samples satisfied the "
               f"hypothesis ({report.shifts_applied} boosted, "
@@ -251,12 +250,8 @@ def _cmd_search(args) -> int:
 def _cmd_probe(args) -> int:
     report = sharpness_probe(args.base, args.direction, steps=args.steps,
                              seed=args.seed, iso_trials=args.iso_trials)
-    if args.output:
-        emit_report(report, args.output)
-    results = report.to_dict()
-    if args.format == "json":
-        print(json.dumps(results, indent=2, sort_keys=True))
-    else:
+    results = _emit(args, report)
+    if args.format == "text":
         print(f"probe {report.base} -> {report.direction} (k = {report.k})")
         print(f"  {'t':>6s}  {'alphaStar':>14s}  {'isoMin':>14s}  {'ricciMin':>14s}")
         for row in results["rows"]:
@@ -284,6 +279,8 @@ def main(argv=None) -> int:
         "probe": _cmd_probe,
     }
     try:
+        if getattr(args, "seed", 0) is None:
+            args.seed = _default_seed()
         return handlers[args.command](args)
     except CurvopError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

@@ -467,15 +467,6 @@ class IdentityReport:
     residuals: dict[str, float]
     values: dict[str, float]
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "maxResidual": self.max_residual,
-            "residuals": dict(self.residuals),
-            "values": dict(self.values),
-        }
-
 
 def _relative(lhs: float, rhs: float, scale: float) -> float:
     return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), scale)

@@ -14,7 +14,7 @@ class DimensionTooSmall(CurvopError):
 
 
 class IndexOutOfRange(CurvopError):
-    """A 1-based tensor index lies outside 1..n."""
+    """A 1-based tensor index is not an integer in 1..n."""
 
 
 class SymmetryConflict(CurvopError):

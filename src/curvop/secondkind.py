@@ -80,9 +80,6 @@ class SymTensorBasis:
     dim: int
     elements: np.ndarray = field(repr=False)
 
-    def gram(self) -> np.ndarray:
-        return np.einsum("aij,bij->ab", self.elements, self.elements)
-
     def rotated(self, q: np.ndarray) -> "SymTensorBasis":
         q = np.asarray(q, dtype=float)
         if q.shape != (self.dim, self.dim):
@@ -305,19 +302,18 @@ class PositivityProfile:
         }
 
 
-def positivity_profile(spectrum: Spectrum, dim: int | None = None) -> PositivityProfile:
+def positivity_profile(spectrum: Spectrum) -> PositivityProfile:
     """Tabulate sigma_k and alpha_star for k = 1..N-1, plus named verdicts.
 
-    ``dim`` names the ambient dimension for the named conditions; when
-    omitted it is inferred from the spectrum size N = (n-1)(n+2)/2 if
-    that has an integer solution, else named verdicts are skipped.
+    The ambient dimension of the named conditions is inferred from the
+    spectrum size N = (n-1)(n+2)/2, which determines n; a size with no
+    integer solution gets no named verdicts.
     """
     ev = spectrum.eigenvalues
     size = ev.shape[0]
     sums = np.cumsum(ev)
     stars = tuple(alpha_star(spectrum, k) for k in range(1, size))
-    if dim is None:
-        dim = _infer_dim(size)
+    dim = _infer_dim(size)
     verdicts: dict[str, bool] = {}
     if dim is not None:
         for name, (k, alpha, strict) in named_conditions(dim).items():

@@ -27,6 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 import os
 import tempfile
 
@@ -146,10 +147,7 @@ class CurvatureTensor:
 
     def component(self, i: int, j: int, k: int, l: int) -> float:
         """Component R_ijkl with 1-based indices."""
-        n = self.dim
-        for idx in (i, j, k, l):
-            if not 1 <= idx <= n:
-                raise IndexOutOfRange(f"index {idx} outside 1..{n}")
+        _check_indices(self.dim, (i, j, k, l))
         return float(self._a[i - 1, j - 1, k - 1, l - 1])
 
     def max_abs(self) -> float:
@@ -159,11 +157,14 @@ class CurvatureTensor:
         """Largest absolute cyclic sum over all index quadruples."""
         return float(np.abs(_bianchi_cyclic(self._a)).max())
 
-    def allclose(self, other: "CurvatureTensor", atol: float = 0.0, rtol: float = 0.0) -> bool:
-        return self.dim == other.dim and np.allclose(self._a, other._a, atol=atol, rtol=rtol)
-
     def __repr__(self) -> str:
         return f"CurvatureTensor(dim={self.dim}, max_abs={self.max_abs():.6g})"
+
+
+def _check_indices(n: int, indices) -> None:
+    for idx in indices:
+        if isinstance(idx, bool) or not isinstance(idx, numbers.Integral) or not 1 <= idx <= n:
+            raise IndexOutOfRange(f"index {idx!r} is not an integer in 1..{n}")
 
 
 def _check_finite(a: np.ndarray) -> None:
@@ -189,8 +190,9 @@ def _check_bianchi(a: np.ndarray) -> None:
 def new_from_components(n: int, entries) -> CurvatureTensor:
     """Build a tensor from 1-based component entries.
 
-    ``entries`` is an iterable of (i, j, k, l, value). Indices may appear
-    in any order; each is canonicalized with its sign. Supplying two
+    ``entries`` is an iterable of (i, j, k, l, value). Indices must be
+    integers in 1..n (else IndexOutOfRange) and may appear in any order;
+    each quadruple is canonicalized with its sign. Supplying two
     entries that disagree under the symmetries raises SymmetryConflict;
     components not mentioned are zero. The assembled tensor must satisfy
     the first Bianchi identity within ``_BIANCHI_TOL`` relative to its
@@ -201,9 +203,7 @@ def new_from_components(n: int, entries) -> CurvatureTensor:
     seen: dict[tuple[int, int, int, int], float] = {}
     for entry in entries:
         i, j, k, l, v = entry
-        for idx in (i, j, k, l):
-            if not 1 <= idx <= n:
-                raise IndexOutOfRange(f"index {idx} outside 1..{n}")
+        _check_indices(n, (i, j, k, l))
         quad, sign = canonical_index(i - 1, j - 1, k - 1, l - 1)
         if quad is None:
             if v != 0:
@@ -329,7 +329,7 @@ def from_dict(doc) -> CurvatureTensor:
         raw_entries = doc["entries"]
     except KeyError as exc:
         raise ParseError(f"tensor document missing key {exc}") from exc
-    if not isinstance(n, int):
+    if type(n) is not int:  # JSON true/false load as bool, a subclass of int
         raise ParseError("'dim' must be an integer")
     convention = doc.get("convention", SIGN_CONVENTION)
     if convention != SIGN_CONVENTION:
@@ -339,9 +339,12 @@ def from_dict(doc) -> CurvatureTensor:
     entries = []
     for e in raw_entries:
         try:
-            entries.append((e["i"], e["j"], e["k"], e["l"], float(e["v"])))
+            entry = (e["i"], e["j"], e["k"], e["l"], float(e["v"]))
         except (TypeError, KeyError, ValueError) as exc:
             raise ParseError(f"malformed entry {e!r}") from exc
+        if any(type(idx) is not int for idx in entry[:4]):
+            raise ParseError(f"entry {e!r} has a non-integer index")
+        entries.append(entry)
     return new_from_components(n, entries)
 
 

@@ -90,6 +90,14 @@ def test_analyze_seed_flag_and_env_agree():
     assert json.loads(c.stdout) == json.loads(a.stdout)
 
 
+def test_unparsable_seed_environment_exits_two(monkeypatch, capsys):
+    monkeypatch.setenv("CURV_SEED", "abc")
+    assert cli.main(["analyze", "--model", "cp2", "--trials", "2"]) == 2
+    assert "CURV_SEED" in capsys.readouterr().err
+    # an explicit --seed does not need the environment
+    assert cli.main(["analyze", "--model", "cp2", "--trials", "2", "--seed", "1"]) == 0
+
+
 def test_verify_reports_residuals():
     proc = run_cli("verify", "--dim", "4", "--trials", "10", "--format", "json")
     results = json.loads(proc.stdout)
@@ -163,6 +171,23 @@ def test_search_counterexample_exits_one(tmp_path):
     assert curvop.ricci_min(saved) == pytest.approx(entry["conclusionValue"], abs=1e-9)
 
 
+def test_json_stdout_is_the_written_results(tmp_path, capsys):
+    runs = [
+        ("search", "--dim", "4", "--hyp", "k9a0strict", "--concl", "pic", "--trials", "30",
+         "--seed", "123", "--pic-trials", "3"),
+        ("probe", "--base", "cp2", "--direction", "flat:n=4", "--steps", "2",
+         "--iso-trials", "4"),
+    ]
+    for i, args in enumerate(runs):
+        out = tmp_path / f"run{i}.json"
+        cli.main([*args, "--format", "json", "--output", str(out)])
+        printed = json.loads(capsys.readouterr().out)
+        assert printed == json.loads(out.read_text())["results"]
+        for cex in printed.get("counterexamples", []):
+            assert (tmp_path / cex["tensorFile"]).is_file()
+    assert len(list(tmp_path.glob("run0.counterexample*.json"))) > 0
+
+
 def test_probe_boundary_ok_exit_zero(tmp_path):
     out = tmp_path / "probe.json"
     proc = run_cli(
@@ -205,6 +230,19 @@ def test_analyze_rejects_malformed_tensor_file(tmp_path):
     run_cli("analyze", str(bad), expect=2)
     bad.write_text(json.dumps({"dim": 4}))
     run_cli("analyze", str(bad), expect=2)
+
+
+@pytest.mark.parametrize("dim, entries", [
+    (True, []),
+    (4, [{"i": 1.5, "j": 2, "k": 1, "l": 2, "v": 1.0}]),
+    (4, [{"i": "1", "j": 2, "k": 1, "l": 2, "v": 1.0}]),
+    (4, [{"i": True, "j": 2, "k": 1, "l": 2, "v": 1.0}]),
+], ids=["dim-true", "index-1.5", "index-str", "index-true"])
+def test_analyze_rejects_non_integer_dim_and_indices(dim, entries, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dim": dim, "entries": entries}))
+    assert cli.main(["analyze", str(bad), "--trials", "2"]) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_analyze_rejects_both_file_and_model(tmp_path):

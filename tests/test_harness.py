@@ -47,11 +47,6 @@ def test_parse_predicate_rejects_garbage(bad):
         parse_predicate(bad)
 
 
-def test_predicate_describe_mentions_relation():
-    assert ">" in PredicateSpec("k_alpha", 4, 0.5, True).describe()
-    assert ">=" in PredicateSpec("k_alpha", 4, 0.5, False).describe()
-
-
 def test_boost_reaches_hypothesis():
     pred = parse_predicate("k4a0.5strict")
     t = curvop.random_curvature(4, seed=(3, 1))
@@ -209,6 +204,18 @@ def test_sharpness_probe_sphere_times_flat_boundary(n):
     assert exp == pytest.approx((n - 2) / n) and ok and abs(act - exp) <= 1e-9
     (_, ric0, ric_ok) = rep.boundary["Ricci minimum = 0"]
     assert ric_ok and abs(ric0) <= 1e-9
+
+
+def test_sharpness_probe_checks_only_sphere_times_a_line():
+    # S^3 x R^2 is not the sharp case, so it has no advertised boundary ...
+    wide = sharpness_probe("product:(sphere:n=3,k=1)x(flat:n=2)", "sphere:n=5,k=1", steps=2,
+                           iso_trials=4)
+    assert wide.boundary == {} and wide.boundary_ok
+    # ... while S^4 x R is checked whichever factor comes first.
+    line = sharpness_probe("product:(flat:n=1)x(sphere:n=4,k=1)", "flat:n=5", steps=2,
+                           iso_trials=4)
+    assert set(line.boundary) == {"alphaStar(5) = (n-2)/n", "Ricci minimum = 0"}
+    assert line.boundary_ok
 
 
 def test_sharpness_probe_validates_inputs():

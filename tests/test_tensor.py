@@ -165,6 +165,20 @@ def test_from_dict_rejects_non_finite_and_overflowing_components(v):
         from_dict(doc)
 
 
+@pytest.mark.parametrize("dim, index", [(True, 1), (4, 1.5), (4, "1"), (4, True)],
+                         ids=["dim-true", "index-1.5", "index-str", "index-true"])
+def test_from_dict_rejects_non_integer_dim_and_indices(dim, index):
+    doc = {"dim": dim, "entries": [{"i": index, "j": 2, "k": 1, "l": 2, "v": 1.0}]}
+    with pytest.raises(ParseError):
+        from_dict(doc)
+
+
+@pytest.mark.parametrize("index", [1.5, "1", True])
+def test_new_from_components_rejects_non_integer_indices(index):
+    with pytest.raises(IndexOutOfRange):
+        new_from_components(4, [(index, 2, 1, 2, 1.0)])
+
+
 def test_from_dense_rejects_non_finite_components():
     a = curvop.random_curvature(4, seed=3).array.copy()
     a[0, 1, 0, 1] = a[1, 0, 1, 0] = np.nan
