@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .errors import (
     BianchiViolation,
     CurvopError,
-    DegeneratePlane,
     DimensionMismatch,
     DimensionTooSmall,
     FrameNotOrthonormal,
@@ -30,14 +29,11 @@ from .tensor import (
     bianchi_project,
     canonical_index,
     canonical_quadruples,
-    from_dense,
     from_dict,
     load_tensor,
     new_from_components,
     ricci,
     save_tensor,
-    scalar,
-    sectional,
     to_dict,
     write_json_atomic,
 )

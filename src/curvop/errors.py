@@ -25,10 +25,6 @@ class BianchiViolation(CurvopError):
     """The first Bianchi identity fails beyond tolerance."""
 
 
-class DegeneratePlane(CurvopError):
-    """The two vectors supplied to a sectional curvature span no 2-plane."""
-
-
 class DimensionMismatch(CurvopError):
     """Two objects that must share a dimension do not."""
 

@@ -33,20 +33,12 @@ from .errors import (
 )
 from .tensor import (
     CurvatureTensor,
-    _check_finite,
+    _adopt,
+    _check_dim,
     _exact_symmetrize,
     bianchi_project,
     new_from_components,
 )
-
-
-def _model(a: np.ndarray) -> CurvatureTensor:
-    """Wrap an exactly symmetric model array, rejecting non-finite or
-    overflowing components (ValidationFailure). The arrays are Bianchi by
-    construction, or about to be projected (``random_curvature``), so that
-    check is skipped."""
-    _check_finite(a)
-    return CurvatureTensor(a.shape[0], a, validate=False)
 
 
 def _check_parameter(name: str, value: float) -> None:
@@ -63,12 +55,11 @@ def constant_curvature(n: int, kappa: float) -> CurvatureTensor:
     Dimension 1 is allowed and is trivially flat (it gives the line factor
     in products such as sphere x line).
     """
-    if n < 1:
-        raise DimensionTooSmall(f"need dimension >= 1, got {n}")
+    _check_dim(n)
     _check_parameter("curvature", kappa)
     eye = np.eye(n)
     a = kappa * (np.einsum("ik,jl->ijkl", eye, eye) - np.einsum("il,jk->ijkl", eye, eye))
-    return _model(_exact_symmetrize(a))
+    return _adopt(_exact_symmetrize(a))
 
 
 def flat(n: int) -> CurvatureTensor:
@@ -84,10 +75,11 @@ def product(t1: CurvatureTensor, t2: CurvatureTensor) -> CurvatureTensor:
     """
     n1, n2 = t1.dim, t2.dim
     n = n1 + n2
+    _check_dim(n)
     a = np.zeros((n, n, n, n))
     a[:n1, :n1, :n1, :n1] = t1.array
     a[n1:, n1:, n1:, n1:] = t2.array
-    return _model(_exact_symmetrize(a))
+    return _adopt(_exact_symmetrize(a))
 
 
 def complex_space_form(m: int, c: float) -> CurvatureTensor:
@@ -105,6 +97,7 @@ def complex_space_form(m: int, c: float) -> CurvatureTensor:
     """
     if m < 1:
         raise DimensionTooSmall(f"need complex dimension >= 1, got {m}")
+    _check_dim(2 * m)
     _check_parameter("holomorphic curvature", c)
     n = 2 * m
     j = np.zeros((n, n))
@@ -120,7 +113,7 @@ def complex_space_form(m: int, c: float) -> CurvatureTensor:
         - np.einsum("il,jk->ijkl", jt, jt)
         + 2.0 * np.einsum("ij,kl->ijkl", jt, jt)
     )
-    return _model(_exact_symmetrize(a))
+    return _adopt(_exact_symmetrize(a))
 
 
 def cp2_explicit() -> CurvatureTensor:
@@ -156,8 +149,7 @@ def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     (bit-for-bit when the scale is a power of two). ``seed`` may be an
     int or a tuple of ints (hierarchical seeding).
     """
-    if n < 2:
-        raise DimensionTooSmall(f"need dimension >= 2, got {n}")
+    _check_dim(n, least=2)
     if not scale > 0:
         raise ParameterOutOfRange(f"scale must be positive, got {scale}")
     rng = np.random.default_rng(seed)
@@ -165,10 +157,10 @@ def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     g = rng.standard_normal((len(i), len(i)))
     form = np.triu(g) + np.triu(g, 1).T
     a = np.zeros((n, n, n, n))
-    with np.errstate(over="ignore"):  # an overflowing scale is refused by _model
+    with np.errstate(over="ignore"):  # an overflowing scale is refused by _adopt
         a[i[:, None], j[:, None], i, j] = form * scale
-    # _model checks finiteness; the rebuilt array needs no symmetry re-check.
-    return bianchi_project(_model(_exact_symmetrize(a)))
+    # _adopt checks finiteness; the rebuilt array needs no symmetry re-check.
+    return bianchi_project(_adopt(_exact_symmetrize(a)))
 
 
 def interpolate(t1: CurvatureTensor, t2: CurvatureTensor, t: float) -> CurvatureTensor:
@@ -179,8 +171,7 @@ def interpolate(t1: CurvatureTensor, t2: CurvatureTensor, t: float) -> Curvature
         raise ParameterOutOfRange(f"blend parameter must lie in [0, 1], got {t}")
     # Both arrays carry the symmetries exactly and rounding commutes with
     # negation, so the blend does too.
-    a = (1.0 - t) * t1.array + t * t2.array
-    return _model(a)
+    return _adopt((1.0 - t) * t1.array + t * t2.array)
 
 
 def shift(t1: CurvatureTensor, t2: CurvatureTensor, amount: float) -> CurvatureTensor:
@@ -189,8 +180,7 @@ def shift(t1: CurvatureTensor, t2: CurvatureTensor, amount: float) -> CurvatureT
         raise DimensionMismatch(f"cannot combine dimensions {t1.dim} and {t2.dim}")
     _check_parameter("shift amount", amount)
     # Exactly symmetric for the same reason as ``interpolate``.
-    a = t1.array + amount * t2.array
-    return _model(a)
+    return _adopt(t1.array + amount * t2.array)
 
 
 @dataclass(frozen=True)

@@ -286,11 +286,6 @@ class PositivityProfile:
     alpha_stars: tuple
     verdicts: dict[str, bool]
 
-    def alpha_star(self, k: int) -> float | str:
-        if not 1 <= k <= len(self.alpha_stars):
-            raise ParameterOutOfRange(f"k must lie in 1..{len(self.alpha_stars)}, got {k}")
-        return self.alpha_stars[k - 1]
-
     def to_dict(self) -> dict:
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],

@@ -5,9 +5,9 @@ array of components R[i,j,k,l] (0-based internally, 1-based in the public
 entry and JSON formats). Only canonical components, those with i<j, k<l and
 (i,j) <= (k,l) lexicographically, are independent. ``canonical_index`` is the
 one statement of that rule; tabulated once per dimension it gives a map from
-every index quadruple to its canonical slot and sign, and every constructor
-rebuilds its array from the canonical slots with one gather through that
-map, so the antisymmetries
+every index quadruple to its canonical slot and sign, and every array is
+rebuilt from its canonical slots with one gather through that map (or is an
+exact linear combination of such arrays), so the antisymmetries
 
     R[j,i,k,l] = R[i,j,l,k] = -R[i,j,k,l],    R[k,l,i,j] = R[i,j,k,l]
 
@@ -17,6 +17,8 @@ hold bit-for-bit on the stored array. The first Bianchi identity
 
 is a tolerance check at construction; ``bianchi_project`` is the repair
 path for raw arrays that fail it.
+``CurvatureTensor(array)`` is the validated way in for raw arrays; arrays
+the package builds exactly go through ``_adopt``, which checks finiteness.
 
 Sign convention: R[1,2,1,2] is the sectional curvature of span(e1, e2),
 so the unit round sphere has R_1212 = +1.
@@ -35,10 +37,10 @@ import numpy as np
 
 from .errors import (
     BianchiViolation,
-    DegeneratePlane,
     DimensionTooSmall,
     IndexOutOfRange,
     IoFailure,
+    ParameterOutOfRange,
     ParseError,
     SymmetryConflict,
     ValidationFailure,
@@ -48,7 +50,7 @@ SIGN_CONVENTION = "R1212-positive-sphere"
 
 _SYM_TOL = 1e-12  # relative index-symmetry deviation accepted in a raw array
 _BIANCHI_TOL = 1e-10  # first Bianchi residual accepted, relative to the largest component
-_GRAM_TOL = 1e-12  # relative Gram determinant below which two vectors span no plane
+_MAX_DIM = 32  # largest dimension accepted: dense arrays and the index map grow as n**4
 
 
 def canonical_index(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int] | None, int]:
@@ -116,29 +118,21 @@ def _bianchi_cyclic(a: np.ndarray) -> np.ndarray:
 
 
 class CurvatureTensor:
-    """An algebraic curvature tensor with exact index symmetries.
+    """An algebraic curvature tensor with exact index symmetries, read-only.
 
-    Instances are immutable in intent: the component array is exposed
-    read-only. Use the module constructors (``new_from_components``,
-    ``from_dense``, ``bianchi_project``) rather than ``__init__`` unless
-    the array is already exactly symmetric.
+    ``CurvatureTensor(array)`` takes a raw (n,n,n,n) array, n in 1..32, with
+    finite, non-overflowing components and the index symmetries within
+    ``_SYM_TOL`` (else ValidationFailure), rebuilds it exactly from its
+    canonical slots and checks Bianchi within ``_BIANCHI_TOL``.
     """
 
     __slots__ = ("dim", "_a")
 
-    def __init__(self, dim: int, array: np.ndarray, *, validate: bool = True):
-        if dim < 1:
-            raise DimensionTooSmall(f"need dimension >= 1, got {dim}")
-        a = np.asarray(array, dtype=float)
-        if a.shape != (dim, dim, dim, dim):
-            raise ValidationFailure(f"component array must have shape {(dim,) * 4}, got {a.shape}")
-        a = a.copy()
+    def __init__(self, array):
+        a = _exact_symmetrize(_symmetric_array(array))
+        _check_bianchi(a)
         a.setflags(write=False)
-        self.dim = dim
-        self._a = a
-        if validate:
-            _check_finite(a)
-            _check_bianchi(a)
+        self.dim, self._a = a.shape[0], a
 
     @property
     def array(self) -> np.ndarray:
@@ -167,6 +161,14 @@ def _check_indices(n: int, indices) -> None:
             raise IndexOutOfRange(f"index {idx!r} is not an integer in 1..{n}")
 
 
+def _check_dim(n: int, least: int = 1) -> None:
+    """Reject a dimension outside least.._MAX_DIM before any array is allocated."""
+    if n < least:
+        raise DimensionTooSmall(f"need dimension >= {least}, got {n}")
+    if n > _MAX_DIM:
+        raise ParameterOutOfRange(f"dimension {n} exceeds the largest supported, {_MAX_DIM}")
+
+
 def _check_finite(a: np.ndarray) -> None:
     # The second-kind matrix compresses R by an orthonormal basis, so its
     # Frobenius norm is at most ||R||_F; the Ricci matrix's is at most
@@ -187,6 +189,19 @@ def _check_bianchi(a: np.ndarray) -> None:
         )
 
 
+def _adopt(a: np.ndarray) -> CurvatureTensor:
+    """Wrap a fresh, exactly symmetric array that this package built.
+
+    Only finiteness is checked (ValidationFailure); the array is adopted
+    without a copy, so the caller must hold no other reference to it.
+    """
+    _check_finite(a)
+    a.setflags(write=False)
+    t = object.__new__(CurvatureTensor)
+    t.dim, t._a = a.shape[0], a
+    return t
+
+
 def new_from_components(n: int, entries) -> CurvatureTensor:
     """Build a tensor from 1-based component entries.
 
@@ -198,8 +213,7 @@ def new_from_components(n: int, entries) -> CurvatureTensor:
     the first Bianchi identity within ``_BIANCHI_TOL`` relative to its
     largest component.
     """
-    if n < 1:
-        raise DimensionTooSmall(f"need dimension >= 1, got {n}")
+    _check_dim(n)
     seen: dict[tuple[int, int, int, int], float] = {}
     for entry in entries:
         i, j, k, l, v = entry
@@ -222,7 +236,9 @@ def new_from_components(n: int, entries) -> CurvatureTensor:
     negated = np.zeros((n, n, n, n))
     for quad, v in seen.items():
         a[quad], negated[quad] = v, -v
-    return CurvatureTensor(n, _exact_symmetrize(a, negated))
+    t = _adopt(_exact_symmetrize(a, negated))
+    _check_bianchi(t.array)
+    return t
 
 
 def _symmetric_array(array) -> np.ndarray:
@@ -231,9 +247,7 @@ def _symmetric_array(array) -> np.ndarray:
     a = np.asarray(array, dtype=float)
     if a.ndim != 4 or len(set(a.shape)) != 1:
         raise ValidationFailure(f"expected a square 4-index array, got shape {a.shape}")
-    n = a.shape[0]
-    if n < 1:
-        raise DimensionTooSmall(f"need dimension >= 1, got {n}")
+    _check_dim(a.shape[0])
     _check_finite(a)
     scale = max(float(np.abs(a).max()), 1e-300)
     asym1 = float(np.abs(a + np.einsum("jikl->ijkl", a)).max())
@@ -247,22 +261,11 @@ def _symmetric_array(array) -> np.ndarray:
     return a
 
 
-def from_dense(array) -> CurvatureTensor:
-    """Adopt a raw (n,n,n,n) array as a curvature tensor.
-
-    The array must satisfy the index symmetries within 1e-12 relative to
-    its largest component (ValidationFailure otherwise); it is then
-    rebuilt exactly from canonical slots and Bianchi-checked.
-    """
-    a = _symmetric_array(array)
-    return CurvatureTensor(a.shape[0], _exact_symmetrize(a))
-
-
 def bianchi_project(array) -> CurvatureTensor:
     """Orthogonally project a raw array onto the Bianchi subspace.
 
-    Accepts any array with the index symmetries (checked as in
-    ``from_dense``) and removes its totally antisymmetric part:
+    Accepts a tensor or any raw array with the index symmetries (checked
+    as in ``CurvatureTensor``) and removes its totally antisymmetric part:
     R' = R - (1/3)(R + R(ikl j-cycled) + R(ilj k-cycled)). The result
     satisfies the first Bianchi identity to rounding; projecting twice
     changes nothing, and a tensor already satisfying the identity is a
@@ -270,38 +273,14 @@ def bianchi_project(array) -> CurvatureTensor:
     """
     a = array.array if isinstance(array, CurvatureTensor) else _symmetric_array(array)
     projected = a - _bianchi_cyclic(a) / 3.0
-    return CurvatureTensor(a.shape[0], _exact_symmetrize(projected))
+    t = _adopt(_exact_symmetrize(projected))
+    _check_bianchi(t.array)
+    return t
 
 
 def ricci(t: CurvatureTensor) -> np.ndarray:
     """Ricci contraction Ric_ij = sum_k R_ikjk, a symmetric (n,n) array."""
     return np.einsum("ikjk->ij", t.array)
-
-
-def scalar(t: CurvatureTensor) -> float:
-    """Scalar curvature, the trace of the Ricci contraction."""
-    return float(np.trace(ricci(t)))
-
-
-def sectional(t: CurvatureTensor, u, v) -> float:
-    """Sectional curvature of the 2-plane spanned by u and v.
-
-    K(u, v) = R(u, v, u, v) / (|u|^2 |v|^2 - <u,v>^2). The vectors need not
-    be orthonormal but must span a genuine 2-plane: the Gram determinant
-    must exceed ``_GRAM_TOL`` times |u|^2 |v|^2, else DegeneratePlane.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (t.dim,) or v.shape != (t.dim,):
-        raise DegeneratePlane(f"expected two vectors of length {t.dim}")
-    g11 = float(u @ u)
-    g22 = float(v @ v)
-    g12 = float(u @ v)
-    gram = g11 * g22 - g12 * g12
-    if gram <= _GRAM_TOL * max(g11 * g22, 1e-300):
-        raise DegeneratePlane("vectors do not span a 2-plane")
-    num = float(np.einsum("ijkl,i,j,k,l->", t.array, u, v, u, v))
-    return num / gram
 
 
 def to_dict(t: CurvatureTensor) -> dict:
@@ -339,12 +318,18 @@ def from_dict(doc) -> CurvatureTensor:
     entries = []
     for e in raw_entries:
         try:
-            entry = (e["i"], e["j"], e["k"], e["l"], float(e["v"]))
-        except (TypeError, KeyError, ValueError) as exc:
+            *indices, v = e["i"], e["j"], e["k"], e["l"], e["v"]
+        except (TypeError, KeyError) as exc:
             raise ParseError(f"malformed entry {e!r}") from exc
-        if any(type(idx) is not int for idx in entry[:4]):
+        if any(type(idx) is not int for idx in indices):
             raise ParseError(f"entry {e!r} has a non-integer index")
-        entries.append(entry)
+        # JSON true/false load as bool, a subclass of int; strings are not numbers
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ParseError(f"entry {e!r} has a non-numeric value")
+        try:
+            entries.append((*indices, float(v)))
+        except OverflowError as exc:  # an integer literal beyond the float range
+            raise ParseError(f"entry {e!r} has a value out of range") from exc
     return new_from_components(n, entries)
 
 

@@ -1,0 +1,28 @@
+"""The package's public surface: adding or removing a name is a deliberate edit here."""
+
+import curvop
+
+PUBLIC_NAMES = [
+    "ALPHA_ALWAYS", "ALPHA_UNATTAINABLE", "BianchiViolation", "Counterexample",
+    "CurvatureTensor", "CurvopError", "DimensionMismatch", "DimensionTooSmall",
+    "FrameNotOrthonormal", "FrameSearchResult", "IdentityReport", "IndexOutOfRange",
+    "IoFailure", "ModelSpec", "NoConvergence", "NotSymmetric", "ParameterOutOfRange",
+    "ParseError", "PositivityProfile", "PredicateSpec", "ProbeReport", "SIGN_CONVENTION",
+    "Spectrum", "SymTensorBasis", "SymmetryConflict", "TrialReport", "ValidationFailure",
+    "alpha_star", "bianchi_project", "boost_to_hypothesis", "build_model",
+    "canonical_index", "canonical_quadruples", "check_frame", "complex_space_form",
+    "conditions", "constant_curvature", "cp2_explicit", "eigen_sym", "emit_report",
+    "errors", "first_kind_matrix", "flat", "from_dict", "harness", "implication_trial",
+    "interpolate", "isotropic_value", "k_alpha_positive", "k_alpha_value", "lambda2_basis",
+    "lambda2_dim", "load_tensor", "min_isotropic", "models", "named_conditions",
+    "new_from_components", "parse_model", "parse_predicate", "phi_family",
+    "positivity_profile", "product", "pullback", "random_curvature", "random_frame",
+    "replay_counterexample", "ric_family", "ricci", "ricci_min", "s20_basis", "s20_dim",
+    "save_tensor", "second_kind_matrix", "second_kind_spectrum", "secondkind",
+    "sharpness_probe", "shift", "tensor", "to_dict", "verify_pic_identities",
+    "verify_ric_identities", "write_json_atomic",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(curvop.__all__) == PUBLIC_NAMES

@@ -245,6 +245,18 @@ def test_analyze_rejects_non_integer_dim_and_indices(dim, entries, tmp_path, cap
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {"dim": 4, "entries": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": "1.5"}]},
+    {"dim": 4, "entries": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": True}]},
+    {"dim": 100000, "entries": []},
+], ids=["value-str", "value-true", "dim-100000"])
+def test_analyze_rejects_non_numeric_values_and_oversized_dim(doc, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(bad), "--trials", "2"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
 def test_analyze_rejects_both_file_and_model(tmp_path):
     f = tmp_path / "t.json"
     run_cli("model", "--model", "flat:n=4", "--output", str(f))

@@ -1,4 +1,4 @@
-"""Smoke test: every walkthrough under demos/ runs to completion."""
+"""Smoke test: every walkthrough under demos/ runs to completion without a warning."""
 
 import os
 import pathlib
@@ -16,6 +16,7 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # -W error: the demos must run without any warning, as tier-1 code does
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, f"stdout: {proc.stdout}\nstderr: {proc.stderr}"

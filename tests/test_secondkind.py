@@ -230,7 +230,7 @@ def test_named_conditions_cover_both_standard_thresholds():
 def test_positivity_profile_structure_and_cp2_threshold():
     sp = eigen_sym(second_kind_matrix(curvop.cp2_explicit()))
     profile = positivity_profile(sp)
-    assert profile.alpha_star(4) == pytest.approx(0.5, abs=1e-9)
+    assert profile.alpha_stars[3] == pytest.approx(0.5, abs=1e-9)
     doc = profile.to_dict()
     assert len(doc["profile"]) == 8  # k = 1..N-1
     row = doc["profile"][3]

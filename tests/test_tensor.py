@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,23 +14,20 @@ import curvop
 from curvop import (
     BianchiViolation,
     CurvatureTensor,
-    DegeneratePlane,
     DimensionTooSmall,
     IndexOutOfRange,
+    ParameterOutOfRange,
     ParseError,
     SymmetryConflict,
     ValidationFailure,
     bianchi_project,
     canonical_index,
     canonical_quadruples,
-    from_dense,
     from_dict,
     load_tensor,
     new_from_components,
     ricci,
     save_tensor,
-    scalar,
-    sectional,
 )
 
 
@@ -104,7 +102,19 @@ def test_from_dense_rejects_asymmetric_array():
     bad = np.zeros((3, 3, 3, 3))
     bad[0, 1, 0, 1] = 1.0  # no compensating images
     with pytest.raises(curvop.ValidationFailure):
-        from_dense(bad)
+        CurvatureTensor(bad)
+
+
+def test_constructor_rejects_arrays_without_the_index_symmetries():
+    # delta_ij delta_kl - delta_ik delta_jl: finite and Bianchi, yet R_1122 = 1
+    # breaks the antisymmetry in (i, j)
+    eye = np.eye(4)
+    bad = np.einsum("ij,kl->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye)
+    assert np.abs(bad + np.einsum("iklj->ijkl", bad) + np.einsum("iljk->ijkl", bad)).max() == 0.0
+    with pytest.raises(ValidationFailure):
+        CurvatureTensor(bad)
+    good = curvop.random_curvature(5, seed=4)
+    assert CurvatureTensor(good.array).dim == 5
 
 
 def test_dimension_bounds():
@@ -118,17 +128,11 @@ def test_ricci_scalar_and_sectional_on_the_unit_sphere():
     n = 5
     t = curvop.constant_curvature(n, 1.0)
     assert np.allclose(ricci(t), (n - 1) * np.eye(n), atol=1e-12)
-    assert scalar(t) == pytest.approx(n * (n - 1), abs=1e-12)
+    assert np.trace(ricci(t)) == pytest.approx(n * (n - 1), abs=1e-12)
     rng = np.random.default_rng(3)
     u, v = rng.standard_normal((2, n))
-    assert sectional(t, u, v) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_sectional_rejects_degenerate_planes():
-    t = curvop.constant_curvature(4, 1.0)
-    u = np.array([1.0, 0.0, 0.0, 0.0])
-    with pytest.raises(DegeneratePlane):
-        sectional(t, u, 2.0 * u)
+    gram = (u @ u) * (v @ v) - (u @ v) ** 2
+    assert np.einsum("ijkl,i,j,k,l->", t.array, u, v, u, v) / gram == pytest.approx(1.0, abs=1e-10)
 
 
 def test_json_round_trip_preserves_components():
@@ -173,6 +177,46 @@ def test_from_dict_rejects_non_integer_dim_and_indices(dim, index):
         from_dict(doc)
 
 
+def test_from_dict_takes_only_json_numbers_as_values():
+    def doc(value):
+        return {"dim": 4, "entries": [{"i": 1, "j": 2, "k": 1, "l": 2, "v": value}]}
+
+    for bad in ("1.5", True, 10**400):  # a string, a bool, an int beyond the float range
+        with pytest.raises(ParseError):
+            from_dict(doc(bad))
+    assert from_dict(doc(3)).component(2, 1, 2, 1) == 3.0
+
+
+def _peak_bytes(call, error):
+    """Peak traced allocation while ``call()`` raises ``error``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: new_from_components(n, []),
+    lambda n: from_dict({"dim": n, "entries": []}),
+    lambda n: curvop.constant_curvature(n, 1.0),
+    lambda n: curvop.complex_space_form((n + 1) // 2, 4.0),
+    lambda n: curvop.random_curvature(n, seed=1),
+], ids=["components", "dict", "constant", "csf", "random"])
+@pytest.mark.parametrize("n", [33, 10**5])
+def test_dimension_above_the_bound_raises_before_allocating(build, n):
+    assert _peak_bytes(lambda: build(n), ParameterOutOfRange) < 1_000_000  # 33**4 floats: 9.5 MB
+
+
+def test_product_above_the_dimension_bound_raises_before_allocating():
+    left, right = curvop.flat(17), curvop.flat(16)
+    assert _peak_bytes(lambda: curvop.product(left, right), ParameterOutOfRange) < 1_000_000
+    with pytest.raises(ParameterOutOfRange):
+        CurvatureTensor(np.zeros((33,) * 4))
+
+
 @pytest.mark.parametrize("index", [1.5, "1", True])
 def test_new_from_components_rejects_non_integer_indices(index):
     with pytest.raises(IndexOutOfRange):
@@ -184,7 +228,7 @@ def test_from_dense_rejects_non_finite_components():
     a[0, 1, 0, 1] = a[1, 0, 1, 0] = np.nan
     a[1, 0, 0, 1] = a[0, 1, 1, 0] = np.nan
     with pytest.raises(ValidationFailure):
-        from_dense(a)
+        CurvatureTensor(a)
 
 
 def test_tensor_array_is_read_only():
@@ -215,10 +259,10 @@ def test_bianchi_project_rejects_asymmetric_array():
 def test_symmetry_check_accepts_rounding_and_rebuilds_from_canonical_slots():
     a = curvop.random_curvature(5, seed=2).array.copy()
     a[1, 0, 2, 3] *= 1.0 + 1e-14  # a non-canonical image, off by rounding
-    assert np.array_equal(from_dense(a).array, curvop.random_curvature(5, seed=2).array)
+    assert np.array_equal(CurvatureTensor(a).array, curvop.random_curvature(5, seed=2).array)
     a[1, 0, 2, 3] *= 1.0 + 1e-9
     with pytest.raises(ValidationFailure):
-        from_dense(a)
+        CurvatureTensor(a)
 
 
 # Reference implementations: the per-quadruple loops the index map replaced.
@@ -323,7 +367,7 @@ def test_index_map_reproduces_the_reference_loops_bit_for_bit(n, seed):
     scale = float(rng.choice([1.0, 0.5, rng.uniform(0.01, 100.0)]))
     t = curvop.random_curvature(n, seed=(seed, n), scale=scale)
     assert _same_bits(t.array, _ref_random_curvature(n, (seed, n), scale))
-    assert _same_bits(from_dense(t.array).array, t.array)
+    assert _same_bits(CurvatureTensor(t.array).array, t.array)
     assert _same_bits(bianchi_project(t.array).array, _ref_bianchi_project(t.array))
 
     # entries in any index order: some omitted, some explicitly +0.0 or -0.0,
