@@ -8,6 +8,8 @@ between those conditions on random and closed-form model tensors.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     BianchiViolation,
     CurvopError,
@@ -27,8 +29,6 @@ from .tensor import (
     SIGN_CONVENTION,
     CurvatureTensor,
     bianchi_project,
-    canonical_index,
-    canonical_quadruples,
     from_dict,
     load_tensor,
     new_from_components,
@@ -42,7 +42,6 @@ from .secondkind import (
     ALPHA_UNATTAINABLE,
     PositivityProfile,
     Spectrum,
-    SymTensorBasis,
     alpha_star,
     eigen_sym,
     first_kind_matrix,
@@ -97,4 +96,6 @@ from .harness import (
     sharpness_probe,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the import blocks above are the one list; the submodules they bind stay out
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -43,7 +43,6 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .secondkind import (
-    SymTensorBasis,
     eigen_sym,
     lambda2_basis,
     lambda2_dim,
@@ -488,7 +487,7 @@ def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
     if t.dim < 4:
         raise DimensionTooSmall(f"need dimension >= 4, got {t.dim}")
     f = check_frame(frame, width=4, dim=t.dim)
-    q = np.diagonal(second_kind_matrix(t, SymTensorBasis(t.dim, phi_family(f))))
+    q = np.diagonal(second_kind_matrix(t, phi_family(f)))
 
     r4 = pullback(t.array, f)
     k12, k34 = r4[0, 1, 0, 1], r4[2, 3, 2, 3]
@@ -547,8 +546,8 @@ def _ric_coordinates(n: int) -> np.ndarray:
     ladder of ``s20_basis(n - 1)`` moved onto axes 2..n (the xi_j)."""
     phi1 = np.diag(np.r_[n - 1.0, -np.ones(n - 1)]) / np.sqrt(n * (n - 1))
     xi = np.zeros((n - 2, n, n))
-    xi[:, 1:, 1:] = s20_basis(n - 1).elements[lambda2_dim(n - 1):]
-    c = np.concatenate((phi1[None], s20_basis(n).elements[:lambda2_dim(n)], xi))
+    xi[:, 1:, 1:] = s20_basis(n - 1)[lambda2_dim(n - 1):]
+    c = np.concatenate((phi1[None], s20_basis(n)[:lambda2_dim(n)], xi))
     c.setflags(write=False)
     return c
 
@@ -600,7 +599,7 @@ def verify_ric_identities(t: CurvatureTensor, frame) -> IdentityReport:
     if n < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
     f = check_frame(frame, width=n, dim=n)
-    q = np.diagonal(second_kind_matrix(t, SymTensorBasis(n, ric_family(f))))
+    q = np.diagonal(second_kind_matrix(t, ric_family(f)))
     pairs = lambda2_dim(n)
     q_phi1, q_phi = float(q[0]), float(q[1:n].sum())
     q_psi, q_xi = float(q[n:1 + pairs].sum()), float(q[1 + pairs:].sum())

@@ -3,8 +3,8 @@
 The operator of the second kind acts on traceless symmetric 2-tensors,
 a space of dimension N = (n-1)(n+2)/2; the operator of the first kind
 acts on 2-forms, dimension n(n-1)/2. Both are realized as symmetric
-matrices in explicit orthonormal bases. The bilinear form behind the
-second-kind matrix is
+matrices in explicit orthonormal bases, each a plain (N, n, n) stack of
+n x n matrices. The bilinear form behind the second-kind matrix is
 
     M[a,b] = sum_{ijkl} R_iklj phi_a[i,j] phi_b[k,l],
 
@@ -66,36 +66,15 @@ def lambda2_basis(n: int) -> np.ndarray:
     return mats
 
 
-@dataclass(frozen=True, eq=False)
-class SymTensorBasis:
-    """Orthonormal basis of traceless symmetric 2-tensors.
-
-    ``elements`` is an (N, n, n) stack, orthonormal under <A,B> = tr(A B)
-    with every element traceless. ``rotated`` conjugates each element by
-    an orthogonal matrix, producing the image basis. The identity suites
-    also wrap their frame families in it (the phi-family is orthogonal
-    with squared norms 4) to evaluate the bilinear form on them.
-    """
-
-    dim: int
-    elements: np.ndarray = field(repr=False)
-
-    def rotated(self, q: np.ndarray) -> "SymTensorBasis":
-        q = np.asarray(q, dtype=float)
-        if q.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"rotation must be {self.dim}x{self.dim}, got {q.shape}")
-        return SymTensorBasis(self.dim, q @ self.elements @ q.T)
-
-
 @functools.lru_cache(maxsize=None)
-def s20_basis(n: int) -> SymTensorBasis:
+def s20_basis(n: int) -> np.ndarray:
     """Standard orthonormal basis of the traceless symmetric 2-tensors.
 
-    Off-diagonal elements (e_i (.) e_j)/sqrt(2) for i<j in lexicographic
+    An ((n-1)(n+2)/2, n, n) stack, orthonormal under <A,B> = tr(A B):
+    off-diagonal elements (e_i (.) e_j)/sqrt(2) for i<j in lexicographic
     order followed by the diagonal ladder xi_j = (e_1 (.) e_1 + ... - j
     e_{j+1} (.) e_{j+1}) / (2 sqrt(j(j+1))) for j = 1..n-1, written as
-    symmetric matrices. Count is exactly (n-1)(n+2)/2. Built once per n;
-    the elements are read-only.
+    symmetric matrices. Built once per n and returned read-only.
     """
     if n < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {n}")
@@ -107,20 +86,21 @@ def s20_basis(n: int) -> SymTensorBasis:
     # |e_i ^ e_j| = e_i (.) e_j entrywise, in the same lexicographic order
     elements = np.concatenate((np.abs(lambda2_basis(n)) / np.sqrt(2.0), ladder))
     elements.setflags(write=False)
-    return SymTensorBasis(n, elements)
+    return elements
 
 
-def second_kind_matrix(t: CurvatureTensor, basis: SymTensorBasis | None = None) -> np.ndarray:
-    """Matrix of the second-kind operator in the given traceless basis.
+def second_kind_matrix(t: CurvatureTensor, basis: np.ndarray | None = None) -> np.ndarray:
+    """Matrix of the second-kind operator on a stack of symmetric 2-tensors.
 
-    Defaults to ``s20_basis(t.dim)``. The result is an (N, N) symmetric
-    matrix whose (a,b) entry is the bilinear form on elements a and b.
+    ``basis`` is an (N, n, n) stack, by default ``s20_basis(t.dim)``; a
+    stack of another trailing shape raises DimensionMismatch. The result
+    is an (N, N) symmetric matrix whose (a,b) entry is the bilinear form
+    on elements a and b. The identity suites pass their frame families,
+    which need not be orthonormal, straight in.
     """
-    if basis is None:
-        basis = s20_basis(t.dim)
-    if basis.dim != t.dim:
-        raise DimensionMismatch(f"tensor dim {t.dim} vs basis dim {basis.dim}")
-    phi = basis.elements
+    phi = s20_basis(t.dim) if basis is None else basis
+    if phi.shape[1:] != (t.dim, t.dim):
+        raise DimensionMismatch(f"tensor dim {t.dim} vs basis elements of shape {phi.shape[1:]}")
     # M[a,b] = sum_{ijkl} R_iklj phi_a[i,j] phi_b[k,l], contracted in two
     # matrix-product steps (axes of t.array are labeled i, k, l, j).
     half = np.tensordot(phi, t.array, axes=([1, 2], [0, 3]))  # a k l

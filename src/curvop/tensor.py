@@ -3,11 +3,12 @@
 A curvature tensor on n-dimensional Euclidean space is kept as the dense
 array of components R[i,j,k,l] (0-based internally, 1-based in the public
 entry and JSON formats). Only canonical components, those with i<j, k<l and
-(i,j) <= (k,l) lexicographically, are independent. ``canonical_index`` is the
-one statement of that rule; tabulated once per dimension it gives a map from
-every index quadruple to its canonical slot and sign, and every array is
-rebuilt from its canonical slots with one gather through that map (or is an
-exact linear combination of such arrays), so the antisymmetries
+(i,j) <= (k,l) lexicographically, are independent. ``_canonical_map`` is the
+one statement of that rule: built once per dimension from index arrays, it
+sends every index quadruple to its canonical slot and sign. Entries are
+decoded through it, ``to_dict`` reads the canonical slots off it, and every
+array is rebuilt from its canonical slots with one gather through it (or is
+an exact linear combination of such arrays), so the antisymmetries
 
     R[j,i,k,l] = R[i,j,l,k] = -R[i,j,k,l],    R[k,l,i,j] = R[i,j,k,l]
 
@@ -53,36 +54,6 @@ _BIANCHI_TOL = 1e-10  # first Bianchi residual accepted, relative to the largest
 _MAX_DIM = 32  # largest dimension accepted: dense arrays and the index map grow as n**4
 
 
-def canonical_index(i: int, j: int, k: int, l: int) -> tuple[tuple[int, int, int, int] | None, int]:
-    """Map a 0-based index quadruple to its canonical form and sign.
-
-    Returns ``(quad, sign)`` where ``quad`` has i<j, k<l, (i,j) <= (k,l)
-    and ``sign`` is the factor relating the requested component to the
-    canonical one. Quadruples with i == j or k == l carry no information
-    (the component is identically zero) and return ``(None, 0)``.
-    """
-    if i == j or k == l:
-        return None, 0
-    sign = 1
-    if i > j:
-        i, j = j, i
-        sign = -sign
-    if k > l:
-        k, l = l, k
-        sign = -sign
-    if (i, j) > (k, l):
-        i, j, k, l = k, l, i, j
-    return (i, j, k, l), sign
-
-
-def canonical_quadruples(n: int):
-    """Yield all canonical 0-based quadruples for dimension n."""
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    for a, (i, j) in enumerate(pairs):
-        for (k, l) in pairs[a:]:
-            yield i, j, k, l
-
-
 @functools.lru_cache(maxsize=None)
 def _canonical_map(n: int) -> np.ndarray:
     """Gather indices that rebuild an (n,n,n,n) array from its canonical slots.
@@ -90,14 +61,17 @@ def _canonical_map(n: int) -> np.ndarray:
     With f the flattened array, entry [i,j,k,l] is the position in
     ``concatenate((f, -f, [0.0]))`` of the value that component takes: the
     flat canonical slot p of (i,j,k,l) for sign +1, n**4 + p for sign -1,
-    and the trailing zero 2 n**4 where the component vanishes.
+    and the trailing zero 2 n**4 where the component vanishes (i == j or
+    k == l). The canonical quadruple sorts each pair, which sets the sign,
+    and swaps the two pairs when they are out of lexicographic order.
     """
-    shape = (n,) * 4
-    out = np.full(shape, 2 * n ** 4)
-    for quad in np.ndindex(shape):
-        canon, sign = canonical_index(*quad)
-        if canon is not None:
-            out[quad] = np.ravel_multi_index(canon, shape) + (n ** 4 if sign < 0 else 0)
+    i, j = np.indices((n, n))
+    key = np.minimum(i, j) * n + np.maximum(i, j)  # flat index of the sorted pair
+    first, second = key[:, :, None, None], key[None, None]
+    slot = np.minimum(first, second) * n ** 2 + np.maximum(first, second)
+    flip = (i > j)[:, :, None, None] != (i > j)[None, None]
+    zero = (i == j)[:, :, None, None] | (i == j)[None, None]
+    out = np.where(zero, 2 * n ** 4, slot + flip * n ** 4)
     out.setflags(write=False)
     return out
 
@@ -205,38 +179,49 @@ def _adopt(a: np.ndarray) -> CurvatureTensor:
 def new_from_components(n: int, entries) -> CurvatureTensor:
     """Build a tensor from 1-based component entries.
 
-    ``entries`` is an iterable of (i, j, k, l, value). Indices must be
-    integers in 1..n (else IndexOutOfRange) and may appear in any order;
-    each quadruple is canonicalized with its sign. Supplying two
-    entries that disagree under the symmetries raises SymmetryConflict;
-    components not mentioned are zero. The assembled tensor must satisfy
-    the first Bianchi identity within ``_BIANCHI_TOL`` relative to its
-    largest component.
+    ``entries`` is an iterable of (i, j, k, l, value) tuples (else
+    ValidationFailure). Indices must be integers in 1..n (else
+    IndexOutOfRange) and may appear in any order; each quadruple is read
+    through the index map to its canonical slot and sign. Values must be
+    real numbers, not booleans or strings, within the float range (else
+    ValidationFailure). Supplying two entries that disagree under the
+    symmetries raises SymmetryConflict; components not mentioned are
+    zero. The assembled tensor must satisfy the first Bianchi identity
+    within ``_BIANCHI_TOL`` relative to its largest component.
     """
     _check_dim(n)
-    seen: dict[tuple[int, int, int, int], float] = {}
+    cmap, size = _canonical_map(n), n ** 4
+    seen: dict[int, float] = {}
     for entry in entries:
-        i, j, k, l, v = entry
+        try:
+            i, j, k, l, v = entry
+        except (TypeError, ValueError) as exc:
+            raise ValidationFailure(f"entry {entry!r} is not an (i, j, k, l, value) tuple") from exc
         _check_indices(n, (i, j, k, l))
-        quad, sign = canonical_index(i - 1, j - 1, k - 1, l - 1)
-        if quad is None:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValidationFailure(f"component ({i},{j},{k},{l}) has a non-numeric value {v!r}")
+        try:
+            v = float(v)
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ValidationFailure(f"component ({i},{j},{k},{l}) is out of the float range") from exc
+        pos = int(cmap[i - 1, j - 1, k - 1, l - 1])
+        if pos == 2 * size:
             if v != 0:
                 raise SymmetryConflict(
                     f"component ({i},{j},{k},{l}) vanishes by antisymmetry but value {v} given"
                 )
             continue
-        canon_v = sign * float(v)
-        if quad in seen and seen[quad] != canon_v:
+        slot, canon_v = (pos - size, -v) if pos >= size else (pos, v)
+        if slot in seen and seen[slot] != canon_v:
             raise SymmetryConflict(
                 f"component ({i},{j},{k},{l}) conflicts with an earlier entry: "
-                f"{canon_v} vs {seen[quad]}"
+                f"{canon_v} vs {seen[slot]}"
             )
-        seen[quad] = canon_v
-    a = np.zeros((n, n, n, n))
-    negated = np.zeros((n, n, n, n))
-    for quad, v in seen.items():
-        a[quad], negated[quad] = v, -v
-    t = _adopt(_exact_symmetrize(a, negated))
+        seen[slot] = canon_v
+    a, negated = np.zeros(size), np.zeros(size)
+    slots, values = list(seen), np.array(list(seen.values()))
+    a[slots], negated[slots] = values, -values
+    t = _adopt(_exact_symmetrize(a.reshape((n,) * 4), negated))
     _check_bianchi(t.array)
     return t
 
@@ -284,13 +269,19 @@ def ricci(t: CurvatureTensor) -> np.ndarray:
 
 
 def to_dict(t: CurvatureTensor) -> dict:
-    """Serialize to the canonical JSON structure (1-based sparse entries)."""
-    entries = []
-    a = t.array
-    for i, j, k, l in canonical_quadruples(t.dim):
-        v = a[i, j, k, l]
-        if v != 0.0:
-            entries.append({"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": float(v)})
+    """Serialize to the canonical JSON structure (1-based sparse entries).
+
+    The canonical slots are those the index map sends to themselves; in
+    ravel order they run lexicographically over (i, j, k, l).
+    """
+    f, cmap = t.array.ravel(), _canonical_map(t.dim).ravel()
+    slots = np.flatnonzero(cmap == np.arange(cmap.size))
+    slots = slots[f[slots] != 0.0]
+    quads = (q.tolist() for q in np.unravel_index(slots, t.array.shape))
+    entries = [
+        {"i": i + 1, "j": j + 1, "k": k + 1, "l": l + 1, "v": v}
+        for i, j, k, l, v in zip(*quads, f[slots].tolist())
+    ]
     return {"dim": t.dim, "convention": SIGN_CONVENTION, "entries": entries}
 
 

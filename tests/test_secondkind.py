@@ -10,6 +10,7 @@ from curvop import (
     ALPHA_ALWAYS,
     ALPHA_UNATTAINABLE,
     CurvopError,
+    DimensionMismatch,
     NotSymmetric,
     ParameterOutOfRange,
     alpha_star,
@@ -37,19 +38,19 @@ def test_dimension_counts():
 def test_s20_basis_is_orthonormal_and_traceless():
     for n in (2, 3, 4, 6):
         basis = s20_basis(n)
-        assert basis.elements.shape == (s20_dim(n), n, n)
-        gram = np.einsum("aij,bij->ab", basis.elements, basis.elements)
+        assert basis.shape == (s20_dim(n), n, n)
+        gram = np.einsum("aij,bij->ab", basis, basis)
         assert np.abs(gram - np.eye(s20_dim(n))).max() < 1e-14
-        assert np.abs(np.trace(basis.elements, axis1=1, axis2=2)).max() < 1e-14
+        assert np.abs(np.trace(basis, axis1=1, axis2=2)).max() < 1e-14
 
 
 def test_rotated_basis_stays_orthonormal():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
-    basis = s20_basis(5).rotated(q)
-    gram = np.einsum("aij,bij->ab", basis.elements, basis.elements)
+    basis = q @ s20_basis(5) @ q.T
+    gram = np.einsum("aij,bij->ab", basis, basis)
     assert np.abs(gram - np.eye(14)).max() < 1e-12
-    assert np.abs(np.trace(basis.elements, axis1=1, axis2=2)).max() < 1e-12
+    assert np.abs(np.trace(basis, axis1=1, axis2=2)).max() < 1e-12
 
 
 def reference_s20_basis(n):
@@ -85,8 +86,8 @@ def reference_lambda2_basis(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_bases_equal_the_reference_loops_bit_for_bit(n):
     basis = s20_basis(n)
-    assert basis.elements.tobytes() == reference_s20_basis(n).tobytes()
-    assert basis.elements.shape == (s20_dim(n), n, n)
+    assert basis.tobytes() == reference_s20_basis(n).tobytes()
+    assert basis.shape == (s20_dim(n), n, n)
     assert lambda2_basis(n).tobytes() == reference_lambda2_basis(n).tobytes()
     assert lambda2_basis(n).shape == (lambda2_dim(n), n, n)
 
@@ -94,7 +95,7 @@ def test_bases_equal_the_reference_loops_bit_for_bit(n):
 def test_s20_basis_is_cached_and_read_only():
     assert s20_basis(5) is s20_basis(5)
     with pytest.raises(ValueError):
-        s20_basis(5).elements[0, 0, 1] = 1.0
+        s20_basis(5)[0, 0, 1] = 1.0
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -107,9 +108,17 @@ def test_lambda2_basis_carries_the_first_kind_matrix(n):
 
 def test_second_kind_matrix_matches_bilinear_form_definition():
     t = curvop.random_curvature(4, seed=2)
-    phi = s20_basis(4).elements
+    phi = s20_basis(4)
     direct = np.einsum("iklj,aij,bkl->ab", t.array, phi, phi)
     assert np.abs(second_kind_matrix(t) - direct).max() < 1e-13
+
+
+def test_second_kind_matrix_rejects_a_stack_of_the_wrong_shape():
+    t = curvop.random_curvature(4, seed=2)
+    with pytest.raises(DimensionMismatch):
+        second_kind_matrix(t, s20_basis(5))
+    with pytest.raises(DimensionMismatch):
+        second_kind_matrix(t, s20_basis(4)[:, :, :3])
 
 
 def test_second_kind_spectrum_is_basis_independent():
@@ -117,7 +126,7 @@ def test_second_kind_spectrum_is_basis_independent():
     rng = np.random.default_rng(40)
     q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     lam_a = eigen_sym(second_kind_matrix(t, s20_basis(5))).eigenvalues
-    lam_b = eigen_sym(second_kind_matrix(t, s20_basis(5).rotated(q))).eigenvalues
+    lam_b = eigen_sym(second_kind_matrix(t, q @ s20_basis(5) @ q.T)).eigenvalues
     assert np.abs(lam_a - lam_b).max() < 1e-9
 
 
@@ -273,7 +282,7 @@ def test_spectrum_is_basis_independent(n, seed, scale):
     t = curvop.random_curvature(n, seed=seed, scale=scale)
     q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
     lam = eigen_sym(second_kind_matrix(t), vectors=False).eigenvalues
-    lam_rot = eigen_sym(second_kind_matrix(t, s20_basis(n).rotated(q)), vectors=False).eigenvalues
+    lam_rot = eigen_sym(second_kind_matrix(t, q @ s20_basis(n) @ q.T), vectors=False).eigenvalues
     assert np.abs(lam_rot - lam).max() <= 1e-12 * max(1.0, t.max_abs())
 
 

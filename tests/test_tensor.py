@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 import tracemalloc
 from unittest import mock
 
@@ -21,14 +22,13 @@ from curvop import (
     SymmetryConflict,
     ValidationFailure,
     bianchi_project,
-    canonical_index,
-    canonical_quadruples,
     from_dict,
     load_tensor,
     new_from_components,
     ricci,
     save_tensor,
 )
+from curvop.tensor import _canonical_map
 
 
 def test_component_fanout_covers_all_symmetries():
@@ -51,18 +51,20 @@ def test_symmetries_are_bit_exact_on_random_input():
 
 
 def test_canonical_index_sign_and_none():
-    quad, sign = canonical_index(2, 1, 3, 4)
-    assert quad == (1, 2, 3, 4) and sign == -1.0
-    quad, sign = canonical_index(3, 4, 1, 2)
-    assert quad == (1, 2, 3, 4) and sign == 1.0
-    assert canonical_index(1, 1, 2, 3)[0] is None
+    # map entries: slot p for sign +1, n**4 + p for sign -1, 2 n**4 where R vanishes
+    n = 5
+    cmap, canon = _canonical_map(n), np.ravel_multi_index((1, 2, 3, 4), (n,) * 4)
+    assert cmap[2, 1, 3, 4] == n ** 4 + canon
+    assert cmap[3, 4, 1, 2] == canon
+    assert cmap[1, 1, 2, 3] == 2 * n ** 4
 
 
 def test_canonical_quadruples_count_matches_free_parameters():
     # dim of algebraic curvature tensors without Bianchi: binom(m+1, 2) for m = n(n-1)/2
     for n in (2, 3, 4, 5):
         m = n * (n - 1) // 2
-        assert len(list(canonical_quadruples(n))) == m * (m + 1) // 2
+        cmap = _canonical_map(n).ravel()
+        assert np.count_nonzero(cmap == np.arange(cmap.size)) == m * (m + 1) // 2
 
 
 def test_new_from_components_rejects_conflicts_and_bad_indices():
@@ -75,6 +77,16 @@ def test_new_from_components_rejects_conflicts_and_bad_indices():
     # equal redundant values are accepted
     t = new_from_components(3, [(1, 2, 1, 2, 1.0), (2, 1, 2, 1, 1.0)])
     assert t.component(1, 2, 1, 2) == 1.0
+
+
+@pytest.mark.parametrize("entry", [
+    (1, 2, 1, 2, "1.5"), (1, 2, 1, 2, True), (1, 2, 1, 2, np.True_), (1, 2, 1, 2, 10**400),
+    (1, 2, 1, 2), (1, 2, 1, 2, 1.0, 0.0), 5,
+], ids=["str", "bool", "numpy-bool", "int-overflow", "four-tuple", "six-tuple", "scalar"])
+def test_new_from_components_rejects_bad_entries_with_a_curvop_error(entry):
+    with pytest.raises(ValidationFailure):
+        new_from_components(4, [entry])
+    assert new_from_components(4, [(1, 2, 1, 2, 3)]).component(2, 1, 2, 1) == 3.0
 
 
 def test_bianchi_validation_rejects_violating_input():
@@ -269,6 +281,40 @@ def test_symmetry_check_accepts_rounding_and_rebuilds_from_canonical_slots():
 # The vectorised constructors must reproduce them bit for bit, signed zeros
 # included.
 
+def _ref_canonical_index(i, j, k, l):
+    """The scalar index rule: canonical 0-based quadruple (i<j, k<l,
+    (i,j) <= (k,l)) and sign, or (None, 0) where the component vanishes."""
+    if i == j or k == l:
+        return None, 0
+    sign = 1
+    if i > j:
+        i, j = j, i
+        sign = -sign
+    if k > l:
+        k, l = l, k
+        sign = -sign
+    if (i, j) > (k, l):
+        i, j, k, l = k, l, i, j
+    return (i, j, k, l), sign
+
+
+def _ref_canonical_quadruples(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for a, (i, j) in enumerate(pairs):
+        for (k, l) in pairs[a:]:
+            yield i, j, k, l
+
+
+def _ref_canonical_map(n):
+    shape = (n,) * 4
+    out = np.full(shape, 2 * n ** 4)
+    for quad in np.ndindex(shape):
+        canon, sign = _ref_canonical_index(*quad)
+        if canon is not None:
+            out[quad] = np.ravel_multi_index(canon, shape) + (n ** 4 if sign < 0 else 0)
+    return out
+
+
 def _ref_fan_out(a, i, j, k, l, v):
     a[i, j, k, l] = v
     a[j, i, k, l] = -v
@@ -282,7 +328,7 @@ def _ref_fan_out(a, i, j, k, l, v):
 
 def _ref_symmetrize(raw):
     a = np.zeros_like(raw)
-    for i, j, k, l in canonical_quadruples(raw.shape[0]):
+    for i, j, k, l in _ref_canonical_quadruples(raw.shape[0]):
         _ref_fan_out(a, i, j, k, l, raw[i, j, k, l])
     return a
 
@@ -290,7 +336,7 @@ def _ref_symmetrize(raw):
 def _ref_from_components(n, entries):
     seen = {}
     for i, j, k, l, v in entries:
-        quad, sign = canonical_index(i - 1, j - 1, k - 1, l - 1)
+        quad, sign = _ref_canonical_index(i - 1, j - 1, k - 1, l - 1)
         if quad is not None:
             seen[quad] = sign * float(v)
     a = np.zeros((n, n, n, n))
@@ -373,7 +419,7 @@ def test_index_map_reproduces_the_reference_loops_bit_for_bit(n, seed):
     # entries in any index order: some omitted, some explicitly +0.0 or -0.0,
     # plus vanishing (i == j) entries; Bianchi is waived to allow any subset
     entries = [(1, 1, 2, 2, 0.0), (2, 2, 1, 2, -0.0)]
-    for i, j, k, l in canonical_quadruples(n):
+    for i, j, k, l in _ref_canonical_quadruples(n):
         choice = int(rng.integers(4))
         if choice == 0:
             continue
@@ -392,3 +438,24 @@ def test_index_map_reproduces_the_reference_loops_bit_for_bit(n, seed):
     assert _same_bits(curvop.constant_curvature(n, kappa).array, _ref_constant_curvature(n, kappa))
     c = float(rng.choice([4.0, -0.0, rng.normal()]))
     assert _same_bits(curvop.complex_space_form(n // 2, c).array, _ref_complex_space_form(n // 2, c))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_index_map_equals_the_scalar_rule_bit_for_bit(n):
+    assert _same_bits(_canonical_map(n), _ref_canonical_map(n))
+    canonical = np.flatnonzero(_canonical_map(n).ravel() == np.arange(n ** 4))
+    # in ravel order the self-mapped slots are the canonical quadruples in order
+    quads = [np.ravel_multi_index(q, (n,) * 4) for q in _ref_canonical_quadruples(n)]
+    assert canonical.tolist() == quads
+
+
+def test_the_largest_dimension_works_end_to_end():
+    _canonical_map.cache_clear()
+    start = time.perf_counter()
+    sphere = curvop.constant_curvature(32, 1.0)
+    assert time.perf_counter() - start < 1.0  # the first tensor builds the n = 32 map
+    assert sphere.component(31, 32, 31, 32) == 1.0
+    assert _same_bits(CurvatureTensor(sphere.array).array, sphere.array)
+    doc = curvop.to_dict(sphere)
+    assert len(doc["entries"]) == 32 * 31 // 2
+    assert np.array_equal(from_dict(json.loads(json.dumps(doc))).array, sphere.array)
