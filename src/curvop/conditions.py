@@ -8,12 +8,14 @@ where Kab = R(ea, eb, ea, eb). Positivity of this quantity over all
 orthonormal 4-frames is decided here by sampled minimization: evaluation
 at every coordinate 4-subset (all pair splits, both cross-term signs,
 which covers all 4! * 2^4 signed permutations of a subset) plus a descent
-on the Stiefel manifold from random starts, projected gradient steps for
-a warm-up and Polak-Ribiere+ conjugate gradient after it. One batched
-kernel, ``_iso_values`` (with ``_iso_grads`` for the gradient of a kept
-frame), evaluates every isotropic value: single frames, the descent and
-the reported minimum; the coordinate seeds read their five components
-directly, in the kernel's order, and equal its values bit for bit.
+on the Stiefel manifold from random starts retracted as one stack,
+projected gradient steps for a warm-up and Polak-Ribiere+ conjugate
+gradient after it; a tensor with max|R| < 1 is searched at an exact
+power-of-two scale. One batched kernel, ``_iso_values`` (with
+``_iso_grads`` for the gradient of a kept frame), evaluates every
+isotropic value: single frames, the descent and the reported minimum;
+the coordinate seeds read their five components directly, in the
+kernel's order, and equal its values bit for bit.
 ``pullback`` stays apart from it, as the independent reference of the
 identity checks.
 
@@ -205,12 +207,9 @@ def _seed_values(arrays: np.ndarray) -> np.ndarray:
 # the descents on the structured models stop inside them.
 _WARM = 8
 
-# Groups of four halvings that one line-search pass evaluates, the last
-# entry repeated: a frame whose first group misses tries its next groups
-# two at a time, so running a step down to ``min_step`` takes five passes
-# instead of nine. Wider passes hold more candidates at once.
-_LADDER = (1, 2)
-_HALVINGS = 0.5 ** np.arange(4 * max(_LADDER))
+# Step factors of a line-search pass: four in a frame's first pass, eight in
+# each later one, so a step runs down to ``min_step`` in five passes, not nine.
+_HALVINGS = 0.5 ** np.arange(8)
 
 
 def _tangent(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -241,12 +240,11 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     step: near a Morse-Bott minimum the largest step overshoots to the
     mirror point, still a decrease, and the frame bounces there for
     hundreds of iterations while a smaller candidate lands on the minimum.
-    If no candidate beats the guard, the next four halvings are tried; a
-    frame that has missed evaluates them in passes of ``_LADDER`` groups,
-    and the first group in halving order with a sufficient candidate
-    decides, so the wider passes change no result. After a success the
-    kept step doubles, capped at 1. Only the kept candidate's gradient is
-    computed.
+    If no candidate beats the guard, the next halvings are tried, eight
+    per pass after the first; the first group of four in halving order
+    with a sufficient candidate decides, so the wider passes change no
+    result. After a success the kept step doubles, capped at 1. Only the
+    kept candidate's gradient is computed.
     A frame is done when its tangent vanishes or its step underflows
     ``min_step``. Frames evolve independently, so a frame's result does
     not depend on the rest of the batch.
@@ -282,10 +280,8 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
         # Candidates below min_step are evaluated but never accepted.
         searching = np.flatnonzero(step[active] >= min_step)
         accepted = np.zeros(active.size, dtype=bool)
-        passes = 0
+        width = 4
         while searching.size:
-            width = 4 * _LADDER[min(passes, len(_LADDER) - 1)]
-            passes += 1
             idx = active[searching]
             steps = step[idx][:, None] * _HALVINGS[:width]
             cands = _retract(fa[searching, None] - steps[:, :, None, None] * direction[searching, None])
@@ -303,6 +299,7 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             missed = idx[~hit]
             step[missed] *= 0.5 ** (steps[~hit] >= min_step).sum(axis=1)
             searching = searching[~hit][step[missed] >= min_step]
+            width = 8
         iterations[active[~accepted]] = iteration + 1
         active = active[accepted]
         grad[active] = _iso_grads(products[active], f[active])
@@ -353,9 +350,15 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
 
     Result i equals ``min_isotropic(tensors[i], trials, seed=seeds[i])``
     bit for bit: the starts of all tensors descend together in fixed-size
-    batches, and a frame's descent does not depend on its batch. The seed
-    values are five component reads per frame, equal to the kernel's bit
-    for bit; the descent and the reported value come from the kernel.
+    batches, and a frame's descent does not depend on its batch. Start
+    (i, trial) is a Gaussian (n, 4) block from ``default_rng((*seeds[i],
+    trial))``; one stacked QR retracts them all, with the bytes each gets
+    alone. The seed values are five component reads per frame, equal to
+    the kernel's bit for bit; the descent and the reported value come
+    from the kernel. A tensor with 0 < max|R| < 1 is searched times the
+    power of two 2^p that brings max|R| into [1, 2) and its values are
+    divided by 2^p, exactly, so min_isotropic(2^e R) = 2^e min_isotropic(R)
+    bit for bit for e <= 0 and 1 <= max|R| < 2.
     """
     tensors, seeds = list(tensors), list(seeds)
     if len(seeds) != len(tensors):
@@ -371,24 +374,21 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     n = tensors[0].dim
 
     materials = [s if isinstance(s, (tuple, list)) else (s,) for s in seeds]
-    starts = np.array([
-        random_frame(n, 4, np.random.default_rng((*material, trial)))
+    starts = _retract(np.array([
+        np.random.default_rng((*material, trial)).standard_normal((n, 4))
         for material in materials
         for trial in range(trials)
-    ])
+    ]))
     owner = np.repeat(np.arange(len(tensors)), trials)
-    arrays = np.stack([t.array for t in tensors])
+    peak = np.array([t.max_abs() for t in tensors])
+    # 2^power brings a max|R| in (0, 1) into [1, 2) and is 1 for max|R| >= 1.
+    power = np.maximum(0, 1 - np.frexp(peak)[1])
+    arrays = np.ldexp(np.stack([t.array for t in tensors]), power[:, None, None, None, None])
     rmats = arrays.reshape(len(tensors), n * n, n * n)
-    noise = np.array([1e-12 * max(1.0, t.max_abs()) for t in tensors])
-    frames = np.empty_like(starts)
-    values = np.empty(starts.shape[0])
-    iterations = np.empty(starts.shape[0], dtype=int)
-    converged = np.empty(starts.shape[0], dtype=bool)
-    for lo in range(0, starts.shape[0], _DESCENT_CHUNK):
-        rows = slice(lo, lo + _DESCENT_CHUNK)
-        frames[rows], values[rows], iterations[rows], converged[rows] = _descend_batch(
-            rmats, owner[rows], starts[rows], noise
-        )
+    noise = 1e-12 * np.maximum(1.0, np.ldexp(peak, power))
+    chunks = [_descend_batch(rmats, owner[lo:lo + _DESCENT_CHUNK], starts[lo:lo + _DESCENT_CHUNK], noise)
+              for lo in range(0, len(starts), _DESCENT_CHUNK)]
+    frames, values, iterations, converged = (np.concatenate(part) for part in zip(*chunks))
 
     seed_values = _seed_values(arrays)
     coordinate = _coordinate_seed_frames(n)
@@ -402,7 +402,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         best = int(np.argmin(candidates))
         best_frame = coordinate[best] if best < seeded else frames[rows][best - seeded]
         results.append(FrameSearchResult(
-            best_value=float(candidates[best]),
+            best_value=float(np.ldexp(candidates[best], -power[i])),
             best_frame=best_frame,
             samples_used=trials + seeded,
             refinement_steps=int(iterations[rows].sum()),

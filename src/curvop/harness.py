@@ -24,8 +24,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import __version__
-from .conditions import min_isotropic, min_isotropic_batch, ricci_min
+# models.random_curvature is looked up on its module at each draw, so that a
+# wrapper installed there (bench/spans.py) sees every draw.
+from . import __version__, models
+from .conditions import min_isotropic_batch, ricci_min
 from .errors import DimensionTooSmall, ParameterOutOfRange, ParseError
 from .models import ModelSpec, build_model, constant_curvature, interpolate, parse_model, shift
 from .secondkind import (
@@ -133,20 +135,23 @@ class TrialReport:
     counts samples that needed boosting into the hypothesis class, and
     ``capped_searches`` the pic samples whose isotropic search hit the
     descent's iteration cap (their sampled minimum is less trustworthy).
-    ``trials_passing`` equals ``trials_attempted``: a sample the boost
-    cannot bring into the hypothesis class raises instead.
     """
 
     dim: int
     hypothesis: str
     conclusion: str
     trials_attempted: int
-    trials_passing: int
     shifts_applied: int
     capped_searches: int
     counterexamples: tuple
     seed: int
     config: dict
+
+    @property
+    def trials_passing(self) -> int:
+        """Every sample passes the hypothesis: one the boost cannot bring
+        into the hypothesis class raises instead."""
+        return self.trials_attempted
 
     @property
     def verdict(self) -> str:
@@ -241,7 +246,7 @@ def implication_trial(
     counterexamples = []
     for lo in range(0, trials, _TRIAL_BLOCK):
         block = range(lo, min(lo + _TRIAL_BLOCK, trials))
-        boosted = [boost_to_hypothesis(_random_for_trial(n, seed, trial), hyp)
+        boosted = [boost_to_hypothesis(models.random_curvature(n, seed=(seed, trial)), hyp)
                    for trial in block]
         samples = [b[0] for b in boosted]
         if concl.kind == "pic":
@@ -269,7 +274,6 @@ def implication_trial(
         hypothesis=hyp.name,
         conclusion=concl.name,
         trials_attempted=trials,
-        trials_passing=trials,
         shifts_applied=shifts,
         capped_searches=capped,
         counterexamples=tuple(counterexamples),
@@ -284,22 +288,13 @@ def implication_trial(
     )
 
 
-def _random_for_trial(n: int, seed: int, trial: int) -> CurvatureTensor:
-    # Looked up at call time, not imported at module level, so that a
-    # wrapper installed on models.random_curvature (the benchmark's call
-    # tracer) sees every draw.
-    from .models import random_curvature
-
-    return random_curvature(n, seed=(seed, trial))
-
-
 def replay_counterexample(report: TrialReport, index: int = 0) -> CurvatureTensor:
     """Rebuild a counterexample tensor from its recorded seed material."""
     if not 0 <= index < len(report.counterexamples):
         raise ParameterOutOfRange(f"no counterexample at index {index}")
     cex = report.counterexamples[index]
     n = report.dim
-    base = _random_for_trial(n, cex.seed_material[0], cex.seed_material[1])
+    base = models.random_curvature(n, seed=cex.seed_material)
     if cex.shift_amount != 0.0:
         return shift(base, constant_curvature(n, 1.0), cex.shift_amount)
     return base
@@ -387,10 +382,12 @@ def sharpness_probe(
     dimension. For each of ``steps`` evenly spaced t in [0, 1] the probe
     records alpha_star(k) of the second-kind spectrum (k = 4 for the cp2
     base, k = n otherwise), the sampled isotropic minimum (dimension >= 4),
-    and the smallest Ricci eigenvalue. Known boundary bases are verified
-    at t = 0: cp2 must show alpha_star(4) = 1/2 and isotropic minimum 0;
-    a unit S^(n-1) x R must show alpha_star(n) = (n-2)/n and Ricci
-    minimum 0.
+    and the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
+    searches every row, row idx with seed material (seed, idx), so each
+    row equals ``min_isotropic`` on its blend alone. Known boundary bases
+    are verified at t = 0: cp2 must show alpha_star(4) = 1/2 and isotropic
+    minimum 0; a unit S^(n-1) x R must show alpha_star(n) = (n-2)/n and
+    Ricci minimum 0.
     """
     if steps < 2:
         raise ParameterOutOfRange(f"steps must be >= 2, got {steps}")
@@ -403,16 +400,17 @@ def sharpness_probe(
         raise ParameterOutOfRange(f"base dim {n} and direction dim {t_dir.dim} differ")
 
     k = 4 if base_spec.kind == "cp2" else n
+    ts = [float(t) for t in np.linspace(0.0, 1.0, steps)]
+    blends = [interpolate(t_base, t_dir, t) for t in ts]
+    if n >= 4:
+        searches = [(r.best_value, r.converged) for r in
+                    min_isotropic_batch(blends, iso_trials, [(seed, idx) for idx in range(steps)])]
+    else:
+        searches = [(None, None)] * steps
     rows = []
-    for idx, t in enumerate(np.linspace(0.0, 1.0, steps)):
-        blend = interpolate(t_base, t_dir, float(t))
+    for t, blend, (iso, converged) in zip(ts, blends, searches):
         spectrum = eigen_sym(second_kind_matrix(blend), vectors=False)
-        star = alpha_star(spectrum, k)
-        iso = converged = None
-        if n >= 4:
-            search = min_isotropic(blend, iso_trials, seed=(seed, idx))
-            iso, converged = search.best_value, search.converged
-        rows.append(ProbeRow(float(t), star, iso, ricci_min(blend), converged))
+        rows.append(ProbeRow(t, alpha_star(spectrum, k), iso, ricci_min(blend), converged))
 
     boundary: dict[str, tuple] = {}
     first = rows[0]

@@ -1,14 +1,16 @@
 """Frames, isotropic curvature, the descent search, and identity suites."""
 
+import math
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curvop
 from curvop import (
+    CurvatureTensor,
     DimensionTooSmall,
     FrameNotOrthonormal,
     ParameterOutOfRange,
@@ -219,6 +221,48 @@ def test_min_isotropic_batch_validation():
         min_isotropic_batch([four, five], trials=2, seeds=[0, 1])
     with pytest.raises(ParameterOutOfRange):
         min_isotropic_batch([four, four], trials=2, seeds=[0])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_batch_results_equal_separate_searches_bit_for_bit(n):
+    # Boosted samples, an unboosted one and a small one (searched at a
+    # power-of-two scale) share one batch; each result is the one its
+    # tensor gets alone.
+    pred = parse_predicate("k4a0.5strict")
+    tensors = [boost_to_hypothesis(curvop.random_curvature(n, seed=(41, n, i)), pred)[0]
+               for i in range(3)]
+    tensors += [curvop.random_curvature(n, seed=(42, n)),
+                curvop.random_curvature(n, seed=(43, n), scale=1e-3)]
+    seeds = [(n, i) for i in range(len(tensors))]
+    for t, s, got in zip(tensors, seeds, min_isotropic_batch(tensors, 4, seeds)):
+        alone = min_isotropic(t, 4, seed=s)
+        assert np.float64(got.best_value).tobytes() == np.float64(alone.best_value).tobytes()
+        assert got.best_frame.tobytes() == alone.best_frame.tobytes()
+        assert got.refinement_steps == alone.refinement_steps
+        assert got.converged == alone.converged
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.integers(min_value=-60, max_value=0))
+@example(4, 0, -10)
+@example(6, 1, -10)
+@example(6, 2, -20)
+def test_search_is_scale_equivariant_for_small_tensors(n, seed, e):
+    # The minimum over frames is linear in the tensor. A boosted sample
+    # normalised to 1 <= max|R| < 2 and multiplied by 2^e, e <= 0, is
+    # searched at its normalised scale, so the search follows the scale
+    # exactly. Unscaled, every start at e = -10 hit the iteration cap.
+    pred = parse_predicate("k4a0.5strict")
+    t = boost_to_hypothesis(curvop.random_curvature(n, seed=seed), pred)[0]
+    r0 = CurvatureTensor(np.ldexp(t.array, 1 - math.frexp(t.max_abs())[1]))
+    assert 1.0 <= r0.max_abs() < 2.0
+    base = min_isotropic(r0, 5, seed=seed)
+    small = min_isotropic(CurvatureTensor(np.ldexp(r0.array, e)), 5, seed=seed)
+    assert small.best_value == math.ldexp(base.best_value, e)
+    assert small.converged == base.converged
+    assert small.best_frame.tobytes() == base.best_frame.tobytes()
+    assert small.refinement_steps == base.refinement_steps
 
 
 def test_min_isotropic_parameter_validation():

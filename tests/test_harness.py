@@ -206,6 +206,19 @@ def test_sharpness_probe_sphere_times_flat_boundary(n):
     assert ric_ok and abs(ric0) <= 1e-9
 
 
+@pytest.mark.parametrize(("base", "n"), [("cp2", 4), ("product:(sphere:n=4,k=1)x(flat:n=1)", 5)])
+def test_probe_rows_equal_separate_searches_bit_for_bit(base, n):
+    # The probe searches all rows in one batch; row idx is the search of its
+    # blend alone with seed material (seed, idx).
+    direction = f"sphere:n={n},k=1"
+    rep = sharpness_probe(base, direction, steps=4, seed=13, iso_trials=8)
+    t_base, t_dir = curvop.build_model(base), curvop.build_model(direction)
+    for idx, row in enumerate(rep.rows):
+        alone = curvop.min_isotropic(curvop.interpolate(t_base, t_dir, row.t), 8, seed=(13, idx))
+        assert np.float64(row.iso_min).tobytes() == np.float64(alone.best_value).tobytes()
+        assert row.converged == alone.converged
+
+
 def test_sharpness_probe_checks_only_sphere_times_a_line():
     # S^3 x R^2 is not the sharp case, so it has no advertised boundary ...
     wide = sharpness_probe("product:(sphere:n=3,k=1)x(flat:n=2)", "sphere:n=5,k=1", steps=2,
