@@ -41,6 +41,7 @@ from .secondkind import (
     ALPHA_ALWAYS,
     ALPHA_UNATTAINABLE,
     PositivityProfile,
+    PredicateSpec,
     Spectrum,
     alpha_star,
     eigen_sym,
@@ -85,7 +86,6 @@ from .models import (
 )
 from .harness import (
     Counterexample,
-    PredicateSpec,
     ProbeReport,
     TrialReport,
     boost_to_hypothesis,

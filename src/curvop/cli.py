@@ -25,13 +25,7 @@ import numpy as np
 from . import __version__
 from .conditions import min_isotropic, random_frame, ricci_min, verify_pic_identities, verify_ric_identities
 from .errors import CurvopError, ParameterOutOfRange
-from .harness import (
-    TOOL_NAME,
-    emit_report,
-    implication_trial,
-    parse_predicate,
-    sharpness_probe,
-)
+from .harness import CONCLUSIONS, TOOL_NAME, emit_report, implication_trial, sharpness_probe
 from .models import build_model, random_curvature
 from .secondkind import eigen_sym, positivity_profile, second_kind_matrix
 from .tensor import load_tensor, save_tensor, to_dict
@@ -86,8 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="Monte Carlo implication search")
     p_search.add_argument("--dim", type=int, required=True)
-    p_search.add_argument("--hyp", required=True, help="hypothesis, e.g. k4a0.5strict")
-    p_search.add_argument("--concl", required=True, help="conclusion: pic or ric")
+    p_search.add_argument("--hyp", required=True,
+                          help="hypothesis k<k>a<alpha>[strict|nonneg], e.g. k4a0.5strict")
+    p_search.add_argument("--concl", required=True, choices=CONCLUSIONS, help="conclusion")
     p_search.add_argument("--trials", type=int, default=100)
     p_search.add_argument("--pic-trials", type=int, default=5,
                           help="descent starts per pic evaluation (default 5)")
@@ -227,10 +222,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    hyp = parse_predicate(args.hyp)
-    concl = parse_predicate(args.concl)
     report = implication_trial(
-        args.dim, hyp, concl, trials=args.trials, seed=args.seed, pic_trials=args.pic_trials
+        args.dim, args.hyp, args.concl, trials=args.trials, seed=args.seed, pic_trials=args.pic_trials
     )
     _emit(args, report)
     if args.format == "text":
@@ -281,6 +274,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) is None:
             args.seed = _default_seed()
+        if getattr(args, "seed", 0) < 0:
+            raise ParameterOutOfRange(f"the seed must be non-negative, got {args.seed}")
         return handlers[args.command](args)
     except CurvopError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)

@@ -51,7 +51,7 @@ from .secondkind import (
     s20_basis,
     second_kind_matrix,
 )
-from .tensor import CurvatureTensor, ricci
+from .tensor import CurvatureTensor, _check_seed, ricci
 
 FRAME_TOL = 1e-12
 
@@ -60,7 +60,8 @@ def check_frame(frame, width: int | None = None, dim: int | None = None) -> np.n
     """Validate an (n, k) column frame and return it as a float array.
 
     The Gram matrix F^T F must match the identity to ``FRAME_TOL`` in the
-    max norm, else FrameNotOrthonormal.
+    max norm, else FrameNotOrthonormal; so must a frame with a nan or
+    infinite entry.
     """
     f = np.asarray(frame, dtype=float)
     if f.ndim != 2:
@@ -72,7 +73,7 @@ def check_frame(frame, width: int | None = None, dim: int | None = None) -> np.n
         raise FrameNotOrthonormal(f"frame lives in dimension {n}, tensor in {dim}")
     gram = f.T @ f
     dev = float(np.abs(gram - np.eye(k)).max())
-    if dev > FRAME_TOL:
+    if not dev <= FRAME_TOL:  # a non-finite frame gives a nan deviation
         raise FrameNotOrthonormal(f"Gram deviation {dev:.3e} exceeds {FRAME_TOL:.1e}")
     return f
 
@@ -374,6 +375,8 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     n = tensors[0].dim
 
     materials = [s if isinstance(s, (tuple, list)) else (s,) for s in seeds]
+    for material in materials:
+        _check_seed(material)
     starts = _retract(np.array([
         np.random.default_rng((*material, trial)).standard_normal((n, 4))
         for material in materials
@@ -487,7 +490,7 @@ def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
     if t.dim < 4:
         raise DimensionTooSmall(f"need dimension >= 4, got {t.dim}")
     f = check_frame(frame, width=4, dim=t.dim)
-    q = np.diagonal(second_kind_matrix(t, phi_family(f)))
+    q = np.diagonal(second_kind_matrix(t, f @ _PHI @ f.T))
 
     r4 = pullback(t.array, f)
     k12, k34 = r4[0, 1, 0, 1], r4[2, 3, 2, 3]
@@ -599,7 +602,7 @@ def verify_ric_identities(t: CurvatureTensor, frame) -> IdentityReport:
     if n < 3:
         raise DimensionTooSmall(f"need dimension >= 3, got {n}")
     f = check_frame(frame, width=n, dim=n)
-    q = np.diagonal(second_kind_matrix(t, ric_family(f)))
+    q = np.diagonal(second_kind_matrix(t, f @ _ric_coordinates(n) @ f.T))
     pairs = lambda2_dim(n)
     q_phi1, q_phi = float(q[0]), float(q[1:n].sum())
     q_psi, q_xi = float(q[n:1 + pairs].sum()), float(q[1 + pairs:].sum())

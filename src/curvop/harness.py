@@ -3,8 +3,8 @@
 ``implication_trial`` samples random curvature tensors, boosts each into
 the hypothesis class by adding a multiple of the unit-sphere tensor
 (whose second-kind matrix is the identity, so eigenvalues shift by the
-added amount), evaluates a conclusion predicate, and reports every
-counterexample with enough seed material to replay it.
+added amount), evaluates the conclusion ("pic" or "ric"), and reports
+every counterexample with enough seed material to replay it.
 
 ``sharpness_probe`` walks the line from a boundary model toward another
 model and tabulates how the graded-positivity threshold and the frame
@@ -31,9 +31,11 @@ from .conditions import min_isotropic_batch, ricci_min
 from .errors import DimensionTooSmall, ParameterOutOfRange, ParseError
 from .models import ModelSpec, build_model, constant_curvature, interpolate, parse_model, shift
 from .secondkind import (
+    PredicateSpec,
     Spectrum,
     alpha_star,
     eigen_sym,
+    k_alpha_positive,
     k_alpha_value,
     s20_dim,
     second_kind_matrix,
@@ -50,57 +52,19 @@ _TRIAL_BLOCK = 100
 # (relative plus absolute), which dwarfs the rounding of the shift.
 _BOOST_MARGIN = 0.05
 
+_PREDICATE_RE = re.compile(r"^k(\d+)a(\d+\.?\d*|\.\d+)(strict|nonneg)?$")
 
-@dataclass(frozen=True)
-class PredicateSpec:
-    """One hypothesis or conclusion predicate.
-
-    kind "k_alpha" carries (k, alpha, strict) and is decided on the
-    second-kind spectrum; kind "pic" is positivity of the sampled
-    isotropic minimum; kind "ric" is positivity of the smallest Ricci
-    eigenvalue.
-    """
-
-    kind: str
-    k: int = 0
-    alpha: float = 0.0
-    strict: bool = True
-
-    @property
-    def name(self) -> str:
-        if self.kind == "k_alpha":
-            suffix = "strict" if self.strict else "nonneg"
-            alpha = f"{self.alpha:g}"
-            return f"k{self.k}a{alpha}{suffix}"
-        return self.kind
-
-
-_PREDICATE_RE = re.compile(r"^k(\d+)a([0-9.]+)(strict|nonneg)?$")
+# The conclusions implication_trial can test.
+CONCLUSIONS = ("pic", "ric")
 
 
 def parse_predicate(text: str) -> PredicateSpec:
-    """Parse "k4a0.5strict", "k9a0nonneg", "pic", or "ric"."""
+    """Parse a hypothesis such as "k4a0.5strict" or "k9a0nonneg"."""
     text = text.strip()
-    if text == "pic":
-        return PredicateSpec("pic")
-    if text == "ric":
-        return PredicateSpec("ric")
     m = _PREDICATE_RE.match(text)
     if not m:
-        raise ParseError(f"cannot parse predicate {text!r}")
-    k = int(m.group(1))
-    try:
-        alpha = float(m.group(2))
-    except ValueError as exc:
-        raise ParseError(f"bad alpha in predicate {text!r}") from exc
-    strict = (m.group(3) or "strict") == "strict"
-    return PredicateSpec("k_alpha", k=k, alpha=alpha, strict=strict)
-
-
-def _as_predicate(value) -> PredicateSpec:
-    if isinstance(value, PredicateSpec):
-        return value
-    return parse_predicate(value)
+        raise ParseError(f"cannot parse hypothesis {text!r}")
+    return PredicateSpec(int(m.group(1)), float(m.group(2)), strict=m.group(3) != "nonneg")
 
 
 @dataclass(frozen=True)
@@ -171,10 +135,6 @@ class TrialReport:
         }
 
 
-def _hypothesis_holds(value: float, pred: PredicateSpec) -> bool:
-    return value > 0.0 if pred.strict else value >= 0.0
-
-
 def boost_to_hypothesis(t: CurvatureTensor,
                         pred: PredicateSpec) -> tuple[CurvatureTensor, Spectrum, float, float]:
     """Shift a tensor into the hypothesis class along the sphere direction.
@@ -189,18 +149,16 @@ def boost_to_hypothesis(t: CurvatureTensor,
     when the tensor already satisfies the predicate. The returned
     spectrum is eigenvalue-only (no eigenvectors).
     """
-    if pred.kind != "k_alpha":
-        raise ParameterOutOfRange("only k_alpha hypotheses support boosting")
     spectrum = eigen_sym(second_kind_matrix(t), vectors=False)
     value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if _hypothesis_holds(value, pred):
+    if k_alpha_positive(spectrum, pred.k, pred.alpha, pred.strict):
         return t, spectrum, value, 0.0
     threshold = -value / (pred.k + pred.alpha)
     amount = threshold * (1.0 + _BOOST_MARGIN) + _BOOST_MARGIN * max(1.0, abs(threshold))
     shifted = shift(t, constant_curvature(t.dim, 1.0), amount)
     spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
     value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if not _hypothesis_holds(value, pred):
+    if not k_alpha_positive(spectrum, pred.k, pred.alpha, pred.strict):
         raise ParameterOutOfRange(
             f"a shift by {amount:.6g} left hypothesis {pred.name} failing at {value:.6g}"
         )
@@ -209,29 +167,28 @@ def boost_to_hypothesis(t: CurvatureTensor,
 
 def implication_trial(
     n: int,
-    hypothesis,
-    conclusion,
+    hypothesis: PredicateSpec | str,
+    conclusion: str,
     trials: int,
     seed: int = 0,
     pic_trials: int = 5,
 ) -> TrialReport:
     """Monte Carlo test of "hypothesis implies conclusion" in dimension n.
 
-    Each trial draws a random tensor with its own child seed (seed,
-    trial), boosts it into the hypothesis class when needed, evaluates
-    the conclusion, and records a counterexample when the conclusion
-    value fails. The run is reproducible from (n, predicates, trials,
-    seed) alone; pic conclusions use ``pic_trials`` descent starts with
-    seed material (seed, trial, 1), searched for a block of samples at a
-    time with ``min_isotropic_batch``.
+    ``hypothesis`` is a PredicateSpec or its string form, ``conclusion``
+    "pic" (sampled isotropic minimum > 0) or "ric" (smallest Ricci
+    eigenvalue > 0). Each trial draws a random tensor with its own child
+    seed (seed, trial), boosts it into the hypothesis class when needed,
+    evaluates the conclusion, and records a counterexample when the
+    conclusion value fails. The run is reproducible from (n, hypothesis,
+    conclusion, trials, seed) alone; pic conclusions use ``pic_trials``
+    descent starts with seed material (seed, trial, 1), searched for a
+    block of samples at a time with ``min_isotropic_batch``.
     """
-    hyp = _as_predicate(hypothesis)
-    concl = _as_predicate(conclusion)
-    if hyp.kind != "k_alpha":
-        raise ParameterOutOfRange("the hypothesis must be a k_alpha predicate")
-    if concl.kind not in ("pic", "ric"):
-        raise ParameterOutOfRange("the conclusion must be 'pic' or 'ric'")
-    if n < 4 and concl.kind == "pic":
+    hyp = parse_predicate(hypothesis) if isinstance(hypothesis, str) else hypothesis
+    if conclusion not in CONCLUSIONS:
+        raise ParameterOutOfRange(f"the conclusion must be one of {CONCLUSIONS}, got {conclusion!r}")
+    if n < 4 and conclusion == "pic":
         raise DimensionTooSmall(f"pic conclusions need dimension >= 4, got {n}")
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
@@ -249,7 +206,7 @@ def implication_trial(
         boosted = [boost_to_hypothesis(models.random_curvature(n, seed=(seed, trial)), hyp)
                    for trial in block]
         samples = [b[0] for b in boosted]
-        if concl.kind == "pic":
+        if conclusion == "pic":
             results = min_isotropic_batch(samples, pic_trials, [(seed, trial, 1) for trial in block])
             concl_values = [r.best_value for r in results]
             capped += sum(not r.converged for r in results)
@@ -272,7 +229,7 @@ def implication_trial(
     return TrialReport(
         dim=n,
         hypothesis=hyp.name,
-        conclusion=concl.name,
+        conclusion=conclusion,
         trials_attempted=trials,
         shifts_applied=shifts,
         capped_searches=capped,
@@ -281,7 +238,7 @@ def implication_trial(
         config={
             "n": n,
             "hypothesis": hyp.name,
-            "conclusion": concl.name,
+            "conclusion": conclusion,
             "trials": trials,
             "picTrials": pic_trials,
         },
@@ -359,30 +316,28 @@ class ProbeReport:
 
 
 def _is_sphere_times_flat(spec: ModelSpec) -> bool:
-    if spec.kind != "product" or len(spec.children) != 2:
+    """Whether a built spec is a unit sphere times a line, in either order."""
+    if spec.kind != "product":
         return False
-    kinds = sorted(c.kind for c in spec.children)
-    if kinds != ["flat", "sphere"]:
-        return False
-    sphere = next(c for c in spec.children if c.kind == "sphere")
-    line = next(c for c in spec.children if c.kind == "flat")
-    return sphere.params.get("k", 1.0) == 1.0 and line.params.get("n") == 1
+    factors = {c.kind: models._with_defaults(c) for c in spec.children}
+    return (factors.keys() == {"sphere", "flat"}
+            and factors["sphere"]["k"] == 1.0 and factors["flat"]["n"] == 1)
 
 
 def sharpness_probe(
-    base,
-    direction,
+    base: str,
+    direction: str,
     steps: int,
     seed: int = 0,
     iso_trials: int = 20,
 ) -> ProbeReport:
     """Walk from ``base`` toward ``direction`` and tabulate thresholds.
 
-    ``base`` and ``direction`` are ModelSpecs or spec strings of equal
-    dimension. For each of ``steps`` evenly spaced t in [0, 1] the probe
-    records alpha_star(k) of the second-kind spectrum (k = 4 for the cp2
-    base, k = n otherwise), the sampled isotropic minimum (dimension >= 4),
-    and the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
+    ``base`` and ``direction`` are model spec strings of equal dimension.
+    For each of ``steps`` evenly spaced t in [0, 1] the probe records
+    alpha_star(k) of the second-kind spectrum (k = 4 for the cp2 base,
+    k = n otherwise), the sampled isotropic minimum (dimension >= 4), and
+    the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
     searches every row, row idx with seed material (seed, idx), so each
     row equals ``min_isotropic`` on its blend alone. Known boundary bases
     are verified at t = 0: cp2 must show alpha_star(4) = 1/2 and isotropic
@@ -391,8 +346,7 @@ def sharpness_probe(
     """
     if steps < 2:
         raise ParameterOutOfRange(f"steps must be >= 2, got {steps}")
-    base_spec = parse_model(base) if isinstance(base, str) else base
-    dir_spec = parse_model(direction) if isinstance(direction, str) else direction
+    base_spec, dir_spec = parse_model(base), parse_model(direction)
     t_base = build_model(base_spec)
     t_dir = build_model(dir_spec)
     n = t_base.dim

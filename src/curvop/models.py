@@ -14,13 +14,16 @@ spec grammar used by the command line and the harness:
     interp:(cp2)x(sphere:n=4,k=1),t=0.25
 
 Product and interpolation take exactly two parenthesized children;
-interpolation adds the blend parameter t in [0, 1].
+interpolation adds the blend parameter t in [0, 1]. Omitted parameters
+take their defaults (sphere k=1, csf c=4, random seed=0 and scale=1);
+n, m and t have none. ``_KINDS`` states each kind once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ from .tensor import (
     CurvatureTensor,
     _adopt,
     _check_dim,
+    _check_seed,
     _exact_symmetrize,
     bianchi_project,
     new_from_components,
@@ -142,23 +146,25 @@ def cp2_explicit() -> CurvatureTensor:
 def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     """Seeded random algebraic curvature tensor.
 
-    Draws a Gaussian symmetric form on the 2-forms (upper triangle drawn,
-    then mirrored), scales it, places it on the 2-form pairs, and projects
-    onto the Bianchi subspace. The same (n, seed, scale) always reproduces the
-    same tensor, and the output is linear in ``scale`` up to rounding
-    (bit-for-bit when the scale is a power of two). ``seed`` may be an
-    int or a tuple of ints (hierarchical seeding).
+    Draws a Gaussian matrix on the pairs of 2-forms, scales it and places
+    it on the 2-form pairs; ``_exact_symmetrize`` reads only its upper
+    triangle (the canonical slots) and mirrors it, so the tensor carries a
+    Gaussian symmetric form. The result is projected onto the Bianchi
+    subspace. The same (n, seed, scale) always reproduces the same
+    tensor, and the output is linear in ``scale`` up to rounding
+    (bit-for-bit when the scale is a power of two). ``seed`` may be a
+    non-negative int or a tuple of them (hierarchical seeding).
     """
     _check_dim(n, least=2)
     if not scale > 0:
         raise ParameterOutOfRange(f"scale must be positive, got {scale}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     i, j = np.triu_indices(n, 1)
     g = rng.standard_normal((len(i), len(i)))
-    form = np.triu(g) + np.triu(g, 1).T
     a = np.zeros((n, n, n, n))
     with np.errstate(over="ignore"):  # an overflowing scale is refused by _adopt
-        a[i[:, None], j[:, None], i, j] = form * scale
+        a[i[:, None], j[:, None], i, j] = g * scale
     # _adopt checks finiteness; the rebuilt array needs no symmetry re-check.
     return bianchi_project(_adopt(_exact_symmetrize(a)))
 
@@ -192,24 +198,29 @@ class ModelSpec:
     children: tuple = ()
 
     def describe(self) -> str:
+        parts = [f"{k}={v}" for k, v in self.params.items()]
         if self.children:
-            inner = "x".join(f"({c.describe()})" for c in self.children)
-            extra = "".join(f",{k}={v}" for k, v in self.params.items())
-            return f"{self.kind}:{inner}{extra}"
-        if not self.params:
-            return self.kind
-        body = ",".join(f"{k}={v}" for k, v in self.params.items())
-        return f"{self.kind}:{body}"
+            parts.insert(0, "x".join(f"({c.describe()})" for c in self.children))
+        return f"{self.kind}:{','.join(parts)}" if parts else self.kind
 
 
-_ATOM_KINDS = {
-    "sphere": {"n": int, "k": float},
-    "flat": {"n": int},
-    "cp2": {},
-    "csf": {"m": int, "c": float},
-    "random": {"n": int, "seed": int, "scale": float},
+class _Kind(NamedTuple):
+    """One model kind: build_model calls builder(*children, **params)."""
+
+    builder: Callable[..., CurvatureTensor]
+    children: int  # parenthesized child specs the kind takes
+    params: dict  # name -> (type, default); a default of None marks a required parameter
+
+
+_KINDS = {
+    "sphere": _Kind(lambda n, k: constant_curvature(n, kappa=k), 0, {"n": (int, None), "k": (float, 1.0)}),
+    "flat": _Kind(flat, 0, {"n": (int, None)}),
+    "cp2": _Kind(cp2_explicit, 0, {}),
+    "csf": _Kind(complex_space_form, 0, {"m": (int, None), "c": (float, 4.0)}),
+    "random": _Kind(random_curvature, 0, {"n": (int, None), "seed": (int, 0), "scale": (float, 1.0)}),
+    "product": _Kind(product, 2, {}),
+    "interp": _Kind(interpolate, 2, {"t": (float, None)}),
 }
-_COMBINER_KINDS = {"product": {}, "interp": {"t": float}}
 
 
 def _split_params(body: str) -> dict[str, str]:
@@ -229,14 +240,14 @@ def _split_params(body: str) -> dict[str, str]:
     return out
 
 
-def _coerce(kind: str, raw: dict[str, str], schema: dict) -> dict:
+def _coerce(kind: str, raw: dict[str, str]) -> dict:
+    schema = _KINDS[kind].params
     params = {}
     for key, value in raw.items():
         if key not in schema:
             raise ParseError(f"model kind {kind!r} does not take parameter {key!r}")
-        caster = schema[key]
         try:
-            params[key] = caster(value)
+            params[key] = schema[key][0](value)
         except ValueError as exc:
             raise ParseError(f"bad value for {kind}.{key}: {value!r}") from exc
     return params
@@ -276,52 +287,36 @@ def parse_model(text: str) -> ModelSpec:
     text = text.strip()
     if not text:
         raise ParseError("empty model spec")
-    kind, sep, body = text.partition(":")
+    kind, _, body = text.partition(":")
     kind = kind.strip()
-    if kind in _ATOM_KINDS:
-        raw = _split_params(body.strip()) if sep else {}
-        return ModelSpec(kind, _coerce(kind, raw, _ATOM_KINDS[kind]))
-    if kind in _COMBINER_KINDS:
-        if not sep:
-            raise ParseError(f"{kind} needs two parenthesized children")
-        children_raw, rest = _split_children(body.strip())
-        if len(children_raw) != 2:
-            raise ParseError(f"{kind} takes exactly two children, got {len(children_raw)}")
-        params = _coerce(kind, _split_params(rest), _COMBINER_KINDS[kind])
-        children = tuple(parse_model(c) for c in children_raw)
-        return ModelSpec(kind, params, children)
-    raise ParseError(f"unknown model kind {kind!r}")
+    if kind not in _KINDS:
+        raise ParseError(f"unknown model kind {kind!r}")
+    arity = _KINDS[kind].children
+    if not arity:
+        return ModelSpec(kind, _coerce(kind, _split_params(body.strip())))
+    children_raw, rest = _split_children(body.strip())
+    if len(children_raw) != arity:
+        raise ParseError(f"{kind} takes exactly {arity} children, got {len(children_raw)}")
+    params = _coerce(kind, _split_params(rest))
+    return ModelSpec(kind, params, tuple(parse_model(c) for c in children_raw))
+
+
+def _with_defaults(spec: ModelSpec) -> dict:
+    """A spec's parameters with its kind's defaults filled in; ParseError
+    when a required one is missing."""
+    params = {}
+    for key, (_, default) in _KINDS[spec.kind].params.items():
+        params[key] = spec.params.get(key, default)
+        if params[key] is None:
+            raise ParseError(f"{spec.kind} needs {key}")
+    return params
 
 
 def build_model(spec) -> CurvatureTensor:
     """Construct the tensor a ModelSpec (or spec string) describes."""
     if isinstance(spec, str):
         spec = parse_model(spec)
-    kind, params = spec.kind, spec.params
-    if kind == "sphere":
-        if "n" not in params:
-            raise ParseError("sphere needs n")
-        return constant_curvature(params["n"], params.get("k", 1.0))
-    if kind == "flat":
-        if "n" not in params:
-            raise ParseError("flat needs n")
-        return flat(params["n"])
-    if kind == "cp2":
-        return cp2_explicit()
-    if kind == "csf":
-        if "m" not in params:
-            raise ParseError("csf needs m")
-        return complex_space_form(params["m"], params.get("c", 4.0))
-    if kind == "random":
-        if "n" not in params:
-            raise ParseError("random needs n")
-        return random_curvature(params["n"], params.get("seed", 0), params.get("scale", 1.0))
-    if kind == "product":
-        left, right = (build_model(c) for c in spec.children)
-        return product(left, right)
-    if kind == "interp":
-        if "t" not in params:
-            raise ParseError("interp needs t")
-        left, right = (build_model(c) for c in spec.children)
-        return interpolate(left, right, params["t"])
-    raise ParseError(f"unknown model kind {kind!r}")
+    if spec.kind not in _KINDS:
+        raise ParseError(f"unknown model kind {spec.kind!r}")
+    params = _with_defaults(spec)
+    return _KINDS[spec.kind].builder(*(build_model(c) for c in spec.children), **params)

@@ -206,6 +206,21 @@ def k_alpha_positive(spectrum, k: int, alpha: float, strict: bool = True) -> boo
     return value > 0.0 if strict else value >= 0.0
 
 
+@dataclass(frozen=True)
+class PredicateSpec:
+    """A (k+alpha) hypothesis: (k+alpha)-positivity when ``strict``, else
+    (k+alpha)-nonnegativity, decided by ``k_alpha_positive``."""
+
+    k: int
+    alpha: float
+    strict: bool = True
+
+    @property
+    def name(self) -> str:
+        suffix = "strict" if self.strict else "nonneg"
+        return f"k{self.k}a{self.alpha:g}{suffix}"
+
+
 def alpha_star(spectrum, k: int) -> float | str:
     """Largest alpha in [0,1] with sigma_k + alpha lambda_{k+1} >= 0.
 
@@ -230,24 +245,24 @@ def alpha_star(spectrum, k: int) -> float | str:
     return ratio if ratio <= 1.0 else ALPHA_UNATTAINABLE
 
 
-def named_conditions(n: int) -> dict[str, tuple[int, float, bool]]:
-    """Standard named (k, alpha, strict) conditions for dimension n.
+def named_conditions(n: int) -> dict[str, PredicateSpec]:
+    """Standard named conditions for dimension n.
 
     Includes 4.5-positivity/nonnegativity whenever the space is large
     enough and the (n + (n-2)/n) pair, whose fraction is rendered in
     lowest terms, e.g. "(4+1/2)-positive".
     """
     size = s20_dim(n)
-    conds: dict[str, tuple[int, float, bool]] = {}
+    conds: dict[str, PredicateSpec] = {}
     if 4 + 0.5 <= size:
-        conds["4.5-positive"] = (4, 0.5, True)
-        conds["4.5-nonnegative"] = (4, 0.5, False)
+        conds["4.5-positive"] = PredicateSpec(4, 0.5, True)
+        conds["4.5-nonnegative"] = PredicateSpec(4, 0.5, False)
     frac = Fraction(n - 2, n)
     alpha = (n - 2) / n
     if n + alpha <= size:
         label = f"({n}+{frac})" if frac != 0 else f"({n}+0)"
-        conds[f"{label}-positive"] = (n, alpha, True)
-        conds[f"{label}-nonnegative"] = (n, alpha, False)
+        conds[f"{label}-positive"] = PredicateSpec(n, alpha, True)
+        conds[f"{label}-nonnegative"] = PredicateSpec(n, alpha, False)
     return conds
 
 
@@ -291,8 +306,8 @@ def positivity_profile(spectrum: Spectrum) -> PositivityProfile:
     dim = _infer_dim(size)
     verdicts: dict[str, bool] = {}
     if dim is not None:
-        for name, (k, alpha, strict) in named_conditions(dim).items():
-            verdicts[name] = k_alpha_positive(spectrum, k, alpha, strict)
+        for name, cond in named_conditions(dim).items():
+            verdicts[name] = k_alpha_positive(spectrum, cond.k, cond.alpha, cond.strict)
     return PositivityProfile(ev.copy(), sums[: size - 1], stars, verdicts)
 
 

@@ -143,6 +143,13 @@ def _check_dim(n: int, least: int = 1) -> None:
         raise ParameterOutOfRange(f"dimension {n} exceeds the largest supported, {_MAX_DIM}")
 
 
+def _check_seed(seed) -> None:
+    """Reject negative seed material (an int or a tuple of ints) before
+    ``np.random.default_rng`` refuses it with a bare ValueError."""
+    if np.any(np.asarray(seed) < 0):
+        raise ParameterOutOfRange(f"seed material must be non-negative, got {seed}")
+
+
 def _check_finite(a: np.ndarray) -> None:
     # The second-kind matrix compresses R by an orthonormal basis, so its
     # Frobenius norm is at most ||R||_F; the Ricci matrix's is at most

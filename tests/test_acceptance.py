@@ -145,7 +145,7 @@ def test_acceptance_08_n_plus_ratio_implies_ric():
     ok = True
     passing = []
     for n in (3, 4, 5, 6):
-        hyp = PredicateSpec("k_alpha", k=n, alpha=(n - 2) / n, strict=True)
+        hyp = PredicateSpec(k=n, alpha=(n - 2) / n, strict=True)
         rep = implication_trial(n, hyp, "ric", trials=500, seed=(2000 + n))
         passing.append(rep.trials_passing)
         ok = ok and rep.trials_passing == 500 and not rep.counterexamples

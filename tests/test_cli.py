@@ -90,6 +90,33 @@ def test_analyze_seed_flag_and_env_agree():
     assert json.loads(c.stdout) == json.loads(a.stdout)
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "--dim", "4", "--hyp", "k4a0.5strict", "--concl", "ric", "--trials", "2"],
+    ["analyze", "--model", "cp2", "--trials", "2"],
+    ["verify", "--trials", "2"],
+    ["probe", "--base", "cp2", "--direction", "flat:n=4", "--steps", "2", "--iso-trials", "2"],
+])
+def test_negative_seed_exits_two(argv, monkeypatch, capsys):
+    assert cli.main(argv + ["--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+    monkeypatch.setenv("CURV_SEED", "-1")
+    assert cli.main(argv) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_negative_model_seed_exits_two(capsys):
+    assert cli.main(["model", "--model", "random:n=4,seed=-2"]) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_conclusion_is_pic_or_ric(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--dim", "4", "--hyp", "k4a0.5strict", "--concl", "k4a0.5strict"])
+    assert exc.value.code == 2
+    assert "--concl" in capsys.readouterr().err
+
+
 def test_unparsable_seed_environment_exits_two(monkeypatch, capsys):
     monkeypatch.setenv("CURV_SEED", "abc")
     assert cli.main(["analyze", "--model", "cp2", "--trials", "2"]) == 2

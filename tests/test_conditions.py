@@ -48,6 +48,35 @@ def test_check_frame_accepts_orthonormal_and_rejects_else():
         check_frame(f[:, :3], width=4, dim=6)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_frames_are_rejected(bad):
+    t = curvop.random_curvature(5, seed=3)
+    f4 = random_frame(5, 4, np.random.default_rng(1))
+    f5 = random_frame(5, 5, np.random.default_rng(2))
+    f4[2, 1] = bad
+    f5[0, 3] = bad
+    with pytest.raises(FrameNotOrthonormal):
+        check_frame(f4, width=4, dim=5)
+    with pytest.raises(FrameNotOrthonormal):
+        isotropic_value(t, f4)
+    with pytest.raises(FrameNotOrthonormal):
+        verify_pic_identities(t, f4)
+    with pytest.raises(FrameNotOrthonormal):
+        verify_ric_identities(t, f5)
+
+
+def test_identity_suites_check_their_frame_once(monkeypatch):
+    calls = []
+    checked = curvop.conditions.check_frame
+    monkeypatch.setattr(curvop.conditions, "check_frame",
+                        lambda *a, **k: calls.append(1) or checked(*a, **k))
+    t = curvop.random_curvature(5, seed=4)
+    rng = np.random.default_rng(4)
+    verify_pic_identities(t, random_frame(5, 4, rng))
+    verify_ric_identities(t, random_frame(5, 5, rng))
+    assert len(calls) == 2
+
+
 def test_random_frame_is_orthonormal():
     rng = np.random.default_rng(1)
     for _ in range(5):
@@ -221,6 +250,9 @@ def test_min_isotropic_batch_validation():
         min_isotropic_batch([four, five], trials=2, seeds=[0, 1])
     with pytest.raises(ParameterOutOfRange):
         min_isotropic_batch([four, four], trials=2, seeds=[0])
+    for seeds in ([0, -1], [(1, -2), (1, 2)]):
+        with pytest.raises(ParameterOutOfRange):
+            min_isotropic_batch([four, four], trials=2, seeds=seeds)
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -268,6 +300,8 @@ def test_search_is_scale_equivariant_for_small_tensors(n, seed, e):
 def test_min_isotropic_parameter_validation():
     with pytest.raises(ParameterOutOfRange):
         min_isotropic(curvop.cp2_explicit(), trials=0)
+    with pytest.raises(ParameterOutOfRange):
+        min_isotropic(curvop.cp2_explicit(), trials=2, seed=-1)
     with pytest.raises(DimensionTooSmall):
         min_isotropic(curvop.constant_curvature(3, 1.0), trials=1)
 

@@ -31,17 +31,20 @@ from curvop.harness import (
 
 def test_parse_predicate_forms():
     p = parse_predicate("k4a0.5strict")
-    assert p == PredicateSpec("k_alpha", k=4, alpha=0.5, strict=True)
+    assert p == PredicateSpec(k=4, alpha=0.5, strict=True)
     assert p.name == "k4a0.5strict"
     q = parse_predicate("k5a0.6nonneg")
     assert q.strict is False and q.k == 5 and q.alpha == 0.6
     # the strictness suffix defaults to strict
     assert parse_predicate("k4a0.5") == p
-    assert parse_predicate("pic").kind == "pic"
-    assert parse_predicate("ric").kind == "ric"
+    # conclusions are names, not hypotheses
+    for conclusion in ("pic", "ric"):
+        with pytest.raises(ParseError):
+            parse_predicate(conclusion)
 
 
-@pytest.mark.parametrize("bad", ["", "k4", "a0.5", "k4a0.5loose", "kxa0.5", "k4a0..5strict"])
+@pytest.mark.parametrize("bad", ["", "k4", "a0.5", "k4a0.5loose", "kxa0.5", "k4a0..5strict",
+                                 "k4a.", "k4a1.2.3"])
 def test_parse_predicate_rejects_garbage(bad):
     with pytest.raises(ParseError):
         parse_predicate(bad)
@@ -152,6 +155,20 @@ def test_implication_trial_validates_inputs():
         implication_trial(4, "k4a0.5strict", "ric", trials=0)
     with pytest.raises(ParseError):
         implication_trial(4, "bogus", "ric", trials=1)
+    # the conclusion is "pic" or "ric"; a hypothesis there is refused
+    for conclusion in ("k4a0.5strict", "PIC", PredicateSpec(4, 0.5)):
+        with pytest.raises(ParameterOutOfRange):
+            implication_trial(4, "k4a0.5strict", conclusion, trials=1)
+
+
+def test_predicate_spec_takes_a_hypothesis_and_reads_like_the_parser():
+    spec = PredicateSpec(9, 0.0, strict=False)
+    assert spec.name == "k9a0nonneg" and parse_predicate(spec.name) == spec
+    assert curvop.secondkind.PredicateSpec is PredicateSpec
+    with pytest.raises(TypeError):
+        PredicateSpec(4)  # alpha has no default
+    assert implication_trial(4, spec, "ric", trials=2, seed=7).to_dict() == \
+        implication_trial(4, "k9a0nonneg", "ric", trials=2, seed=7).to_dict()
 
 
 def test_emit_report_envelope_and_counterexample_files(tmp_path):

@@ -29,7 +29,7 @@ from curvop import (
 )
 from curvop.models import ModelSpec, product
 from curvop.cli import main
-from curvop.tensor import _exact_symmetrize
+from curvop.tensor import _adopt, _exact_symmetrize
 
 
 def test_constant_curvature_sectional_is_kappa():
@@ -108,6 +108,29 @@ def test_random_curvature_is_deterministic():
     d = random_curvature(5, seed=(7, 1))
     assert not np.array_equal(a.array, d.array)
     assert np.array_equal(d.array, random_curvature(5, seed=(7, 1)).array)
+
+
+def test_random_curvature_rejects_negative_seed_material():
+    for seed in (-1, (3, -1), [-2]):
+        with pytest.raises(ParameterOutOfRange):
+            random_curvature(4, seed=seed)
+    with pytest.raises(ParameterOutOfRange):
+        build_model("random:n=4,seed=-2")
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("scale", [1.0, 3.7, 1e-3, 2.0 ** 40])
+def test_random_curvature_equals_the_mirrored_form_bit_for_bit(n, scale):
+    # the Gaussian matrix is placed as drawn: only its upper triangle is
+    # read, so the tensor equals the one built from the mirrored form
+    for seed in range(5):
+        g = np.random.default_rng(seed).standard_normal((n * (n - 1) // 2,) * 2)
+        form = np.triu(g) + np.triu(g, 1).T
+        i, j = np.triu_indices(n, 1)
+        a = np.zeros((n, n, n, n))
+        a[i[:, None], j[:, None], i, j] = form * scale
+        expected = curvop.bianchi_project(_adopt(_exact_symmetrize(a)))
+        assert np.array_equal(random_curvature(n, seed=seed, scale=scale).array, expected.array)
 
 
 def test_random_curvature_scale_power_of_two_is_exact():
@@ -199,6 +222,8 @@ def test_parse_model_combiners():
         "sphere:radius=1",
         "sphere:n=abc",
         "product:(sphere:n=3,k=1)",
+        "product",
+        "interp:,t=0.5",
         "product:(flat:n=1",
         "interp:(flat:n=4)x(cp2),t=0.25,junk",
     ],
@@ -208,20 +233,23 @@ def test_parse_model_rejects_bad_specs(bad):
         parse_model(bad)
 
 
-def test_build_model_matches_direct_constructors():
-    assert np.array_equal(build_model("sphere:n=4,k=2").array, constant_curvature(4, 2.0).array)
-    assert np.array_equal(build_model("cp2").array, cp2_explicit().array)
-    assert np.array_equal(
-        build_model("product:(sphere:n=3,k=1)x(flat:n=1)").array,
-        product(constant_curvature(3, 1.0), flat(1)).array,
-    )
-    assert np.array_equal(
-        build_model("interp:(flat:n=4)x(cp2),t=0.5").array,
-        interpolate(flat(4), cp2_explicit(), 0.5).array,
-    )
-    assert np.array_equal(
-        build_model("random:n=5,seed=3").array, random_curvature(5, seed=3).array
-    )
+@pytest.mark.parametrize("spec, direct", [
+    ("sphere:n=4,k=2", lambda: constant_curvature(4, 2.0)),
+    ("sphere:n=4", lambda: constant_curvature(4, 1.0)),
+    ("flat:n=3", lambda: flat(3)),
+    ("cp2", cp2_explicit),
+    ("csf:m=2", lambda: complex_space_form(2, 4.0)),
+    ("csf:m=3,c=2", lambda: complex_space_form(3, 2.0)),
+    ("random:n=5", lambda: random_curvature(5, seed=0, scale=1.0)),
+    ("random:n=5,seed=3", lambda: random_curvature(5, seed=3)),
+    ("random:n=6,seed=4,scale=0.5", lambda: random_curvature(6, seed=4, scale=0.5)),
+    ("product:(sphere:n=3,k=1)x(flat:n=1)", lambda: product(constant_curvature(3, 1.0), flat(1))),
+    ("interp:(flat:n=4)x(cp2),t=0.5", lambda: interpolate(flat(4), cp2_explicit(), 0.5)),
+])
+def test_build_model_matches_direct_constructors(spec, direct):
+    # every kind, with its defaults filled in and with them given
+    assert np.array_equal(build_model(spec).array, direct().array)
+    assert np.array_equal(build_model(parse_model(spec)).array, direct().array)
 
 
 def test_build_model_requires_mandatory_params():

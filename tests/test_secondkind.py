@@ -13,6 +13,7 @@ from curvop import (
     DimensionMismatch,
     NotSymmetric,
     ParameterOutOfRange,
+    PredicateSpec,
     alpha_star,
     eigen_sym,
     first_kind_matrix,
@@ -234,6 +235,8 @@ def test_named_conditions_cover_both_standard_thresholds():
     names = named_conditions(5)
     assert "4.5-positive" in names and "4.5-nonnegative" in names
     assert "(5+3/5)-positive" in names
+    assert names["4.5-nonnegative"] == PredicateSpec(4, 0.5, strict=False)
+    assert names["(5+3/5)-positive"] == PredicateSpec(5, 0.6, strict=True)
 
 
 def test_positivity_profile_structure_and_cp2_threshold():
