@@ -41,11 +41,12 @@ for n in (4, 5, 6):
           f"   (n-2)/n = {(n - 2) / n:.6f}")
 
 # The positivity profile sweeps every k at once and names the standard
-# conditions along the way.
+# conditions along the way. It is the plain dict that `curvop analyze`
+# prints.
 profile = curvop.positivity_profile(curvop.second_kind_spectrum(cp2))
-for row in profile.to_dict()["profile"]:
+for row in profile["profile"]:
     print(f"  k={row['k']}  sigma_k={row['sigma']:+.6f}  alphaStar={row['alphaStar']}")
-for name, verdict in profile.to_dict()["verdicts"].items():
+for name, verdict in profile["verdicts"].items():
     print(f"  {name}: {'yes' if verdict else 'no'}")
 
 # The LAPACK eigensolve behind all of this reports the eigenpair residual

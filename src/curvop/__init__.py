@@ -40,7 +40,6 @@ from .tensor import (
 from .secondkind import (
     ALPHA_ALWAYS,
     ALPHA_UNATTAINABLE,
-    PositivityProfile,
     PredicateSpec,
     Spectrum,
     alpha_star,
@@ -62,10 +61,8 @@ from .conditions import (
     IdentityReport,
     isotropic_value,
     min_isotropic,
-    phi_family,
     pullback,
     random_frame,
-    ric_family,
     ricci_min,
     second_kind_spectrum,
     verify_pic_identities,

@@ -141,8 +141,7 @@ def _cmd_model(args) -> int:
 def _cmd_analyze(args) -> int:
     tensor = _load_input(args, required=True)
     spectrum = eigen_sym(second_kind_matrix(tensor), vectors=False)
-    profile = positivity_profile(spectrum)
-    results = profile.to_dict()
+    results = positivity_profile(spectrum)
     results["dim"] = tensor.dim
     results["ricciMin"] = ricci_min(tensor)
     if tensor.dim >= 4:

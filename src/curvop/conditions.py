@@ -19,11 +19,12 @@ kernel's order, and equal its values bit for bit.
 ``pullback`` stays apart from it, as the independent reference of the
 identity checks.
 
-The module also carries two families of traceless symmetric 2-tensors
-attached to a frame, together with residual checks of the exact algebraic
-identities relating the second-kind bilinear form on those families to
-frame components of the tensor. Each family is a constant stack C of
-coordinate matrices carried to the frame F as F C F^T, and each suite
+The module also carries residual checks of the exact algebraic identities
+relating the second-kind bilinear form on two families of traceless
+symmetric 2-tensors attached to a frame to frame components of the
+tensor. Each family is a constant stack C of coordinate matrices
+(``_phi_coordinates``, ``_ric_coordinates``, whose docstrings define the
+families) carried to the frame F as F C F^T, and each suite
 reads its quadratic forms off the diagonal of ``second_kind_matrix`` on
 its family, while the closed forms they are checked against come from
 ``pullback`` and ``ricci``. The identities are what connects graded
@@ -56,20 +57,20 @@ from .tensor import CurvatureTensor, _check_seed, ricci
 FRAME_TOL = 1e-12
 
 
-def check_frame(frame, width: int | None = None, dim: int | None = None) -> np.ndarray:
-    """Validate an (n, k) column frame and return it as a float array.
+def check_frame(frame, width: int, dim: int) -> np.ndarray:
+    """Validate a (dim, width) column frame and return it as a float array.
 
-    The Gram matrix F^T F must match the identity to ``FRAME_TOL`` in the
-    max norm, else FrameNotOrthonormal; so must a frame with a nan or
-    infinite entry.
+    Another shape raises FrameNotOrthonormal, and so does a Gram matrix
+    F^T F off the identity by more than ``FRAME_TOL`` in the max norm,
+    which covers a frame with a nan or infinite entry.
     """
     f = np.asarray(frame, dtype=float)
     if f.ndim != 2:
         raise FrameNotOrthonormal(f"frame must be a 2-d column block, got shape {f.shape}")
     n, k = f.shape
-    if width is not None and k != width:
+    if k != width:
         raise FrameNotOrthonormal(f"expected {width} frame vectors, got {k}")
-    if dim is not None and n != dim:
+    if n != dim:
         raise FrameNotOrthonormal(f"frame lives in dimension {n}, tensor in {dim}")
     gram = f.T @ f
     dev = float(np.abs(gram - np.eye(k)).max())
@@ -420,8 +421,21 @@ def ricci_min(t: CurvatureTensor) -> float:
 
 
 def _phi_coordinates() -> np.ndarray:
-    """``phi_family`` of the standard 4-frame: three diagonal sign patterns,
-    then e_a(.)e_b +- e_c(.)e_d for the pair splits 14|23, 13|24, 12|34."""
+    """The nine traceless symmetric 2-tensors of the pic suite on the
+    standard 4-frame, as a (9, 4, 4) stack C.
+
+    With (.) the symmetrized outer product u(.)v = u v^T + v u^T and
+    (e1..e4) the frame columns, the family F C F^T of a frame F is
+
+        phi1 = (e1(.)e1 + e2(.)e2 - e3(.)e3 - e4(.)e4)/2
+        phi2 = (e1(.)e1 - e2(.)e2 + e3(.)e3 - e4(.)e4)/2
+        phi3 = (e1(.)e1 - e2(.)e2 - e3(.)e3 + e4(.)e4)/2
+        phi4 = e1(.)e4 + e2(.)e3        phi5 = e1(.)e4 - e2(.)e3
+        phi6 = e1(.)e3 + e2(.)e4        phi7 = e1(.)e3 - e2(.)e4
+        phi8 = e1(.)e2 + e3(.)e4        phi9 = e1(.)e2 - e3(.)e4
+
+    in that order, orthogonal with every squared norm 4 (Gram matrix 4 I_9).
+    """
     diagonal = np.array([[1, 1, -1, -1], [1, -1, 1, -1], [1, -1, -1, 1]])[:, None, :] * np.eye(4)
     pairs = np.abs(lambda2_basis(4))  # e_a(.)e_b for ab = 12, 13, 14, 23, 24, 34
     signs = np.tile([1.0, -1.0], 3)[:, None, None]
@@ -433,34 +447,15 @@ def _phi_coordinates() -> np.ndarray:
 _PHI = _phi_coordinates()
 
 
-def phi_family(frame) -> np.ndarray:
-    """Nine traceless symmetric 2-tensors attached to an orthonormal 4-frame.
-
-    With (.) the symmetrized outer product u(.)v = u v^T + v u^T and
-    (e1..e4) the frame columns:
-
-        phi1 = (e1(.)e1 + e2(.)e2 - e3(.)e3 - e4(.)e4)/2
-        phi2 = (e1(.)e1 - e2(.)e2 + e3(.)e3 - e4(.)e4)/2
-        phi3 = (e1(.)e1 - e2(.)e2 - e3(.)e3 + e4(.)e4)/2
-        phi4 = e1(.)e4 + e2(.)e3        phi5 = e1(.)e4 - e2(.)e3
-        phi6 = e1(.)e3 + e2(.)e4        phi7 = e1(.)e3 - e2(.)e4
-        phi8 = e1(.)e2 + e3(.)e4        phi9 = e1(.)e2 - e3(.)e4
-
-    The family is orthogonal with every squared norm 4 (Gram matrix
-    4 I_9). Returned as a (9, n, n) stack F C F^T in the order above,
-    with C the family of the standard frame.
-    """
-    f = check_frame(frame, width=4)
-    return f @ _PHI @ f.T
-
-
 @dataclass(frozen=True, eq=False)
 class IdentityReport:
     """Residuals of one family of frame identities.
 
     ``residuals`` maps identity names to relative residuals, where
-    relative means |lhs - rhs| divided by max(1, |lhs|, |rhs|, component
-    scale); ``values`` records the quantities entering the identities.
+    relative means |lhs - rhs| divided by max(|lhs|, |rhs|, component
+    scale), and 0 when all three are 0, so a residual does not change
+    when the tensor is scaled by a power of two; ``values`` records the
+    quantities entering the identities.
     """
 
     kind: str
@@ -471,15 +466,17 @@ class IdentityReport:
 
 
 def _relative(lhs: float, rhs: float, scale: float) -> float:
-    return abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs), scale)
+    denominator = max(abs(lhs), abs(rhs), scale)
+    return abs(lhs - rhs) / denominator if denominator else 0.0
 
 
 def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
-    """Check the nine diagonal identities of ``phi_family`` plus the master sum.
+    """Check the nine diagonal identities of the phi family plus the master sum.
 
     Each R(phi_a, phi_a), read off the diagonal of ``second_kind_matrix``
-    on the family, is compared against its closed form in frame
-    components from ``pullback``; the grouped combinations and the master identity
+    on the family F C F^T (C from ``_phi_coordinates``), is compared
+    against its closed form in frame components from ``pullback``; the
+    grouped combinations and the master identity
 
         6 (q1 + q5 + q6) + (3/2)(q2+q3+q4+q7+q8+q9)
             = 27 (K13+K14+K23+K24) - 54 R(e1,e2,e3,e4)
@@ -544,9 +541,23 @@ def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
 
 @functools.lru_cache(maxsize=None)
 def _ric_coordinates(n: int) -> np.ndarray:
-    """``ric_family`` of the standard n-frame: phi1, the off-diagonal block
-    of ``s20_basis(n)`` (phi_2..phi_n, then the psi_kl), and the diagonal
-    ladder of ``s20_basis(n - 1)`` moved onto axes 2..n (the xi_j)."""
+    """The traceless symmetric basis of the ric suite on the standard
+    n-frame, adapted to its first vector, as an ((n-1)(n+2)/2, n, n) stack C.
+
+    For a frame F with columns (e1, ..., en) the family F C F^T is
+
+        phi1  = ((n-1) e1(.)e1 - sum_{p>=2} e_p(.)e_p) / (2 sqrt(n(n-1)))
+        phi_i = e1(.)e_i / sqrt(2)                    for i = 2..n
+        psi_kl = e_k(.)e_l / sqrt(2)                  for 2 <= k < l <= n
+        xi_j  = (sum_{p=2}^{j} e_p(.)e_p - (j-1) e_{j+1}(.)e_{j+1})
+                 / (2 sqrt(j(j-1)))                   for j = 2..n-1
+
+    in the order phi1, phi_2..phi_n, psi_kl (lexicographic in (k, l)),
+    xi_2..xi_{n-1}; orthonormal, it spans the traceless symmetric
+    2-tensors. C is phi1, the off-diagonal block of ``s20_basis(n)`` and
+    the diagonal ladder of ``s20_basis(n - 1)`` moved onto axes 2..n.
+    Built once per n and read-only.
+    """
     phi1 = np.diag(np.r_[n - 1.0, -np.ones(n - 1)]) / np.sqrt(n * (n - 1))
     xi = np.zeros((n - 2, n, n))
     xi[:, 1:, 1:] = s20_basis(n - 1)[lambda2_dim(n - 1):]
@@ -555,31 +566,9 @@ def _ric_coordinates(n: int) -> np.ndarray:
     return c
 
 
-def ric_family(frame) -> np.ndarray:
-    """Traceless symmetric basis adapted to a distinguished first vector.
-
-    For an orthonormal n-frame with columns (e1, ..., en):
-
-        phi1  = ((n-1) e1(.)e1 - sum_{p>=2} e_p(.)e_p) / (2 sqrt(n(n-1)))
-        phi_i = e1(.)e_i / sqrt(2)                    for i = 2..n
-        psi_kl = e_k(.)e_l / sqrt(2)                  for 2 <= k < l <= n
-        xi_j  = (sum_{p=2}^{j} e_p(.)e_p - (j-1) e_{j+1}(.)e_{j+1})
-                 / (2 sqrt(j(j-1)))                   for j = 2..n-1
-
-    Together these are orthonormal and span the traceless symmetric
-    2-tensors of the span. Returned as one ((n-1)(n+2)/2, m, m) stack
-    F C F^T for an (m, n) frame F, in the order phi1, phi_2..phi_n,
-    psi_kl (lexicographic in (k, l)), xi_2..xi_{n-1}.
-    """
-    f = check_frame(frame)
-    n = f.shape[1]
-    if n < 3:
-        raise DimensionTooSmall(f"the adapted family needs an n-frame with n >= 3, got {n}")
-    return f @ _ric_coordinates(n) @ f.T
-
-
 def verify_ric_identities(t: CurvatureTensor, frame) -> IdentityReport:
-    """Check the four contraction identities of ``ric_family``.
+    """Check the four contraction identities of the adapted family
+    F C F^T (C from ``_ric_coordinates``).
 
     With R11 = Ric(e1, e1) and S the scalar curvature:
 

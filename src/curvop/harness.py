@@ -37,7 +37,6 @@ from .secondkind import (
     eigen_sym,
     k_alpha_positive,
     k_alpha_value,
-    s20_dim,
     second_kind_matrix,
 )
 from .tensor import CurvatureTensor, save_tensor, write_json_atomic
@@ -183,7 +182,8 @@ def implication_trial(
     conclusion value fails. The run is reproducible from (n, hypothesis,
     conclusion, trials, seed) alone; pic conclusions use ``pic_trials``
     descent starts with seed material (seed, trial, 1), searched for a
-    block of samples at a time with ``min_isotropic_batch``.
+    block of samples at a time with ``min_isotropic_batch``. A hypothesis
+    that does not fit the spectrum raises at the first boost.
     """
     hyp = parse_predicate(hypothesis) if isinstance(hypothesis, str) else hypothesis
     if conclusion not in CONCLUSIONS:
@@ -192,11 +192,6 @@ def implication_trial(
         raise DimensionTooSmall(f"pic conclusions need dimension >= 4, got {n}")
     if trials < 1:
         raise ParameterOutOfRange(f"trials must be >= 1, got {trials}")
-    size = s20_dim(n)
-    if hyp.k + hyp.alpha > size:
-        raise ParameterOutOfRange(
-            f"hypothesis {hyp.name} does not fit the spectrum size {size} for n={n}"
-        )
 
     shifts = 0
     capped = 0
@@ -245,7 +240,7 @@ def implication_trial(
     )
 
 
-def replay_counterexample(report: TrialReport, index: int = 0) -> CurvatureTensor:
+def replay_counterexample(report: TrialReport, index: int) -> CurvatureTensor:
     """Rebuild a counterexample tensor from its recorded seed material."""
     if not 0 <= index < len(report.counterexamples):
         raise ParameterOutOfRange(f"no counterexample at index {index}")

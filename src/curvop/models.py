@@ -22,6 +22,7 @@ n, m and t have none. ``_KINDS`` states each kind once.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -223,6 +224,12 @@ _KINDS = {
 }
 
 
+def _check_children(kind: str, count: int) -> None:
+    arity = _KINDS[kind].children
+    if count != arity:
+        raise ParseError(f"{kind} takes exactly {arity} children, got {count}")
+
+
 def _split_params(body: str) -> dict[str, str]:
     out: dict[str, str] = {}
     if not body:
@@ -291,24 +298,37 @@ def parse_model(text: str) -> ModelSpec:
     kind = kind.strip()
     if kind not in _KINDS:
         raise ParseError(f"unknown model kind {kind!r}")
-    arity = _KINDS[kind].children
-    if not arity:
+    if not _KINDS[kind].children:
         return ModelSpec(kind, _coerce(kind, _split_params(body.strip())))
     children_raw, rest = _split_children(body.strip())
-    if len(children_raw) != arity:
-        raise ParseError(f"{kind} takes exactly {arity} children, got {len(children_raw)}")
+    _check_children(kind, len(children_raw))
     params = _coerce(kind, _split_params(rest))
     return ModelSpec(kind, params, tuple(parse_model(c) for c in children_raw))
 
 
+# What a parameter value must be for each type of ``_Kind.params``; a bool is neither.
+_NUMBERS = {int: numbers.Integral, float: numbers.Real}
+
+
 def _with_defaults(spec: ModelSpec) -> dict:
     """A spec's parameters with its kind's defaults filled in; ParseError
-    when a required one is missing."""
+    unless its kind, child count, parameter names and types follow ``_KINDS``
+    and every required parameter is given, so hand-built specs are held to
+    the same table as parsed ones."""
+    if spec.kind not in _KINDS:
+        raise ParseError(f"unknown model kind {spec.kind!r}")
+    kind = _KINDS[spec.kind]
+    _check_children(spec.kind, len(spec.children))
+    for key in spec.params:
+        if key not in kind.params:
+            raise ParseError(f"model kind {spec.kind!r} does not take parameter {key!r}")
     params = {}
-    for key, (_, default) in _KINDS[spec.kind].params.items():
-        params[key] = spec.params.get(key, default)
-        if params[key] is None:
+    for key, (typ, default) in kind.params.items():
+        value = params[key] = spec.params.get(key, default)
+        if value is None:
             raise ParseError(f"{spec.kind} needs {key}")
+        if isinstance(value, bool) or not isinstance(value, _NUMBERS[typ]):
+            raise ParseError(f"{spec.kind}.{key} must be {typ.__name__}, got {value!r}")
     return params
 
 
@@ -316,7 +336,5 @@ def build_model(spec) -> CurvatureTensor:
     """Construct the tensor a ModelSpec (or spec string) describes."""
     if isinstance(spec, str):
         spec = parse_model(spec)
-    if spec.kind not in _KINDS:
-        raise ParseError(f"unknown model kind {spec.kind!r}")
     params = _with_defaults(spec)
     return _KINDS[spec.kind].builder(*(build_model(c) for c in spec.children), **params)

@@ -10,7 +10,9 @@ n x n matrices. The bilinear form behind the second-kind matrix is
 
 whose eigenvalues are basis-independent. Eigenvalue positivity is graded
 by the (k+alpha) conditions: the sum of the k smallest eigenvalues plus
-alpha times the next one is positive (or nonnegative).
+alpha times the next one is positive (or nonnegative). The graded
+functions read a ``Spectrum``, whose eigenvalues ascend, and
+``_check_k_alpha`` states the range of k and alpha once.
 
 Eigenvalues come from LAPACK through ``numpy.linalg``. For a fixed
 platform, NumPy/BLAS build and BLAS thread count they are bit-for-bit
@@ -175,32 +177,19 @@ def _check_k_alpha(size: int, k: int, alpha: float) -> None:
         raise ParameterOutOfRange(f"k + alpha = {k + alpha} exceeds the matrix size {size}")
 
 
-def _ascending_eigenvalues(spectrum) -> np.ndarray:
-    """Coerce a Spectrum or a raw eigenvalue sequence to an ascending array."""
-    if hasattr(spectrum, "eigenvalues"):
-        return spectrum.eigenvalues
-    ev = np.asarray(spectrum, dtype=float)
-    if ev.ndim != 1 or ev.shape[0] < 1:
-        raise ParameterOutOfRange(f"expected a 1-d eigenvalue sequence, got shape {ev.shape}")
-    return np.sort(ev)
-
-
-def k_alpha_value(spectrum, k: int, alpha: float) -> float:
-    """The graded eigenvalue sum lambda_1 + ... + lambda_k + alpha lambda_{k+1}.
-
-    Accepts a ``Spectrum`` or any eigenvalue sequence (sorted ascending
-    internally).
-    """
-    ev = _ascending_eigenvalues(spectrum)
+def k_alpha_value(spectrum: Spectrum, k: int, alpha: float) -> float:
+    """The graded eigenvalue sum lambda_1 + ... + lambda_k + alpha lambda_{k+1}
+    of a spectrum's ascending eigenvalues; ParameterOutOfRange unless
+    1 <= k <= N, 0 <= alpha <= 1 and k + alpha <= N."""
+    ev = spectrum.eigenvalues
     _check_k_alpha(ev.shape[0], k, alpha)
-    sums = np.cumsum(ev)
-    value = float(sums[k - 1])
+    value = float(np.cumsum(ev)[k - 1])
     if k < ev.shape[0]:
         value += alpha * float(ev[k])
     return value
 
 
-def k_alpha_positive(spectrum, k: int, alpha: float, strict: bool = True) -> bool:
+def k_alpha_positive(spectrum: Spectrum, k: int, alpha: float, strict: bool) -> bool:
     """Decide (k+alpha)-positivity (strict) or -nonnegativity of a spectrum."""
     value = k_alpha_value(spectrum, k, alpha)
     return value > 0.0 if strict else value >= 0.0
@@ -221,20 +210,17 @@ class PredicateSpec:
         return f"k{self.k}a{self.alpha:g}{suffix}"
 
 
-def alpha_star(spectrum, k: int) -> float | str:
+def alpha_star(spectrum: Spectrum, k: int) -> float | str:
     """Largest alpha in [0,1] with sigma_k + alpha lambda_{k+1} >= 0.
 
     Returns "always" when the sum is nonnegative for every alpha (and in
     particular when sigma_k > 0), the critical ratio -sigma_k/lambda_{k+1}
     when that lies in [0,1], and "unattainable" when no alpha in [0,1]
-    restores nonnegativity.
+    restores nonnegativity. k runs over 1..N-1.
     """
-    ev = _ascending_eigenvalues(spectrum)
-    size = ev.shape[0]
-    if not 1 <= k <= size - 1:
-        raise ParameterOutOfRange(f"k must lie in 1..{size - 1}, got {k}")
-    sigma = float(np.cumsum(ev)[k - 1])
-    lam_next = float(ev[k])
+    _check_k_alpha(spectrum.eigenvalues.shape[0], k, 1.0)
+    sigma = k_alpha_value(spectrum, k, 0.0)
+    lam_next = float(spectrum.eigenvalues[k])
     if sigma > 0.0:
         return ALPHA_ALWAYS
     if sigma == 0.0 and lam_next == 0.0:
@@ -266,53 +252,25 @@ def named_conditions(n: int) -> dict[str, PredicateSpec]:
     return conds
 
 
-@dataclass(frozen=True, eq=False)
-class PositivityProfile:
-    """Graded positivity data of one spectrum.
+def positivity_profile(spectrum: Spectrum) -> dict:
+    """The graded positivity of a spectrum, as ``curvop analyze`` prints it.
 
-    For each k in 1..N-1: the partial sum sigma_k and the threshold
-    ``alpha_star`` entry ("always", a float in [0,1], or "unattainable").
-    ``verdicts`` holds named condition decisions computed from the same
-    eigenvalues.
-    """
-
-    eigenvalues: np.ndarray = field(repr=False)
-    sigmas: np.ndarray = field(repr=False)
-    alpha_stars: tuple
-    verdicts: dict[str, bool]
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": [float(v) for v in self.eigenvalues],
-            "profile": [
-                {"k": k + 1, "sigma": float(self.sigmas[k]), "alphaStar": self.alpha_stars[k]}
-                for k in range(len(self.alpha_stars))
-            ],
-            "verdicts": dict(self.verdicts),
-        }
-
-
-def positivity_profile(spectrum: Spectrum) -> PositivityProfile:
-    """Tabulate sigma_k and alpha_star for k = 1..N-1, plus named verdicts.
-
-    The ambient dimension of the named conditions is inferred from the
-    spectrum size N = (n-1)(n+2)/2, which determines n; a size with no
-    integer solution gets no named verdicts.
+    "eigenvalues" lists the ascending eigenvalues, "profile" holds for each
+    k in 1..N-1 the partial sum "sigma" and "alphaStar" ("always", a float
+    in [0,1], or "unattainable"), and "verdicts" maps each of
+    ``named_conditions(n)`` to its decision. The dimension n solves
+    N = (n-1)(n+2)/2, that is n = (sqrt(8N + 9) - 1)/2; a size with no
+    integer solution gets no verdicts.
     """
     ev = spectrum.eigenvalues
     size = ev.shape[0]
     sums = np.cumsum(ev)
-    stars = tuple(alpha_star(spectrum, k) for k in range(1, size))
-    dim = _infer_dim(size)
-    verdicts: dict[str, bool] = {}
-    if dim is not None:
-        for name, cond in named_conditions(dim).items():
-            verdicts[name] = k_alpha_positive(spectrum, cond.k, cond.alpha, cond.strict)
-    return PositivityProfile(ev.copy(), sums[: size - 1], stars, verdicts)
-
-
-def _infer_dim(size: int) -> int | None:
-    for n in range(2, 2 * size + 3):
-        if s20_dim(n) == size:
-            return n
-    return None
+    n = (math.isqrt(8 * size + 9) - 1) // 2
+    conditions = named_conditions(n) if n >= 2 and s20_dim(n) == size else {}
+    return {
+        "eigenvalues": [float(v) for v in ev],
+        "profile": [{"k": k, "sigma": float(sums[k - 1]), "alphaStar": alpha_star(spectrum, k)}
+                    for k in range(1, size)],
+        "verdicts": {name: k_alpha_positive(spectrum, cond.k, cond.alpha, cond.strict)
+                     for name, cond in conditions.items()},
+    }

@@ -7,7 +7,7 @@ PUBLIC_NAMES = [
     "CurvatureTensor", "CurvopError", "DimensionMismatch", "DimensionTooSmall",
     "FrameNotOrthonormal", "FrameSearchResult", "IdentityReport", "IndexOutOfRange",
     "IoFailure", "ModelSpec", "NoConvergence", "NotSymmetric", "ParameterOutOfRange",
-    "ParseError", "PositivityProfile", "PredicateSpec", "ProbeReport",
+    "ParseError", "PredicateSpec", "ProbeReport",
     "SIGN_CONVENTION", "Spectrum", "SymmetryConflict", "TrialReport",
     "ValidationFailure", "alpha_star", "bianchi_project", "boost_to_hypothesis",
     "build_model", "check_frame", "complex_space_form", "constant_curvature",
@@ -15,8 +15,8 @@ PUBLIC_NAMES = [
     "from_dict", "implication_trial", "interpolate", "isotropic_value",
     "k_alpha_positive", "k_alpha_value", "lambda2_basis", "lambda2_dim", "load_tensor",
     "min_isotropic", "named_conditions", "new_from_components", "parse_model",
-    "parse_predicate", "phi_family", "positivity_profile", "product", "pullback",
-    "random_curvature", "random_frame", "replay_counterexample", "ric_family", "ricci",
+    "parse_predicate", "positivity_profile", "product", "pullback",
+    "random_curvature", "random_frame", "replay_counterexample", "ricci",
     "ricci_min", "s20_basis", "s20_dim", "save_tensor", "second_kind_matrix",
     "second_kind_spectrum", "sharpness_probe", "shift", "to_dict",
     "verify_pic_identities", "verify_ric_identities", "write_json_atomic",

@@ -17,21 +17,21 @@ from curvop import (
     check_frame,
     isotropic_value,
     min_isotropic,
-    phi_family,
     pullback,
     random_frame,
-    ric_family,
     ricci_min,
     verify_pic_identities,
     verify_ric_identities,
 )
 from curvop.conditions import (
+    _PHI,
     _WARM,
     _coordinate_seed_frames,
     _descend_batch,
     _iso_grads,
     _iso_values,
     _retract,
+    _ric_coordinates,
     _seed_values,
     min_isotropic_batch,
 )
@@ -313,6 +313,16 @@ def test_ricci_min_matches_numpy():
         assert ricci_min(t) == pytest.approx(ref, abs=1e-11)
 
 
+def phi_family(f: np.ndarray) -> np.ndarray:
+    """The pic suite's family on the 4-frame f, as the suite builds it."""
+    return f @ _PHI @ f.T
+
+
+def ric_family(f: np.ndarray) -> np.ndarray:
+    """The ric suite's family on the n-frame f, as the suite builds it."""
+    return f @ _ric_coordinates(f.shape[1]) @ f.T
+
+
 def test_phi_family_shapes_norms_and_tracelessness():
     rng = np.random.default_rng(6)
     f = random_frame(6, 4, rng)
@@ -407,6 +417,22 @@ def test_ric_family_matches_its_outer_product_definition():
     expected += [(sum(diags[1:j]) - (j - 1) * diags[j]) / (2.0 * np.sqrt(j * (j - 1)))
                  for j in range(2, n)]
     assert np.abs(ric_family(f) - np.array(expected)).max() < 1e-14
+
+
+@pytest.mark.parametrize("exponent", [-20, -40])
+def test_identity_residuals_do_not_shrink_with_the_tensor(exponent):
+    # scaling by a power of two scales both sides and the denominator exactly
+    t = curvop.random_curvature(5, seed=3)
+    small = CurvatureTensor(np.ldexp(t.array, exponent))
+    rng = np.random.default_rng(3)
+    f4, f5 = random_frame(5, 4, rng), random_frame(5, 5, rng)
+    for suite, frame in ((verify_pic_identities, f4), (verify_ric_identities, f5)):
+        full, scaled = suite(t, frame), suite(small, frame)
+        assert scaled.residuals == full.residuals
+        assert scaled.max_residual == full.max_residual
+    flat = curvop.build_model("flat:n=4")
+    assert verify_pic_identities(flat, random_frame(4, 4, rng)).max_residual == 0.0
+    assert verify_ric_identities(flat, random_frame(4, 4, rng)).max_residual == 0.0
 
 
 def test_identity_suites_reject_small_dimensions():

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvop
+from curvop import cli
 from curvop import (
     ParameterOutOfRange,
     ParseError,
@@ -19,6 +20,7 @@ from curvop import (
 )
 from curvop.conditions import min_isotropic_batch
 from curvop.harness import (
+    CONCLUSIONS,
     PredicateSpec,
     boost_to_hypothesis,
     emit_report,
@@ -159,6 +161,17 @@ def test_implication_trial_validates_inputs():
     for conclusion in ("k4a0.5strict", "PIC", PredicateSpec(4, 0.5)):
         with pytest.raises(ParameterOutOfRange):
             implication_trial(4, "k4a0.5strict", conclusion, trials=1)
+
+
+@pytest.mark.parametrize("hypothesis", ["k9a0.5strict", "k0a0.5strict", "k4a1.5strict"])
+def test_hypotheses_outside_the_spectrum_are_refused(hypothesis, capsys):
+    # k + alpha beyond N = 9 at n = 4, k below 1, alpha above 1
+    for conclusion in CONCLUSIONS:
+        with pytest.raises(ParameterOutOfRange):
+            implication_trial(4, hypothesis, conclusion, trials=1)
+        argv = ["search", "--dim", "4", "--hyp", hypothesis, "--concl", conclusion, "--trials", "1"]
+        assert cli.main(argv) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_predicate_spec_takes_a_hypothesis_and_reads_like_the_parser():

@@ -252,6 +252,18 @@ def test_build_model_matches_direct_constructors(spec, direct):
     assert np.array_equal(build_model(parse_model(spec)).array, direct().array)
 
 
+@pytest.mark.parametrize("spec", [
+    ModelSpec("product", {}, (ModelSpec("cp2"),)),
+    ModelSpec("cp2", {}, (ModelSpec("cp2"),)),
+    ModelSpec("sphere", {"n": "4"}),
+    ModelSpec("sphere", {"n": 4, "q": 1}),
+])
+def test_build_model_checks_hand_built_specs_against_the_kinds(spec):
+    # a wrong child count, a parameter of the wrong type or name
+    with pytest.raises(ParseError):
+        build_model(spec)
+
+
 def test_build_model_requires_mandatory_params():
     for text in ("sphere", "flat", "csf", "random", "interp:(flat:n=4)x(cp2)"):
         with pytest.raises(ParseError):

@@ -14,6 +14,7 @@ from curvop import (
     NotSymmetric,
     ParameterOutOfRange,
     PredicateSpec,
+    Spectrum,
     alpha_star,
     eigen_sym,
     first_kind_matrix,
@@ -200,7 +201,7 @@ def test_eigen_sym_trivial_sizes():
 
 
 def test_k_alpha_value_uses_partial_sums():
-    lam = np.array([-2.0, -1.0, 3.0, 5.0])
+    lam = Spectrum(np.array([-2.0, -1.0, 3.0, 5.0]), None, None)
     assert k_alpha_value(lam, 1, 0.0) == -2.0
     assert k_alpha_value(lam, 2, 1.0) == pytest.approx(0.0)
     assert k_alpha_value(lam, 3, 0.5) == pytest.approx(0.0 + 2.5)
@@ -208,13 +209,13 @@ def test_k_alpha_value_uses_partial_sums():
 
 
 def test_k_alpha_positive_strict_vs_nonneg():
-    lam = np.array([-2.0, -1.0, 3.0, 5.0])
+    lam = Spectrum(np.array([-2.0, -1.0, 3.0, 5.0]), None, None)
     assert not k_alpha_positive(lam, 2, 1.0, strict=True)
     assert k_alpha_positive(lam, 2, 1.0, strict=False)
 
 
 def test_k_alpha_parameter_validation():
-    lam = np.arange(4.0)
+    lam = Spectrum(np.arange(4.0), None, None)
     with pytest.raises(ParameterOutOfRange):
         k_alpha_value(lam, 0, 0.5)
     with pytest.raises(ParameterOutOfRange):
@@ -224,11 +225,14 @@ def test_k_alpha_parameter_validation():
 
 
 def test_alpha_star_three_regimes():
-    assert alpha_star(np.array([1.0, 2.0, 3.0]), 1) == ALPHA_ALWAYS
-    assert alpha_star(np.array([-2.0, -1.0, 3.0, 5.0]), 3) == pytest.approx(0.0)
-    assert alpha_star(np.array([-1.0, 2.0, 3.0]), 1) == pytest.approx(0.5)
-    assert alpha_star(np.array([-5.0, 1.0, 1.0]), 1) == ALPHA_UNATTAINABLE
-    assert alpha_star(np.array([0.0, 0.0, 1.0]), 1) == ALPHA_ALWAYS
+    def spectrum(values):
+        return Spectrum(np.array(values), None, None)
+
+    assert alpha_star(spectrum([1.0, 2.0, 3.0]), 1) == ALPHA_ALWAYS
+    assert alpha_star(spectrum([-2.0, -1.0, 3.0, 5.0]), 3) == pytest.approx(0.0)
+    assert alpha_star(spectrum([-1.0, 2.0, 3.0]), 1) == pytest.approx(0.5)
+    assert alpha_star(spectrum([-5.0, 1.0, 1.0]), 1) == ALPHA_UNATTAINABLE
+    assert alpha_star(spectrum([0.0, 0.0, 1.0]), 1) == ALPHA_ALWAYS
 
 
 def test_named_conditions_cover_both_standard_thresholds():
@@ -241,9 +245,7 @@ def test_named_conditions_cover_both_standard_thresholds():
 
 def test_positivity_profile_structure_and_cp2_threshold():
     sp = eigen_sym(second_kind_matrix(curvop.cp2_explicit()))
-    profile = positivity_profile(sp)
-    assert profile.alpha_stars[3] == pytest.approx(0.5, abs=1e-9)
-    doc = profile.to_dict()
+    doc = positivity_profile(sp)
     assert len(doc["profile"]) == 8  # k = 1..N-1
     row = doc["profile"][3]
     assert row["k"] == 4 and row["alphaStar"] == pytest.approx(0.5, abs=1e-9)
