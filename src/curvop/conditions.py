@@ -8,14 +8,16 @@ where Kab = R(ea, eb, ea, eb). Positivity of this quantity over all
 orthonormal 4-frames is decided here by sampled minimization: evaluation
 at every coordinate 4-subset (all pair splits, both cross-term signs,
 which covers all 4! * 2^4 signed permutations of a subset) plus a descent
-on the Stiefel manifold from random starts retracted as one stack,
-projected gradient steps for a warm-up and Polak-Ribiere+ conjugate
-gradient after it; a tensor with max|R| < 1 is searched at an exact
-power-of-two scale. One batched kernel, ``_iso_values`` (with
-``_iso_grads`` for the gradient of a kept frame), evaluates every
-isotropic value: single frames, the descent and the reported minimum;
-the coordinate seeds read their five components directly, in the
-kernel's order, and equal its values bit for bit.
+on the Stiefel manifold from random starts, projected gradient steps for a
+warm-up and Polak-Ribiere+ conjugate gradient after it. Starts and steps
+are retracted to frames as one stack by ``_retract``, a Gram-Schmidt with
+two projection passes per column that gives QR's positive-diagonal Q to
+rounding at a fraction of ``numpy.linalg.qr``'s cost. A tensor with
+max|R| < 1 is searched at an exact power-of-two scale. One batched
+kernel, ``_iso_values`` (with ``_iso_grads`` for the gradient of a kept
+frame), evaluates every isotropic value: single frames, the descent and
+the reported minimum; the coordinate seeds read their five components
+directly, in the kernel's order, and equal its values bit for bit.
 ``pullback`` stays apart from it, as the independent reference of the
 identity checks.
 
@@ -80,15 +82,32 @@ def check_frame(frame, width: int, dim: int) -> np.ndarray:
 
 
 def _retract(f: np.ndarray) -> np.ndarray:
-    """QR retraction with positive-diagonal sign fix; accepts (n, k) or a stack."""
-    q, r = np.linalg.qr(f)
-    signs = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    signs = np.where(signs == 0, 1.0, signs)
-    return q * signs[..., None, :]
+    """Retraction of an (n, k) block, or a stack of them, onto orthonormal
+    frames: the Q of the QR factorization with a positive R diagonal.
+
+    Gram-Schmidt builds it column by column: each column has the earlier
+    columns projected out twice, then is normalized. One pass loses
+    orthogonality on ill-conditioned blocks; a second pass restores it to
+    rounding (Giraud, Langou & Rozloznik 2005, "twice is enough"). Every
+    product has one fixed shape per block, so a block's result does not
+    depend on the stack it is retracted in.
+    """
+    q = np.empty(f.shape)
+    for j in range(q.shape[-1]):
+        v = f[..., j]
+        if j:
+            done = q[..., :j]
+            for _ in range(2):
+                v = v - np.einsum("...ij,...j->...i", done, np.einsum("...ij,...i->...j", done, v))
+        q[..., j] = v / np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]
+    return q
 
 
 def random_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthonormal (n, k) frame: the retraction of a Gaussian block."""
+    """Haar-ish random orthonormal (n, k) frame, 1 <= k <= n: the retraction
+    of a Gaussian block."""
+    if not 1 <= k <= n:
+        raise ParameterOutOfRange(f"a frame of {k} vectors needs 1 <= k <= n = {n}")
     return _retract(rng.standard_normal((n, k)))
 
 
@@ -104,6 +123,7 @@ def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
 # Frame pairs (a, c) whose blocks vec(e_a e_c^T) enter the isotropic value
 # and its gradient: the four sectional pairs, then the two cross-term pairs.
 _PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1))
+_PAIR_A, _PAIR_C = (np.array(side) for side in zip(*_PAIRS))
 
 
 def _iso_values(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,17 +134,16 @@ def _iso_values(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.n
     dimensions; returns values (...) and y (..., 6, n^2). Row p of
     y = x @ R is the 2-form R(., ., e_a, e_c) of pair p, which feeds the
     value here and the gradient in ``_iso_grads``. Every product is a
-    stacked ``matmul`` of one fixed shape per frame, so a frame's numbers
-    do not depend on how many other frames share the call.
+    stacked ``matmul`` or ``einsum`` of one fixed shape per frame, so a
+    frame's numbers do not depend on how many other frames share the call.
     """
     n = frames.shape[-2]
     lead = frames.shape[:-2]
-    a = np.swapaxes(frames[..., [p[0] for p in _PAIRS]], -1, -2)  # (..., 6, n)
-    c = np.swapaxes(frames[..., [p[1] for p in _PAIRS]], -1, -2)
-    x = (a[..., :, None] * c[..., None, :]).reshape(*lead, 6, n * n)
+    x = np.einsum("...ip,...jp->...pij", frames[..., _PAIR_A], frames[..., _PAIR_C])
+    x = x.reshape(*lead, 6, n * n)
     y = np.matmul(x, rmats)
-    dots = (x[..., :4, :] * y[..., :4, :]).sum(axis=-1)
-    cross = (x[..., 5, :] * y[..., 4, :]).sum(axis=-1)
+    dots = np.einsum("...k,...k->...", x[..., :4, :], y[..., :4, :])
+    cross = np.einsum("...k,...k->...", x[..., 5, :], y[..., 4, :])
     return dots[..., 0] + dots[..., 1] + dots[..., 2] + dots[..., 3] - 2.0 * cross, y
 
 
@@ -237,10 +256,10 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     self-adjoint, so the old tangent needs no transport), and along r
     whenever <d, r> <= 0 (Absil, Mahony & Sepulchre 2008, ch. 8).
     The line search tries the frame's current step and three halvings,
-    retracted by QR. Among the candidates that beat the guard it keeps the
-    one of lowest value (ties go to the larger step), not the largest
-    step: near a Morse-Bott minimum the largest step overshoots to the
-    mirror point, still a decrease, and the frame bounces there for
+    retracted by ``_retract``. Among the candidates that beat the guard it
+    keeps the one of lowest value (ties go to the larger step), not the
+    largest step: near a Morse-Bott minimum the largest step overshoots to
+    the mirror point, still a decrease, and the frame bounces there for
     hundreds of iterations while a smaller candidate lands on the minimum.
     If no candidate beats the guard, the next halvings are tried, eight
     per pass after the first; the first group of four in halving order
@@ -354,9 +373,9 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     bit for bit: the starts of all tensors descend together in fixed-size
     batches, and a frame's descent does not depend on its batch. Start
     (i, trial) is a Gaussian (n, 4) block from ``default_rng((*seeds[i],
-    trial))``; one stacked QR retracts them all, with the bytes each gets
-    alone. The seed values are five component reads per frame, equal to
-    the kernel's bit for bit; the descent and the reported value come
+    trial))``; one stacked ``_retract`` retracts them all, with the bytes
+    each gets alone. The seed values are five component reads per frame,
+    equal to the kernel's bit for bit; the descent and the reported value come
     from the kernel. A tensor with 0 < max|R| < 1 is searched times the
     power of two 2^p that brings max|R| into [1, 2) and its values are
     divided by 2^p, exactly, so min_isotropic(2^e R) = 2^e min_isotropic(R)

@@ -84,6 +84,67 @@ def test_random_frame_is_orthonormal():
         assert np.abs(f.T @ f - np.eye(4)).max() < 1e-12
 
 
+@pytest.mark.parametrize(("n", "k"), [(3, 4), (4, 5), (5, 0), (1, 2)])
+def test_random_frame_needs_between_one_and_n_vectors(n, k):
+    with pytest.raises(ParameterOutOfRange):
+        random_frame(n, k, np.random.default_rng(0))
+
+
+def _gram_deviation(q):
+    return np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(q.shape[-1])).max(axis=(-2, -1))
+
+
+def _one_pass_gram_schmidt(f):
+    q = np.empty(f.shape)
+    for j in range(f.shape[-1]):
+        v = f[..., j] - np.einsum("...ij,...j->...i", q[..., :j],
+                                  np.einsum("...ij,...i->...j", q[..., :j], f[..., j]))
+        q[..., j] = v / np.linalg.norm(v, axis=-1)[..., None]
+    return q
+
+
+@pytest.mark.parametrize("shape", [(200_000, 4, 4), (2_000, 32, 32)])
+def test_retraction_is_orthonormal_to_rounding(shape):
+    # Among these blocks are some on which one Gram-Schmidt pass leaves a
+    # Gram deviation above FRAME_TOL; the second pass brings every block
+    # back to rounding.
+    f = np.random.default_rng(0).standard_normal(shape)
+    assert (_gram_deviation(_one_pass_gram_schmidt(f)) > curvop.conditions.FRAME_TOL).any()
+    q = _retract(f)
+    assert q.shape == f.shape
+    assert _gram_deviation(q).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_retraction_is_the_positive_diagonal_qr_factor(n):
+    # Q^T F is R: upper triangular, with a positive diagonal.
+    f = np.random.default_rng(n).standard_normal((500, n, 4))
+    r = np.swapaxes(_retract(f), -1, -2) @ f
+    below = np.tril(np.ones((4, 4), dtype=bool), -1)
+    assert np.abs(r[:, below]).max() <= 1e-14 * np.abs(f).max()
+    assert (np.diagonal(r, axis1=-2, axis2=-1) > 0.0).all()
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_retraction_agrees_with_positive_diagonal_qr(n):
+    # The descent retracts frames moved by a bounded step, which stay well
+    # conditioned; there both factorizations agree to rounding.
+    rng = np.random.default_rng((5, n))
+    f = np.array([random_frame(n, 4, rng) for _ in range(200)]) + 0.5 * rng.standard_normal((200, n, 4))
+    q, r = np.linalg.qr(f)
+    reference = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    assert np.abs(_retract(f) - reference).max() <= 1e-12
+
+
+@pytest.mark.parametrize(("n", "k"), [(4, 4), (6, 4), (8, 4), (7, 7)])
+def test_retraction_of_a_frame_does_not_depend_on_its_stack(n, k):
+    f = np.random.default_rng((6, n, k)).standard_normal((5, 3, n, k))
+    stacked = _retract(f)
+    for i, j in np.ndindex(5, 3):
+        assert stacked[i, j].tobytes() == _retract(f[i, j].copy()).tobytes()
+    assert stacked[1].tobytes() == _retract(f[1].copy()).tobytes()
+
+
 def test_isotropic_value_standard_frame_matches_components():
     t = curvop.random_curvature(5, seed=8)
     f = np.eye(5)[:, :4]
