@@ -18,6 +18,7 @@ files referenced from the report.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -134,12 +135,20 @@ class TrialReport:
         }
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_sphere(n: int) -> CurvatureTensor:
+    """The unit-sphere tensor, the boost direction, built once per n;
+    its array is read-only, like every tensor's."""
+    return constant_curvature(n, 1.0)
+
+
 def boost_to_hypothesis(t: CurvatureTensor,
                         pred: PredicateSpec) -> tuple[CurvatureTensor, Spectrum, float, float]:
     """Shift a tensor into the hypothesis class along the sphere direction.
 
-    Adds t* times the unit-sphere tensor, where t* clears the analytic
-    threshold -(sigma_k + alpha lambda_{k+1})/(k + alpha) by ``_BOOST_MARGIN``
+    Adds t* times the unit-sphere tensor (``_unit_sphere``, built once per
+    dimension), where t* clears the analytic threshold
+    -(sigma_k + alpha lambda_{k+1})/(k + alpha) by ``_BOOST_MARGIN``
     (relative plus absolute). The sphere's second-kind matrix is the
     identity, so the shift moves every eigenvalue by t*; the shifted
     spectrum is solved once and the predicate re-verified, and a shifted
@@ -154,7 +163,7 @@ def boost_to_hypothesis(t: CurvatureTensor,
         return t, spectrum, value, 0.0
     threshold = -value / (pred.k + pred.alpha)
     amount = threshold * (1.0 + _BOOST_MARGIN) + _BOOST_MARGIN * max(1.0, abs(threshold))
-    shifted = shift(t, constant_curvature(t.dim, 1.0), amount)
+    shifted = shift(t, _unit_sphere(t.dim), amount)
     spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
     value = k_alpha_value(spectrum, pred.k, pred.alpha)
     if not k_alpha_positive(spectrum, pred.k, pred.alpha, pred.strict):
@@ -248,7 +257,7 @@ def replay_counterexample(report: TrialReport, index: int) -> CurvatureTensor:
     n = report.dim
     base = models.random_curvature(n, seed=cex.seed_material)
     if cex.shift_amount != 0.0:
-        return shift(base, constant_curvature(n, 1.0), cex.shift_amount)
+        return shift(base, _unit_sphere(n), cex.shift_amount)
     return base
 
 

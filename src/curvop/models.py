@@ -41,6 +41,7 @@ from .tensor import (
     _check_dim,
     _check_seed,
     _exact_symmetrize,
+    _pair_index,
     bianchi_project,
     new_from_components,
 )
@@ -154,14 +155,17 @@ def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     subspace. The same (n, seed, scale) always reproduces the same
     tensor, and the output is linear in ``scale`` up to rounding
     (bit-for-bit when the scale is a power of two). ``seed`` may be a
-    non-negative int or a tuple of them (hierarchical seeding).
+    non-negative int or a tuple or list of them (hierarchical seeding);
+    NumPy integers count as ints, and a bool or any other seed raises
+    ParameterOutOfRange. The 2-form pairs come from the cached
+    ``_pair_index``, so a draw builds no index arrays.
     """
     _check_dim(n, least=2)
     if not scale > 0:
         raise ParameterOutOfRange(f"scale must be positive, got {scale}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
-    i, j = np.triu_indices(n, 1)
+    i, j = _pair_index(n)
     g = rng.standard_normal((len(i), len(i)))
     a = np.zeros((n, n, n, n))
     with np.errstate(over="ignore"):  # an overflowing scale is refused by _adopt

@@ -36,7 +36,7 @@ from .errors import (
     ParameterOutOfRange,
     ValidationFailure,
 )
-from .tensor import CurvatureTensor
+from .tensor import CurvatureTensor, _pair_index
 
 ALPHA_ALWAYS = "always"
 ALPHA_UNATTAINABLE = "unattainable"
@@ -60,7 +60,7 @@ def lambda2_basis(n: int) -> np.ndarray:
     """
     if n < 2:
         raise DimensionTooSmall(f"need dimension >= 2, got {n}")
-    i, j = np.triu_indices(n, 1)
+    i, j = _pair_index(n)
     a = np.arange(i.size)
     mats = np.zeros((i.size, n, n))
     mats[a, i, j] = 1.0
@@ -98,15 +98,20 @@ def second_kind_matrix(t: CurvatureTensor, basis: np.ndarray | None = None) -> n
     stack of another trailing shape raises DimensionMismatch. The result
     is an (N, N) symmetric matrix whose (a,b) entry is the bilinear form
     on elements a and b. The identity suites pass their frame families,
-    which need not be orthonormal, straight in.
+    which need not be orthonormal, straight in. The matrix is the two
+    matrix products (P R~) P^T, with P the stack as N rows of n*n entries
+    and R~ the array as an n^2 x n^2 matrix from (i, j) to (k, l): the
+    products ``np.tensordot`` would form, without its setup per call.
     """
-    phi = s20_basis(t.dim) if basis is None else basis
-    if phi.shape[1:] != (t.dim, t.dim):
-        raise DimensionMismatch(f"tensor dim {t.dim} vs basis elements of shape {phi.shape[1:]}")
-    # M[a,b] = sum_{ijkl} R_iklj phi_a[i,j] phi_b[k,l], contracted in two
-    # matrix-product steps (axes of t.array are labeled i, k, l, j).
-    half = np.tensordot(phi, t.array, axes=([1, 2], [0, 3]))  # a k l
-    return np.tensordot(half, phi, axes=([1, 2], [1, 2]))  # a b
+    n = t.dim
+    phi = s20_basis(n) if basis is None else basis
+    if phi.shape[1:] != (n, n):
+        raise DimensionMismatch(f"tensor dim {n} vs basis elements of shape {phi.shape[1:]}")
+    # M[a,b] = sum_{ijkl} R_iklj phi_a[i,j] phi_b[k,l]: axes (i, k, l, j)
+    # of t.array reordered to rows (i, j) and columns (k, l).
+    p = phi.reshape(phi.shape[0], n * n)
+    r = t.array.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    return (p @ r) @ p.T
 
 
 def first_kind_matrix(t: CurvatureTensor) -> np.ndarray:
@@ -116,7 +121,7 @@ def first_kind_matrix(t: CurvatureTensor) -> np.ndarray:
     k<l; with the 2-form inner product <A,B> = (1/2) tr(A^T B) this is
     the operator matrix in the basis ``lambda2_basis``.
     """
-    i, j = np.triu_indices(t.dim, 1)
+    i, j = _pair_index(t.dim)
     return t.array[i[:, None], j[:, None], i, j]
 
 
@@ -141,16 +146,18 @@ def eigen_sym(m: np.ndarray, vectors: bool = True) -> Spectrum:
     Raises NotSymmetric for non-square input or input that is asymmetric
     beyond 1e-10 of its Frobenius norm, ValidationFailure for non-finite
     input or input whose norm overflows, and NoConvergence when LAPACK
-    reports failure. Eigenvalues come from the eigenvalue-only driver
-    in both modes, so ``vectors=False`` returns the same bits as
-    ``vectors=True``; the vector driver runs only when vectors are
-    requested.
+    reports failure. The Frobenius norm is one ``np.vdot`` of the matrix
+    with itself, which neither warns nor needs an ``np.errstate``.
+    Eigenvalues come from the eigenvalue-only driver in both modes, so
+    ``vectors=False`` returns the same bits as ``vectors=True``; the
+    vector driver runs only when vectors are requested.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt((m * m).sum()))
+    # np.vdot, unlike np.dot, raises no floating-point warning: an
+    # overflowing or non-finite norm comes back as inf or nan, unwarned.
+    norm = math.sqrt(float(np.vdot(m, m)))
     if not math.isfinite(norm):
         raise ValidationFailure("matrix has non-finite entries or its norm overflows")
     if norm > 0 and float(np.abs(m - m.T).max()) > 1e-10 * norm:
@@ -183,7 +190,7 @@ def k_alpha_value(spectrum: Spectrum, k: int, alpha: float) -> float:
     1 <= k <= N, 0 <= alpha <= 1 and k + alpha <= N."""
     ev = spectrum.eigenvalues
     _check_k_alpha(ev.shape[0], k, alpha)
-    value = float(np.cumsum(ev)[k - 1])
+    value = float(ev.cumsum()[k - 1])
     if k < ev.shape[0]:
         value += alpha * float(ev[k])
     return value

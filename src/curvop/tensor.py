@@ -76,6 +76,16 @@ def _canonical_map(n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the index pairs i < j in lexicographic
+    order, ``np.triu_indices(n, 1)``, built once per n and read-only."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _exact_symmetrize(raw: np.ndarray, negated: np.ndarray | None = None) -> np.ndarray:
     """Rebuild an array from its canonical slots so symmetries are exact.
 
@@ -88,7 +98,8 @@ def _exact_symmetrize(raw: np.ndarray, negated: np.ndarray | None = None) -> np.
 
 
 def _bianchi_cyclic(a: np.ndarray) -> np.ndarray:
-    return a + np.einsum("iklj->ijkl", a) + np.einsum("iljk->ijkl", a)
+    # R[i,j,k,l] + R[i,k,l,j] + R[i,l,j,k], the last two as transposed views
+    return a + a.transpose(0, 3, 1, 2) + a.transpose(0, 2, 3, 1)
 
 
 class CurvatureTensor:
@@ -144,10 +155,15 @@ def _check_dim(n: int, least: int = 1) -> None:
 
 
 def _check_seed(seed) -> None:
-    """Reject negative seed material (an int or a tuple of ints) before
-    ``np.random.default_rng`` refuses it with a bare ValueError."""
-    if np.any(np.asarray(seed) < 0):
-        raise ParameterOutOfRange(f"seed material must be non-negative, got {seed}")
+    """Accept seed material for ``np.random.default_rng``: a non-negative
+    int, or a tuple or list of them. NumPy integers count as ints; a bool
+    does not. Anything else raises ParameterOutOfRange, not the bare error
+    NumPy would raise."""
+    for part in seed if isinstance(seed, (tuple, list)) else (seed,):
+        if isinstance(part, bool) or not isinstance(part, numbers.Integral) or part < 0:
+            raise ParameterOutOfRange(
+                f"seed material must be a non-negative int or a tuple or list of them, got {seed!r}"
+            )
 
 
 def _check_finite(a: np.ndarray) -> None:

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvop
-from curvop import cli
+from curvop import cli, harness
 from curvop import (
     ParameterOutOfRange,
     ParseError,
+    Spectrum,
     eigen_sym,
     isotropic_value,
     k_alpha_value,
@@ -29,6 +30,7 @@ from curvop.harness import (
     replay_counterexample,
     sharpness_probe,
 )
+from curvop.tensor import _pair_index
 
 
 def test_parse_predicate_forms():
@@ -140,6 +142,61 @@ def test_replay_counterexample_matches_logged_tensor():
         assert curvop.ricci_min(t) == pytest.approx(ce.conclusion_value, abs=1e-9)
     with pytest.raises(ParameterOutOfRange):
         replay_counterexample(rep, len(rep.counterexamples))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_boost_equals_a_shift_by_a_freshly_built_sphere_byte_for_byte(n):
+    # the boost shifts by one cached sphere per n; the reference builds the
+    # sphere anew for every shift
+    shifted = 0
+    for name in ("k4a0.5strict", "k9a0strict", "k1a0nonneg"):
+        pred = parse_predicate(name)
+        for seed in range(6):
+            t = curvop.random_curvature(n, seed=(17, n, seed))
+            boosted, spectrum, value, amount = boost_to_hypothesis(t, pred)
+            expected = t
+            if amount != 0.0:
+                shifted += 1
+                expected = curvop.shift(t, curvop.constant_curvature(n, 1.0), amount)
+            assert boosted.array.tobytes() == expected.array.tobytes()
+            reference = eigen_sym(second_kind_matrix(expected), vectors=False).eigenvalues
+            assert spectrum.eigenvalues.tobytes() == reference.tobytes()
+            assert value == k_alpha_value(Spectrum(reference, None, None), pred.k, pred.alpha)
+    assert shifted > 0
+
+
+def test_replay_equals_a_shift_by_a_freshly_built_sphere_byte_for_byte():
+    rep = implication_trial(4, "k9a0strict", "ric", trials=30, seed=8)
+    assert any(ce.shift_amount != 0.0 for ce in rep.counterexamples)
+    for i, ce in enumerate(rep.counterexamples):
+        expected = curvop.random_curvature(4, seed=ce.seed_material)
+        if ce.shift_amount != 0.0:
+            expected = curvop.shift(expected, curvop.constant_curvature(4, 1.0), ce.shift_amount)
+        assert replay_counterexample(rep, i).array.tobytes() == expected.array.tobytes()
+        assert ce.tensor.array.tobytes() == expected.array.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_cached_sphere_and_pair_index_are_read_only(n):
+    sphere = harness._unit_sphere(n)
+    assert harness._unit_sphere(n) is sphere
+    assert np.array_equal(sphere.array, curvop.constant_curvature(n, 1.0).array)
+    pairs = _pair_index(n)
+    assert _pair_index(n) is pairs
+    for index, expected in zip(pairs, np.triu_indices(n, 1)):
+        assert np.array_equal(index, expected)
+    for array in (sphere.array, *pairs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_ric_trial_is_unchanged_by_trials_in_other_dimensions_between():
+    first = implication_trial(4, "k9a0strict", "ric", trials=20, seed=31).to_dict()
+    for n in (6, 5, 8):
+        implication_trial(n, "k4a0.5strict", "ric", trials=3, seed=31)
+    assert implication_trial(4, "k9a0strict", "ric", trials=20, seed=31).to_dict() == first
+    assert first["counterexamples"] and first["shiftsApplied"] > 0
 
 
 def test_pic_counterexamples_replay_bit_for_bit():

@@ -118,6 +118,39 @@ def test_random_curvature_rejects_negative_seed_material():
         build_model("random:n=4,seed=-2")
 
 
+# Seed material is an int or a tuple or list of ints, each >= 0. Each of
+# these once escaped as a bare NumPy or Python error; a bool was taken as
+# 0 or 1 and is now refused, as model-spec parameters refuse it.
+@pytest.mark.parametrize("seed", [
+    pytest.param((1, (2, 3)), id="nested-tuple"),
+    pytest.param(1.5, id="float"),
+    pytest.param("3", id="string"),
+    pytest.param(None, id="none"),
+    pytest.param(True, id="bool"),
+    pytest.param((1, False), id="bool-part"),
+    pytest.param([2, 1.0], id="float-part"),
+    pytest.param(np.array([1, 2]), id="ndarray"),
+])
+def test_random_curvature_rejects_malformed_seed_material(seed):
+    with pytest.raises(ParameterOutOfRange, match="seed material"):
+        random_curvature(4, seed=seed)
+
+
+def test_malformed_seed_material_is_refused_by_the_isotropic_search_too():
+    t = random_curvature(4, seed=1)
+    for seed in (1.5, None, (1, (2,))):
+        with pytest.raises(ParameterOutOfRange, match="seed material"):
+            curvop.min_isotropic(t, 2, seed=seed)
+
+
+def test_numpy_integers_and_lists_are_seed_material():
+    expected = random_curvature(4, seed=(7, 1)).array
+    for seed in ((np.int64(7), 1), [7, np.uint32(1)], (7, np.int8(1))):
+        assert np.array_equal(random_curvature(4, seed=seed).array, expected)
+    assert np.array_equal(random_curvature(4, seed=np.int64(7)).array,
+                          random_curvature(4, seed=7).array)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-3, 2.0 ** 40])
 def test_random_curvature_equals_the_mirrored_form_bit_for_bit(n, scale):

@@ -1,5 +1,7 @@
 """Bases, operator matrices, the LAPACK eigensolver, and graded positivity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from curvop import (
     ParameterOutOfRange,
     PredicateSpec,
     Spectrum,
+    ValidationFailure,
     alpha_star,
     eigen_sym,
     first_kind_matrix,
@@ -30,6 +33,7 @@ from curvop import (
     s20_dim,
     second_kind_matrix,
 )
+from curvop.conditions import _PHI, _ric_coordinates
 
 
 def test_dimension_counts():
@@ -115,6 +119,33 @@ def test_second_kind_matrix_matches_bilinear_form_definition():
     assert np.abs(second_kind_matrix(t) - direct).max() < 1e-13
 
 
+def _tensordot_second_kind(array, phi):
+    """The two-tensordot assembly the matrix products replaced, as a reference."""
+    half = np.tensordot(phi, array, axes=([1, 2], [0, 3]))  # a k l
+    return np.tensordot(half, phi, axes=([1, 2], [1, 2]))  # a b
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_second_kind_matrix_equals_the_tensordot_route_byte_for_byte(n):
+    rng = np.random.default_rng((61, n))
+    stacks = [s20_basis(n)]
+    # the identity suites' F C F^T families: on orthonormal frames, and on
+    # Gaussian frames, whose stacks are far from orthonormal
+    for frame in (curvop.random_frame(n, n, rng), rng.standard_normal((n, n))):
+        if n >= 3:
+            stacks.append(frame @ _ric_coordinates(n) @ frame.T)
+        if n >= 4:
+            stacks.append(frame[:, :4] @ _PHI @ frame[:, :4].T)
+    for seed in range(3):
+        t = curvop.random_curvature(n, seed=(61, n, seed))
+        assert second_kind_matrix(t).tobytes() == _tensordot_second_kind(t.array, s20_basis(n)).tobytes()
+        for phi in stacks:
+            m = second_kind_matrix(t, phi)
+            assert m.tobytes() == _tensordot_second_kind(t.array, phi).tobytes()
+            direct = np.einsum("iklj,aij,bkl->ab", t.array, phi, phi)
+            assert np.abs(m - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
 def test_second_kind_matrix_rejects_a_stack_of_the_wrong_shape():
     t = curvop.random_curvature(4, seed=2)
     with pytest.raises(DimensionMismatch):
@@ -191,6 +222,20 @@ def test_eigen_sym_rejects_bad_input():
     m[2, 3] = m[3, 2] = np.nan
     with pytest.raises(CurvopError):
         eigen_sym(m)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e200])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_eigen_sym_rejects_non_finite_and_overflowing_input_unwarned(value, vectors):
+    # 1e200 is finite, but its square, and so the Frobenius norm, overflows
+    m = np.eye(4)
+    m[1, 2] = m[2, 1] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationFailure):
+            eigen_sym(m, vectors=vectors)
+        with pytest.raises(ValidationFailure):
+            eigen_sym(np.full((3, 3), value), vectors=vectors)
 
 
 def test_eigen_sym_trivial_sizes():
