@@ -16,8 +16,15 @@ rounding at a fraction of ``numpy.linalg.qr``'s cost. A tensor with
 max|R| < 1 is searched at an exact power-of-two scale. One batched
 kernel, ``_iso_values`` (with ``_iso_grads`` for the gradient of a kept
 frame), evaluates every isotropic value: single frames, the descent and
-the reported minimum; the coordinate seeds read their five components
-directly, in the kernel's order, and equal its values bit for bit.
+the reported minimum. It runs on 2-forms: a tensor enters as its
+(N2, N2) matrix R_L[(i<j), (k<l)] = R_ijkl, N2 = n(n-1)/2, which is the
+first-kind matrix (``secondkind._first_kind_matrices``), and each frame as
+the six 2-forms e_a ^ e_c of its pairs.
+A line search tries a frame's step and three halvings, then, if none is
+sufficient, every halving left in one more pass, unless many frames miss
+at once (see ``_descend_batch``).
+The coordinate seeds read their five components directly, in the
+kernel's order, and equal its values bit for bit.
 ``pullback`` stays apart from it, as the independent reference of the
 identity checks.
 
@@ -44,13 +51,14 @@ import numpy as np
 
 from .errors import FrameNotOrthonormal, ParameterOutOfRange
 from .secondkind import (
+    _first_kind_matrices,
     eigen_sym,
     lambda2_basis,
     lambda2_dim,
     s20_basis,
     second_kind_matrix,
 )
-from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, ricci
+from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, _pair_index, ricci
 
 FRAME_TOL = 1e-12
 
@@ -60,9 +68,13 @@ def check_frame(frame, width: int, dim: int) -> np.ndarray:
 
     Another shape raises FrameNotOrthonormal, and so does a Gram matrix
     F^T F off the identity by more than ``FRAME_TOL`` in the max norm,
-    which covers a frame with a nan or infinite entry.
+    which covers a frame with a nan or infinite entry, and so does a frame
+    that is not an array of numbers.
     """
-    f = np.asarray(frame, dtype=float)
+    try:
+        f = np.asarray(frame, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise FrameNotOrthonormal(f"frame is not an array of numbers: {exc}") from exc
     if f.ndim != 2:
         raise FrameNotOrthonormal(f"frame must be a 2-d column block, got shape {f.shape}")
     n, k = f.shape
@@ -116,47 +128,95 @@ def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(3, 2, 1, 0))
 
 
-# Frame pairs (a, c) whose blocks vec(e_a e_c^T) enter the isotropic value
-# and its gradient: the four sectional pairs, then the two cross-term pairs.
+# Frame pairs (a, c) whose 2-forms e_a ^ e_c enter the isotropic value and
+# its gradient: the four sectional pairs, then the two cross-term pairs.
 _PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1))
-_PAIR_A, _PAIR_C = (np.array(side) for side in zip(*_PAIRS))
+
+
+@functools.lru_cache(maxsize=None)
+def _two_form_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather indices into a flattened (n, 4) frame F that form the 2-forms
+    of ``_PAIRS``: with left and right each of shape (2, 6, N2), the product
+    F[left] * F[right] holds F[i, a] F[j, c] in slice 0 and F[j, a] F[i, c]
+    in slice 1, for pair p = (a, c) and index pair (i, j), i < j. Built
+    once per n and read-only."""
+    i, j = _pair_index(n)
+    a, c = (np.array(side)[:, None] for side in zip(*_PAIRS))
+    left = np.stack((4 * i + a, 4 * j + a))
+    right = np.stack((4 * j + c, 4 * i + c))
+    for index in (left, right):
+        index.setflags(write=False)
+    return left, right
+
+
+@functools.lru_cache(maxsize=None)
+def _gradient_gathers(n: int) -> tuple[np.ndarray, ...]:
+    """Gather indices and signs that turn ``_iso_values``' products y of a
+    frame F into its gradient as one matrix product, 2 Y B.
+
+    Y (n, 6n) holds the antisymmetric (n, n) expansions Y_p of the six rows
+    of y, Y_p[r, k] = R(e_r, e_k, e_a, e_c), as Y[r, 6k + p]. B (6n, 4)
+    holds in row 6k + p the signed entries of row k of F that Y_p meets:
+    for a sectional pair (a, c) column a takes F[k, c] and column c takes
+    -F[k, a]; each cross pair feeds the columns of the other, (a, c) =
+    (0, 1) or (2, 3), with the opposite signs. Each is a gather from the
+    flattened y or F times a sign in {-1, 0, 1}. Built once per n and
+    read-only.
+    """
+    i, j = _pair_index(n)
+    slot, sign = np.zeros((n, n), dtype=int), np.zeros((n, n))
+    slot[i, j] = slot[j, i] = np.arange(i.size)
+    sign[i, j], sign[j, i] = 1.0, -1.0
+    source, source_sign = np.zeros((6, 4), dtype=int), np.zeros((6, 4))
+    for p, (a, c) in enumerate(_PAIRS[:4] + _PAIRS[:3:-1]):
+        s = 1.0 if p < 4 else -1.0
+        source[p, [a, c]], source_sign[p, [a, c]] = (c, a), (s, -s)
+    out = (
+        (slot[:, :, None] + i.size * np.arange(6)).reshape(n, 6 * n),
+        np.repeat(sign, 6, axis=1),
+        (4 * np.arange(n)[:, None, None] + source).reshape(6 * n, 4),
+        np.tile(source_sign, (n, 1)),
+    )
+    for index in out:
+        index.setflags(write=False)
+    return out
 
 
 def _iso_values(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Isotropic values of a stack of frames, and the products behind them.
 
-    ``frames`` has shape (..., n, 4) and ``rmats`` holds the (n^2, n^2)
-    matrix view of each frame's tensor, broadcastable against the leading
-    dimensions; returns values (...) and y (..., 6, n^2). Row p of
-    y = x @ R is the 2-form R(., ., e_a, e_c) of pair p, which feeds the
-    value here and the gradient in ``_iso_grads``. Every product is a
-    stacked ``matmul`` or ``einsum`` of one fixed shape per frame, so a
-    frame's numbers do not depend on how many other frames share the call.
+    ``frames`` has shape (..., n, 4) and ``rmats`` holds the (N2, N2)
+    matrix R_L on 2-forms (``_first_kind_matrices``) of each frame's tensor,
+    broadcastable against the leading dimensions; returns values (...) and
+    y (..., 6, N2). Row p of w holds the 2-form e_a ^ e_c of pair p,
+    a_i c_j - a_j c_i for i < j, and row p of y = w @ R_L is the 2-form
+    R(e_a, e_c, ., .), which feeds the value here and the gradient in
+    ``_iso_grads``. Every product is a stacked ``matmul`` or ``einsum`` of
+    one fixed shape per frame, so a frame's numbers do not depend on how
+    many other frames share the call.
     """
     n = frames.shape[-2]
-    lead = frames.shape[:-2]
-    x = np.einsum("...ip,...jp->...pij", frames[..., _PAIR_A], frames[..., _PAIR_C])
-    x = x.reshape(*lead, 6, n * n)
-    y = np.matmul(x, rmats)
-    dots = np.einsum("...k,...k->...", x[..., :4, :], y[..., :4, :])
-    cross = np.einsum("...k,...k->...", x[..., 5, :], y[..., 4, :])
+    left, right = _two_form_gathers(n)
+    # np.take, unlike an index on the last axis, returns C order, so the
+    # einsum below sums every frame's products in the same order.
+    flat = frames.reshape(*frames.shape[:-2], 4 * n)
+    terms = np.take(flat, left, axis=-1) * np.take(flat, right, axis=-1)
+    w = terms[..., 0, :, :] - terms[..., 1, :, :]
+    y = np.matmul(w, rmats)
+    dots = np.einsum("...k,...k->...", w[..., :4, :], y[..., :4, :])
+    cross = np.einsum("...k,...k->...", w[..., 5, :], y[..., 4, :])
     return dots[..., 0] + dots[..., 1] + dots[..., 2] + dots[..., 3] - 2.0 * cross, y
 
 
 def _iso_grads(y: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Euclidean gradients (..., n, 4) of the isotropic value at ``frames``,
-    from the products y that ``_iso_values`` returned for the same frames;
-    the antisymmetry of the 2-forms turns y into the gradient."""
+    from the products y that ``_iso_values`` returned for the same frames:
+    2 Y B per frame, one stacked ``matmul`` (see ``_gradient_gathers``)."""
     n = frames.shape[-2]
-    # w[..., p, :, j] = R(., e_j, e_a, e_c), and R(e_j, ., e_a, e_c) = -w[..., p, :, j]
-    w = np.matmul(y.reshape(*y.shape[:-2], 6, n, n), frames[..., None, :, :])
-    w02, w03, w12, w13, w23, w01 = (w[..., p, :, :] for p in range(6))
-    return 2.0 * np.stack([
-        w02[..., 2] + w03[..., 3] - w23[..., 1],
-        w12[..., 2] + w13[..., 3] + w23[..., 0],
-        -w02[..., 0] - w12[..., 1] - w01[..., 3],
-        -w03[..., 0] - w13[..., 1] + w01[..., 2],
-    ], axis=-1)
+    y_gather, y_sign, f_gather, f_sign = _gradient_gathers(n)
+    expanded = np.take(y.reshape(*y.shape[:-2], 6 * y.shape[-1]), y_gather, axis=-1) * y_sign
+    signed = np.take(frames.reshape(*frames.shape[:-2], 4 * n), f_gather, axis=-1) * f_sign
+    return 2.0 * np.matmul(expanded, signed)
 
 
 def isotropic_value(t: CurvatureTensor, frame) -> float:
@@ -167,7 +227,7 @@ def isotropic_value(t: CurvatureTensor, frame) -> float:
     """
     _check_dim(t.dim, 4)
     f = check_frame(frame, width=4, dim=t.dim)
-    return float(_iso_values(t.array.reshape(t.dim ** 2, t.dim ** 2), f)[0])
+    return float(_iso_values(_first_kind_matrices(t.array), f)[0])
 
 
 # The six orderings of a 4-subset (a, b, c, d) that seed the search.
@@ -223,9 +283,11 @@ def _seed_values(arrays: np.ndarray) -> np.ndarray:
 # the descents on the structured models stop inside them.
 _WARM = 8
 
-# Step factors of a line-search pass: four in a frame's first pass, eight in
-# each later one, so a step runs down to ``min_step`` in five passes, not nine.
-_HALVINGS = 0.5 ** np.arange(8)
+# Frames per descent batch, and the candidates a later line-search pass of k
+# frames may hold, max(_DESCENT_CHUNK, 8 k): both bound the working set (the
+# candidates of a pass and the per-pass gather of their tensors' matrices)
+# without changing any result.
+_DESCENT_CHUNK = 512
 
 
 def _tangent(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -240,8 +302,8 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     """Conjugate gradient descent on the Stiefel manifold, one frame per row.
 
     Frame i of the (m, n, 4) stack descends on tensor ``owner[i]``, whose
-    (n^2, n^2) matrix view is ``rmats[owner[i]]`` and whose noise guard is
-    ``noise[owner[i]]``: a step is accepted only if it improves the value
+    (N2, N2) matrix on 2-forms is ``rmats[owner[i]]`` and whose noise guard
+    is ``noise[owner[i]]``: a step is accepted only if it improves the value
     by more than the guard, which keeps the search from drifting below a
     zero minimum. Each iteration projects the Euclidean gradient to the
     tangent space (r). For the first ``_WARM`` iterations a frame moves
@@ -256,10 +318,13 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     largest step: near a Morse-Bott minimum the largest step overshoots to
     the mirror point, still a decrease, and the frame bounces there for
     hundreds of iterations while a smaller candidate lands on the minimum.
-    If no candidate beats the guard, the next halvings are tried, eight
-    per pass after the first; the first group of four in halving order
-    with a sufficient candidate decides, so the wider passes change no
-    result. After a success the kept step doubles, capped at 1. Only the
+    If no candidate beats the guard, a second pass tries every halving left
+    above ``min_step`` at once, in groups of four in halving order; the
+    first group with a sufficient candidate decides, so the wider pass
+    changes no result. A later pass holds at most max(``_DESCENT_CHUNK``,
+    8 x its frames) candidates, so when many frames miss at once it takes
+    a few groups per frame and the passes repeat until each frame is
+    decided. After a success the kept step doubles, capped at 1. Only the
     kept candidate's gradient is computed.
     A frame is done when its tangent vanishes or its step underflows
     ``min_step``. Frames evolve independently, so a frame's result does
@@ -299,7 +364,7 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
         width = 4
         while searching.size:
             idx = active[searching]
-            steps = step[idx][:, None] * _HALVINGS[:width]
+            steps = step[idx][:, None] * 0.5 ** np.arange(width)
             cands = _retract(fa[searching, None] - steps[:, :, None, None] * direction[searching, None])
             vals, ys = _iso_values(rmats[owner[idx], None], cands)
             ok = (vals < (value[idx] - noise[owner[idx]])[:, None]) & (steps >= min_step)
@@ -315,7 +380,10 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             missed = idx[~hit]
             step[missed] *= 0.5 ** (steps[~hit] >= min_step).sum(axis=1)
             searching = searching[~hit][step[missed] >= min_step]
-            width = 8
+            if searching.size:
+                # Steps are powers of two: the largest left needs this many halvings.
+                halvings = int(np.log2(step[active[searching]].max() / min_step)) + 1
+                width = 4 * min(-(-halvings // 4), max(_DESCENT_CHUNK // searching.size, 8) // 4)
         iterations[active[~accepted]] = iteration + 1
         active = active[accepted]
         grad[active] = _iso_grads(products[active], f[active])
@@ -353,12 +421,6 @@ def min_isotropic(t: CurvatureTensor, trials: int, seed=0) -> FrameSearchResult:
     value is nonincreasing in ``trials`` for a fixed seed).
     """
     return min_isotropic_batch([t], trials, [seed])[0]
-
-
-# Frames per descent batch: bounds the working set (the candidates of a
-# line-search pass and the per-pass gather of their tensors' matrix views)
-# without changing any result.
-_DESCENT_CHUNK = 512
 
 
 def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
@@ -401,7 +463,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     # 2^power brings a max|R| in (0, 1) into [1, 2) and is 1 for max|R| >= 1.
     power = np.maximum(0, 1 - np.frexp(peak)[1])
     arrays = np.ldexp(np.stack([t.array for t in tensors]), power[:, None, None, None, None])
-    rmats = arrays.reshape(len(tensors), n * n, n * n)
+    rmats = _first_kind_matrices(arrays)
     noise = 1e-12 * np.maximum(1.0, np.ldexp(peak, power))
     chunks = [_descend_batch(rmats, owner[lo:lo + _DESCENT_CHUNK], starts[lo:lo + _DESCENT_CHUNK], noise)
               for lo in range(0, len(starts), _DESCENT_CHUNK)]

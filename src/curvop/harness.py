@@ -197,10 +197,11 @@ def implication_trial(
     hyp = parse_predicate(hypothesis) if isinstance(hypothesis, str) else hypothesis
     if conclusion not in CONCLUSIONS:
         raise ParameterOutOfRange(f"the conclusion must be one of {CONCLUSIONS}, got {conclusion!r}")
-    if conclusion == "pic":
-        _check_dim(n, 4)
-    _check_int(trials, "trials", 1)
-    _check_int(pic_trials, "pic_trials", 1)
+    # Checked values are plain ints, so the report serializes as it is.
+    n = _check_dim(n, 4 if conclusion == "pic" else 2)
+    trials = _check_int(trials, "trials", 1)
+    pic_trials = _check_int(pic_trials, "pic_trials", 1)
+    seed = _check_int(seed, "each part of the seed material", 0)
 
     shifts = 0
     capped = 0
@@ -347,9 +348,10 @@ def sharpness_probe(
     minimum 0; a unit S^(n-1) x R must show alpha_star(n) = (n-2)/n and
     Ricci minimum 0.
     """
-    _check_int(steps, "steps", 2)
-    _check_int(iso_trials, "iso_trials", 1)
-    _check_seed(seed)
+    # Checked values are plain ints, so the report serializes as it is.
+    steps = _check_int(steps, "steps", 2)
+    iso_trials = _check_int(iso_trials, "iso_trials", 1)
+    seed = _check_seed(seed)
     base_spec, dir_spec = parse_model(base), parse_model(direction)
     t_base = build_model(base_spec)
     t_dir = build_model(dir_spec)

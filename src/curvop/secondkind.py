@@ -36,11 +36,17 @@ ALPHA_UNATTAINABLE = "unattainable"
 
 
 def lambda2_dim(n: int) -> int:
+    """Dimension of the 2-forms, n(n-1)/2. Any integer n >= 0 counts: the
+    formula needs no array."""
+    n = _check_int(n, "dimension", 0)
     return n * (n - 1) // 2
 
 
 def s20_dim(n: int) -> int:
-    """Dimension of the traceless symmetric 2-tensors, (n-1)(n+2)/2."""
+    """Dimension of the traceless symmetric 2-tensors, (n-1)(n+2)/2. Any
+    integer n >= 0 counts, so ``positivity_profile`` can test an inferred n
+    above the dimension bound."""
+    n = _check_int(n, "dimension", 0)
     return (n - 1) * (n + 2) // 2
 
 
@@ -116,8 +122,14 @@ def first_kind_matrix(t: CurvatureTensor) -> np.ndarray:
     k<l; with the 2-form inner product <A,B> = (1/2) tr(A^T B) this is
     the operator matrix in the basis ``lambda2_basis``.
     """
-    i, j = _pair_index(t.dim)
-    return t.array[i[:, None], j[:, None], i, j]
+    return _first_kind_matrices(t.array)
+
+
+def _first_kind_matrices(arrays: np.ndarray) -> np.ndarray:
+    """``first_kind_matrix`` of an (n, n, n, n) array or of a stack of them,
+    shape (..., N2, N2) with N2 = n(n-1)/2."""
+    i, j = _pair_index(arrays.shape[-1])
+    return arrays[..., i[:, None], j[:, None], i, j]
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,16 +150,19 @@ class Spectrum:
 def eigen_sym(m: np.ndarray, vectors: bool = True) -> Spectrum:
     """Diagonalize a symmetric matrix with LAPACK.
 
-    Raises NotSymmetric for non-square input or input that is asymmetric
-    beyond 1e-10 of its Frobenius norm, ValidationFailure for non-finite
-    input or input whose norm overflows, and NoConvergence when LAPACK
-    reports failure. The Frobenius norm is one ``np.vdot`` of the matrix
-    with itself, which neither warns nor needs an ``np.errstate``.
+    Raises NotSymmetric for input that is not a square array of numbers
+    or is asymmetric beyond 1e-10 of its Frobenius norm, ValidationFailure
+    for non-finite input or input whose norm overflows, and NoConvergence
+    when LAPACK reports failure. The Frobenius norm is one ``np.vdot`` of
+    the matrix with itself, which neither warns nor needs an ``np.errstate``.
     Eigenvalues come from the eigenvalue-only driver in both modes, so
     ``vectors=False`` returns the same bits as ``vectors=True``; the
     vector driver runs only when vectors are requested.
     """
-    m = np.asarray(m, dtype=float)
+    try:
+        m = np.asarray(m, dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged or non-numeric
+        raise NotSymmetric(f"expected a square array of numbers: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
     # np.vdot, unlike np.dot, raises no floating-point warning: an

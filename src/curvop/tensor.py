@@ -143,12 +143,15 @@ class CurvatureTensor:
 
 
 def _check_int(value, name: str, least: float = -math.inf, most: float = math.inf,
-               error: type[CurvopError] = ParameterOutOfRange) -> None:
+               error: type[CurvopError] = ParameterOutOfRange) -> int:
     """The integer rule: an int in least..most, where NumPy integers count and
-    a bool does not; else ``error``. A plain int passes on its type alone."""
-    if not ((type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool))
-            and least <= value <= most):
+    a bool does not; else ``error``. Returns the value as a plain int, so it
+    can go into a report as it is. A plain int passes on its type alone."""
+    if type(value) is not int and isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        value = int(value)
+    if not (type(value) is int and least <= value <= most):
         raise error(f"{name} must be an integer in [{least}, {most}], got {value!r}")
+    return value
 
 
 def _check_real(value, name: str, error: type[CurvopError] = ParameterOutOfRange,
@@ -170,24 +173,26 @@ def _check_indices(n: int, indices) -> None:
         _check_int(idx, "index", 1, n, IndexOutOfRange)
 
 
-def _check_dim(n, least: int = 1) -> None:
+def _check_dim(n, least: int = 1) -> int:
     """Reject a dimension that is not an integer in least.._MAX_DIM before
     any array is allocated: DimensionTooSmall for a number below ``least``,
-    else ParameterOutOfRange."""
+    else ParameterOutOfRange. Returns the dimension as a plain int."""
     try:
-        _check_int(n, "dimension", least, _MAX_DIM)
+        return _check_int(n, "dimension", least, _MAX_DIM)
     except ParameterOutOfRange:
         if isinstance(n, numbers.Real) and n < least:
             raise DimensionTooSmall(f"need dimension >= {least}, got {n}") from None
         raise
 
 
-def _check_seed(seed) -> None:
+def _check_seed(seed):
     """Accept seed material for ``np.random.default_rng``: a non-negative
     int, or a tuple or list of them, under the integer rule; anything else
-    raises ParameterOutOfRange, not the bare error NumPy would raise."""
-    for part in seed if isinstance(seed, (tuple, list)) else (seed,):
-        _check_int(part, "each part of the seed material", 0)
+    raises ParameterOutOfRange, not the bare error NumPy would raise.
+    Returns the material in plain ints: an int, or a tuple of them."""
+    if isinstance(seed, (tuple, list)):
+        return tuple([_check_int(part, "each part of the seed material", 0) for part in seed])
+    return _check_int(seed, "each part of the seed material", 0)
 
 
 def _check_finite(a: np.ndarray) -> None:

@@ -23,7 +23,9 @@ from curvop import (
     verify_pic_identities,
     verify_ric_identities,
 )
+from curvop import conditions
 from curvop.conditions import (
+    _DESCENT_CHUNK,
     _PHI,
     _WARM,
     _coordinate_seed_axes,
@@ -36,6 +38,7 @@ from curvop.conditions import (
     min_isotropic_batch,
 )
 from curvop.harness import boost_to_hypothesis, parse_predicate
+from curvop.secondkind import _first_kind_matrices
 
 
 def test_check_frame_accepts_orthonormal_and_rejects_else():
@@ -253,7 +256,7 @@ def test_min_isotropic_is_deterministic_and_monotone_in_trials():
 def test_min_isotropic_never_exceeds_coordinate_minimum():
     t = curvop.random_curvature(6, seed=17)
     frames = _coordinate_seed_frames(6)
-    coord_min = _iso_values(t.array.reshape(36, 36), frames)[0].min()
+    coord_min = _iso_values(_first_kind_matrices(t.array), frames)[0].min()
     res = min_isotropic(t, trials=3, seed=0)
     assert res.best_value <= coord_min + 1e-12
 
@@ -293,7 +296,7 @@ def test_descent_step_keeps_lowest_sufficient_candidate():
     t = curvop.build_model("product:(sphere:n=5,k=1)x(flat:n=1)")
     rng = np.random.default_rng(0)
     frames = np.array([random_frame(n, 4, rng) for _ in range(m)])
-    rmats = np.repeat(t.array.reshape(1, n * n, n * n), m, axis=0)
+    rmats = np.repeat(_first_kind_matrices(t.array)[None], m, axis=0)
     noise = np.full(m, 1e-12)
     value, y = _iso_values(rmats, frames)
     grad = _iso_grads(y, frames)
@@ -309,6 +312,48 @@ def test_descent_step_keeps_lowest_sufficient_candidate():
     f, v, _, _ = _descend_batch(rmats, np.arange(m), frames, noise, max_iter=1)
     assert np.array_equal(f, cands[np.arange(m), lowest])
     assert np.array_equal(v, vals[np.arange(m), lowest])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_gradient_matches_a_central_difference_of_the_values(n):
+    # The value is a polynomial in the frame entries, so the kernel's
+    # gradient is checked off the manifold too, entry by entry.
+    t = curvop.random_curvature(n, seed=(32, n))
+    rmat = _first_kind_matrices(t.array)
+    rng = np.random.default_rng((32, n))
+    frames = np.array([random_frame(n, 4, rng) for _ in range(3)])
+    grads = _iso_grads(_iso_values(rmat, frames)[1], frames)
+    h = 1e-5
+    for frame, grad in zip(frames, grads):
+        numeric = np.empty_like(frame)
+        for index in np.ndindex(frame.shape):
+            step = np.zeros_like(frame)
+            step[index] = h
+            up, down = _iso_values(rmat, frame + step)[0], _iso_values(rmat, frame - step)[0]
+            numeric[index] = (up - down) / (2 * h)
+        assert np.abs(numeric - grad).max() <= 1e-7 * np.abs(grad).max()
+
+
+def test_later_line_search_passes_stay_within_the_candidate_cap(monkeypatch):
+    # A probe-sized call: three blends of S^7 x S^1 toward the unit sphere,
+    # 32 starts each, in one batch. A later pass tries every halving left
+    # above min_step at once, but never holds more than
+    # max(_DESCENT_CHUNK, 8 x its frames) candidates.
+    shapes = []
+
+    def recording(f):
+        if f.ndim == 4:  # a line-search pass: (frames, candidates, n, 4)
+            shapes.append(f.shape[:2])
+        return retract(f)
+
+    retract = conditions._retract
+    monkeypatch.setattr(conditions, "_retract", recording)
+    base = curvop.build_model("product:(sphere:n=7,k=1)x(flat:n=1)")
+    blends = [curvop.interpolate(base, curvop.constant_curvature(8, 1.0), t) for t in (0.0, 0.5, 1.0)]
+    results = min_isotropic_batch(blends, 32, [(8, row) for row in range(3)])
+    assert all(r.converged for r in results)
+    assert all(frames * width <= max(_DESCENT_CHUNK, 8 * frames) for frames, width in shapes)
+    assert max(width for _, width in shapes) > 8
 
 
 def test_min_isotropic_batch_validation():
@@ -600,7 +645,7 @@ def _reference_descent(rmats, frames, noise, max_iter=500, min_step=1e-10):
 
 def _assert_descent_matches_the_reference(tensors, starts_per_tensor, seed, max_iter=500):
     n = tensors[0].dim
-    rmats = np.stack([t.array.reshape(n * n, n * n) for t in tensors])
+    rmats = np.stack([_first_kind_matrices(t.array) for t in tensors])
     noise = np.array([1e-12 * max(1.0, t.max_abs()) for t in tensors])
     owner = np.repeat(np.arange(len(tensors)), starts_per_tensor)
     rng = np.random.default_rng(seed)
@@ -671,7 +716,7 @@ def test_seed_values_equal_the_kernel_bit_for_bit(n):
     arrays = np.stack([t.array for t in tensors])
     frames = _coordinate_seed_frames(n)
     for array, values in zip(arrays, _seed_values(arrays)):
-        kernel = _iso_values(array.reshape(n * n, n * n), frames)[0]
+        kernel = _iso_values(_first_kind_matrices(array), frames)[0]
         assert values.dtype == kernel.dtype and values.tobytes() == kernel.tobytes()
 
 

@@ -34,6 +34,7 @@ from curvop import (
     second_kind_matrix,
 )
 from curvop.conditions import _PHI, _ric_coordinates
+from curvop.secondkind import _first_kind_matrices
 
 
 def test_dimension_counts():
@@ -168,12 +169,18 @@ def test_first_kind_matrix_sphere_is_identity():
     assert np.abs(m - np.eye(10)).max() < 1e-14
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_first_kind_matrix_matches_pair_loop(n):
     t = curvop.random_curvature(n, seed=(77, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     loop = np.array([[t.array[i, j, k, l] for (k, l) in pairs] for (i, j) in pairs])
     assert np.array_equal(first_kind_matrix(t), loop)
+    # the (n^2, n^2) view restricted to i < j, k < l; the isotropic kernel
+    # takes it for a stack of arrays at once
+    flat = [i * n + j for i, j in pairs]
+    assert np.array_equal(t.array.reshape(n * n, n * n)[np.ix_(flat, flat)], loop)
+    stacked = _first_kind_matrices(np.stack([t.array, np.ldexp(t.array, 3)]))
+    assert np.array_equal(stacked, np.stack([loop, np.ldexp(loop, 3)]))
 
 
 def test_eigen_sym_agrees_with_numpy_on_random_operators():

@@ -16,7 +16,9 @@ from curvop import (
     BianchiViolation,
     CurvatureTensor,
     DimensionTooSmall,
+    FrameNotOrthonormal,
     IndexOutOfRange,
+    NotSymmetric,
     ParameterOutOfRange,
     ParseError,
     SymmetryConflict,
@@ -28,7 +30,7 @@ from curvop import (
     ricci,
     save_tensor,
 )
-from curvop.tensor import _canonical_map
+from curvop.tensor import _canonical_map, _check_int, _check_seed
 
 
 def test_component_fanout_covers_all_symmetries():
@@ -518,6 +520,17 @@ _H = "k4a0.5strict"
     pytest.param(lambda: curvop.sharpness_probe("flat:n=3", "sphere:n=3", 2, seed=1.5), ParameterOutOfRange,
                  id="probe-seed-float"),
     pytest.param(lambda: _CP2.component(1.0, 2, 1, 2), IndexOutOfRange, id="component-index-float"),
+    pytest.param(lambda: curvop.isotropic_value(_T4, [[1, 0], [0]]), FrameNotOrthonormal,
+                 id="isotropic-value-ragged-frame"),
+    pytest.param(lambda: curvop.isotropic_value(_T4, [["a"] * 4] * 4), FrameNotOrthonormal,
+                 id="isotropic-value-str-frame"),
+    pytest.param(lambda: curvop.eigen_sym([[1, 0], [0]]), NotSymmetric, id="eigen-sym-ragged-matrix"),
+    pytest.param(lambda: curvop.eigen_sym([["a"]]), NotSymmetric, id="eigen-sym-str-matrix"),
+    pytest.param(lambda: curvop.s20_dim("4"), ParameterOutOfRange, id="s20-dim-formula-str"),
+    pytest.param(lambda: curvop.s20_dim(4.0), ParameterOutOfRange, id="s20-dim-formula-float"),
+    pytest.param(lambda: curvop.lambda2_dim("4"), ParameterOutOfRange, id="lambda2-dim-formula-str"),
+    pytest.param(lambda: curvop.lambda2_dim(4.0), ParameterOutOfRange, id="lambda2-dim-formula-float"),
+    pytest.param(lambda: curvop.lambda2_dim(-1), ParameterOutOfRange, id="lambda2-dim-formula-negative"),
 ])
 def test_malformed_scalar_arguments_raise_their_curvop_error(call, error):
     with pytest.raises(error):
@@ -542,3 +555,25 @@ def test_numpy_integer_dimensions_counts_and_seeds_match_plain_ints():
         assert wide.to_dict() == curvop.implication_trial(4, _H, concl, 3, seed=1, pic_trials=2).to_dict()
     wide = curvop.sharpness_probe("cp2", "flat:n=4", i64(3), seed=i32(1), iso_trials=i64(3))
     assert wide.to_dict() == curvop.sharpness_probe("cp2", "flat:n=4", 3, seed=1, iso_trials=3).to_dict()
+    # the dimension formulas take any integer, above the dimension bound too
+    assert (curvop.s20_dim(i64(4)), curvop.lambda2_dim(i32(4))) == (9, 6)
+    assert (curvop.s20_dim(40), curvop.lambda2_dim(40)) == (819, 780)
+
+
+def test_numpy_integer_arguments_reach_reports_as_plain_ints(tmp_path):
+    # The integer rule returns a plain int, and the harness keeps it, so a
+    # report made from NumPy integers serializes like one made from ints.
+    i64, i32 = np.int64, np.int32
+    assert type(_check_int(i64(3), "count")) is int
+    assert _check_seed([i64(1), i32(2)]) == (1, 2)
+    reports = [
+        curvop.implication_trial(i64(4), _H, "ric", i32(2), seed=i64(1)),
+        curvop.implication_trial(i64(4), "k4a0.1strict", "pic", i32(3), seed=i64(1), pic_trials=i32(2)),
+        curvop.sharpness_probe("flat:n=3", "sphere:n=3", i64(2), seed=(i64(1), i32(2)), iso_trials=i32(2)),
+    ]
+    for i, report in enumerate(reports):
+        path = str(tmp_path / f"report{i}.json")
+        envelope = curvop.emit_report(report, path)
+        with open(path) as handle:
+            assert json.load(handle) == json.loads(json.dumps(envelope))
+        assert all(type(v) is int for v in envelope["config"].values() if not isinstance(v, str))
