@@ -21,8 +21,10 @@ the reported minimum. It runs on 2-forms: a tensor enters as its
 first-kind matrix (``secondkind._first_kind_matrices``), and each frame as
 the six 2-forms e_a ^ e_c of its pairs.
 A line search tries a frame's step and three halvings, then, if none is
-sufficient, every halving left in one more pass, unless many frames miss
-at once (see ``_descend_batch``).
+sufficient, every halving left down to the frame's first-order floor
+max(min_step, noise / <r, d>) in one more pass, unless many frames miss at
+once (see ``_descend_batch``); below that floor a step gains less than the
+noise guard, so stopping there changes no decision.
 The coordinate seeds read their five components directly, in the
 kernel's order, and equal its values bit for bit.
 ``pullback`` stays apart from it, as the independent reference of the
@@ -319,16 +321,23 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     the mirror point, still a decrease, and the frame bounces there for
     hundreds of iterations while a smaller candidate lands on the minimum.
     If no candidate beats the guard, a second pass tries every halving left
-    above ``min_step`` at once, in groups of four in halving order; the
-    first group with a sufficient candidate decides, so the wider pass
-    changes no result. A later pass holds at most max(``_DESCENT_CHUNK``,
+    at or above the frame's floor max(``min_step``, noise / <r, d>) at once,
+    in groups of four in halving order; the first group with a sufficient
+    candidate decides, so the wider pass changes no result. The floor is
+    the first-order (Armijo) model of the line search (Absil, Mahony &
+    Sepulchre 2008, sec. 4.2): where the value along the step is convex, a
+    step s below the floor gains at most s <r, d> < noise, and where it is
+    concave out to the first pass's smallest step, which missed, no smaller
+    step gains more. So the halvings below the floor decide nothing unless
+    the curvature changes sign inside that smallest step or rounding
+    decides at the floor. A later pass holds at most max(``_DESCENT_CHUNK``,
     8 x its frames) candidates, so when many frames miss at once it takes
     a few groups per frame and the passes repeat until each frame is
     decided. After a success the kept step doubles, capped at 1. Only the
     kept candidate's gradient is computed.
-    A frame is done when its tangent vanishes or its step underflows
-    ``min_step``. Frames evolve independently, so a frame's result does
-    not depend on the rest of the batch.
+    A frame is done when its tangent vanishes or its line search finds no
+    sufficient step down to its floor. Frames evolve independently, so a
+    frame's result does not depend on the rest of the batch.
 
     Returns (frames, values, iterations, converged) per frame, with
     converged False exactly when the frame hit the iteration cap.
@@ -361,6 +370,7 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
         # Candidates below min_step are evaluated but never accepted.
         searching = np.flatnonzero(step[active] >= min_step)
         accepted = np.zeros(active.size, dtype=bool)
+        floor = None
         width = 4
         while searching.size:
             idx = active[searching]
@@ -379,10 +389,17 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             accepted[searching[hit]] = True
             missed = idx[~hit]
             step[missed] *= 0.5 ** (steps[~hit] >= min_step).sum(axis=1)
-            searching = searching[~hit][step[missed] >= min_step]
+            searching = searching[~hit]
+            if floor is None:
+                # A step s below noise / <r, d> gains s <r, d> < noise to first
+                # order, so the later passes try only the halvings at or above it.
+                floor = np.full(active.size, min_step)
+                slope = (tangent[searching] * direction[searching]).sum(axis=(1, 2))
+                floor[searching] = np.maximum(min_step, noise[owner[missed]] / slope)
+            searching = searching[step[missed] >= floor[searching]]
             if searching.size:
                 # Steps are powers of two: the largest left needs this many halvings.
-                halvings = int(np.log2(step[active[searching]].max() / min_step)) + 1
+                halvings = int(np.log2((step[active[searching]] / floor[searching]).max())) + 1
                 width = 4 * min(-(-halvings // 4), max(_DESCENT_CHUNK // searching.size, 8) // 4)
         iterations[active[~accepted]] = iteration + 1
         active = active[accepted]
