@@ -162,7 +162,8 @@ def _cmd_analyze(args) -> int:
             print(f"  {name}: {'yes' if verdict else 'no'}")
         print(f"ricci min: {_sig(results['ricciMin'])}")
         if "isotropicMin" in results:
-            print(f"isotropic min (sampled, {results['isotropicSamples']} frames): "
+            how = "exact" if tensor.dim == 4 else "sampled"
+            print(f"isotropic min ({how}, {results['isotropicSamples']} frames): "
                   f"{_sig(results['isotropicMin'])}")
     return 0
 

@@ -4,22 +4,26 @@ The isotropic curvature of an orthonormal 4-frame (e1, e2, e3, e4) is
 
     K13 + K14 + K23 + K24 - 2 R(e1, e2, e3, e4),
 
-where Kab = R(ea, eb, ea, eb). Positivity of this quantity over all
-orthonormal 4-frames is decided here by sampled minimization: evaluation
-at every coordinate 4-subset (all pair splits, both cross-term signs,
-which covers all 4! * 2^4 signed permutations of a subset) plus a descent
-on the Stiefel manifold from random starts, projected gradient steps for a
-warm-up and Polak-Ribiere+ conjugate gradient after it. Starts and steps
+where Kab = R(ea, eb, ea, eb). Its minimum over all orthonormal 4-frames
+is searched here from the coordinate 4-subsets (all pair splits, both
+cross-term signs, which covers all 4! * 2^4 signed permutations of a
+subset) and one more source of frames. At n = 4 that is a frame built to
+attain the exact minimum 2 min(a1 + a2, c1 + c2) from the blocks of the
+curvature operator on self-dual and anti-self-dual 2-forms
+(``_exact_frames``), so the search is exact there and runs no descent. For
+n >= 5 it is a descent on the Stiefel manifold from random starts,
+projected gradient steps for a warm-up and Polak-Ribiere+ conjugate
+gradient after it, and the minimum is a sampled one. Starts and steps
 are retracted to frames as one stack by ``_retract``, a Gram-Schmidt with
 two projection passes per column that gives QR's positive-diagonal Q to
 rounding at a fraction of ``numpy.linalg.qr``'s cost. A tensor with
 max|R| < 1 is searched at an exact power-of-two scale. One batched
 kernel, ``_iso_values`` (with ``_iso_grads`` for the gradient of a kept
-frame), evaluates every isotropic value: single frames, the descent and
-the reported minimum. It runs on 2-forms: a tensor enters as its
-(N2, N2) matrix R_L[(i<j), (k<l)] = R_ijkl, N2 = n(n-1)/2, which is the
-first-kind matrix (``secondkind._first_kind_matrices``), and each frame as
-the six 2-forms e_a ^ e_c of its pairs.
+frame), evaluates every isotropic value: single frames, the descent, the
+built n = 4 frames and the reported minimum. It runs on 2-forms: a tensor
+enters as its (N2, N2) matrix R_L[(i<j), (k<l)] = R_ijkl, N2 = n(n-1)/2,
+which is the first-kind matrix (``secondkind._first_kind_matrices``), and
+each frame as the six 2-forms e_a ^ e_c of its pairs.
 A line search tries a frame's step and three halvings, then, if none is
 sufficient, every halving left down to the frame's first-order floor
 max(min_step, noise / <r, d>) in one more pass, unless many frames miss at
@@ -280,6 +284,73 @@ def _seed_values(arrays: np.ndarray) -> np.ndarray:
     return r[..., 0] + r[..., 1] + r[..., 2] + r[..., 3] - 2.0 * r[..., 4]
 
 
+@functools.lru_cache(maxsize=None)
+def _self_dual_lifts() -> tuple[np.ndarray, np.ndarray]:
+    """The bases of Lambda+ and Lambda- in 2-form coordinates and the SO(4)
+    lifts of their rotations; built once and read-only.
+
+    ``bases`` (2, 6, 3) holds (e12+e34, e13-e24, e14+e23)/sqrt(2) for
+    Lambda+ and (e12-e34, e13+e24, e14-e23)/sqrt(2) for Lambda-, over the
+    pairs of ``_pair_index(4)``. ``lifts`` (2, 4, 4, 4) is linear in a unit
+    quaternion q: sum_k lifts[0, :, :, k] q_k is left multiplication by q on
+    R^4 = H, which turns Lambda+ in ``bases[0]`` by the rotation of q and
+    fixes Lambda-; sum_k lifts[1, :, :, k] q_k is right multiplication by
+    conj(q), which turns Lambda- in ``bases[1]`` by the rotation of q, with
+    e4 flipped, so that its frame carries Lambda- onto the isotropic value's
+    2-forms.
+    """
+    bases = np.zeros((2, 6, 3))
+    root = np.sqrt(0.5)
+    for side, sign in enumerate((1.0, -1.0)):
+        bases[side, [0, 5], 0] = root, sign * root
+        bases[side, [1, 4], 1] = root, -sign * root
+        bases[side, [2, 3], 2] = root, sign * root
+    a, b, c, d = np.eye(4)
+    left = np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
+    right = np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
+    lifts = np.stack((left, right.transpose(1, 0, 2) * np.array([1.0, 1.0, 1.0, -1.0])[:, None]))
+    for table in (bases, lifts):
+        table.setflags(write=False)
+    return bases, lifts
+
+
+def _exact_frames(rmats: np.ndarray) -> np.ndarray:
+    """A minimizing 4-frame of each n = 4 tensor, shape (m, 4, 4), from its
+    (6, 6) first-kind matrix in the stack ``rmats``.
+
+    With X = e13 - e24 and Y = e14 + e23 the frame's 2-forms, iso =
+    <R X, X> + <R Y, Y>. For a frame of either orientation X/sqrt(2) and
+    Y/sqrt(2) are orthonormal in one of Lambda+ and Lambda-, and SO(4)
+    turns each of them by all of SO(3). So the minimum is 2 min(a1 + a2,
+    c1 + c2), with a and c the ascending eigenvalues of the blocks A and C
+    of R on Lambda+ and Lambda- (Hamilton, Comm. Anal. Geom. 1997). The
+    frame maps X/sqrt(2) and Y/sqrt(2) to the two lowest eigenvectors u1, u2
+    of the winning block (Lambda+ on a tie): the rotation
+    M = [u1 x u2, u1, u2] of that block lifts to SO(4) through a unit
+    quaternion q (``_self_dual_lifts``), read off the largest-diagonal column
+    of the symmetric matrix 4 q q^T that is linear in M (Shepperd 1978). The
+    Lambda- frame has determinant -1. Each step is per tensor, so a frame
+    does not depend on its stack.
+    """
+    bases, lifts = _self_dual_lifts()
+    blocks = np.swapaxes(bases, 1, 2)[:, None] @ rmats @ bases[:, None]
+    eigenvalues, eigenvectors = np.linalg.eigh(blocks)
+    lowest = eigenvalues[..., 0] + eigenvalues[..., 1]
+    side = (lowest[1] < lowest[0]).astype(int)
+    tensor = np.arange(rmats.shape[0])
+    u1, u2 = eigenvectors[side, tensor, :, 0], eigenvectors[side, tensor, :, 1]
+    rot = np.stack((np.cross(u1, u2), u1, u2), axis=-1)
+    trace = np.trace(rot, axis1=1, axis2=2)
+    qq = np.empty((tensor.size, 4, 4))  # 4 q q^T
+    qq[:, 0, 0] = 1.0 + trace
+    qq[:, 1:, 1:] = rot + np.swapaxes(rot, 1, 2) + (1.0 - trace)[:, None, None] * np.eye(3)
+    qq[:, 0, 1:] = qq[:, 1:, 0] = np.stack(
+        (rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]), axis=1)
+    q = qq[tensor, :, np.diagonal(qq, axis1=1, axis2=2).argmax(axis=1)]
+    q /= np.sqrt(np.einsum("mk,mk->m", q, q))[:, None]
+    return np.einsum("mijk,mk->mij", lifts[side], q)
+
+
 # Plain projected-gradient iterations before the conjugate directions start.
 # They keep each random start in the basin the plain descent reaches, and
 # the descents on the structured models stop inside them.
@@ -418,8 +489,11 @@ class FrameSearchResult:
     (n,4) orthonormal block); ``samples_used`` counts frames evaluated as seeds
     (random starts plus coordinate representatives), ``refinement_steps``
     the total descent iterations, and ``converged`` whether every descent
-    terminated by step underflow rather than the iteration cap. The value
-    is a sampled minimum: an upper bound for the true one.
+    terminated by step underflow rather than the iteration cap. For n >= 5
+    the value is a sampled minimum: an upper bound for the true one. At
+    n = 4 it is the exact minimum to rounding, from the coordinate seeds and
+    one built frame, so ``samples_used`` is the seed count + 1,
+    ``refinement_steps`` is 0 and ``converged`` is True.
     """
 
     best_value: float
@@ -430,12 +504,15 @@ class FrameSearchResult:
 
 
 def min_isotropic(t: CurvatureTensor, trials: int, seed=0) -> FrameSearchResult:
-    """Sampled minimum of isotropic curvature over orthonormal 4-frames.
+    """Minimum of isotropic curvature over orthonormal 4-frames: exact at
+    n = 4, sampled for n >= 5.
 
-    Evaluates the coordinate seed frames, then runs ``trials`` descents
-    (see ``_descend_batch``) from random orthonormal starts (one child RNG
-    per trial, so enlarging ``trials`` only appends candidates and the best
-    value is nonincreasing in ``trials`` for a fixed seed).
+    Evaluates the coordinate seed frames, then, for n >= 5, runs ``trials``
+    descents (see ``_descend_batch``) from random orthonormal starts (one
+    child RNG per trial, so enlarging ``trials`` only appends candidates and
+    the best value is nonincreasing in ``trials`` for a fixed seed). At
+    n = 4 it builds one exact minimizing frame instead (see
+    ``min_isotropic_batch``).
     """
     return min_isotropic_batch([t], trials, [seed])[0]
 
@@ -454,6 +531,15 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     power of two 2^p that brings max|R| into [1, 2) and its values are
     divided by 2^p, exactly, so min_isotropic(2^e R) = 2^e min_isotropic(R)
     bit for bit for e <= 0 and 1 <= max|R| < 2.
+
+    At n = 4 the search is exact: no start is drawn and no descent runs.
+    Each tensor gets the frame ``_exact_frames`` builds for its minimum
+    2 min(a1 + a2, c1 + c2), valued by the kernel. That frame replaces the
+    best coordinate seed only if its value is lower by more than the noise
+    guard, the rule a descent step obeys, so a rounding-negative value does
+    not displace an exact 0 (CP^2 reports 0.0). ``trials`` and the seeds
+    are validated but not used; ``samples_used`` is the seed count + 1,
+    ``refinement_steps`` is 0 and ``converged`` is True.
     """
     tensors, seeds = list(tensors), list(seeds)
     if len(seeds) != len(tensors):
@@ -470,29 +556,40 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     materials = [s if isinstance(s, (tuple, list)) else (s,) for s in seeds]
     for material in materials:
         _check_seed(material)
-    starts = _retract(np.array([
-        np.random.default_rng((*material, trial)).standard_normal((n, 4))
-        for material in materials
-        for trial in range(trials)
-    ]))
-    owner = np.repeat(np.arange(len(tensors)), trials)
     peak = np.array([t.max_abs() for t in tensors])
     # 2^power brings a max|R| in (0, 1) into [1, 2) and is 1 for max|R| >= 1.
     power = np.maximum(0, 1 - np.frexp(peak)[1])
     arrays = np.ldexp(np.stack([t.array for t in tensors]), power[:, None, None, None, None])
     rmats = _first_kind_matrices(arrays)
     noise = 1e-12 * np.maximum(1.0, np.ldexp(peak, power))
-    chunks = [_descend_batch(rmats, owner[lo:lo + _DESCENT_CHUNK], starts[lo:lo + _DESCENT_CHUNK], noise)
-              for lo in range(0, len(starts), _DESCENT_CHUNK)]
-    frames, values, iterations, converged = (np.concatenate(part) for part in zip(*chunks))
-
     seed_values = _seed_values(arrays)
+    if n == 4:
+        searched = 1
+        frames = _exact_frames(rmats)
+        values = _iso_values(rmats, frames)[0]
+        # The built frame must beat the seeds by more than the noise guard,
+        # as a descent step must beat its frame, so a rounding-negative value
+        # cannot displace an exact 0 seed.
+        values[values >= seed_values.min(axis=1) - noise] = np.inf
+        iterations, converged = np.zeros(len(tensors), dtype=int), np.ones(len(tensors), dtype=bool)
+    else:
+        searched = trials
+        starts = _retract(np.array([
+            np.random.default_rng((*material, trial)).standard_normal((n, 4))
+            for material in materials
+            for trial in range(trials)
+        ]))
+        owner = np.repeat(np.arange(len(tensors)), trials)
+        chunks = [_descend_batch(rmats, owner[lo:lo + _DESCENT_CHUNK], starts[lo:lo + _DESCENT_CHUNK], noise)
+                  for lo in range(0, len(starts), _DESCENT_CHUNK)]
+        frames, values, iterations, converged = (np.concatenate(part) for part in zip(*chunks))
+
     axes = _coordinate_seed_axes(n)
     seeded = axes.shape[0]
     results = []
     for i in range(len(tensors)):
-        rows = slice(i * trials, (i + 1) * trials)
-        # One argmin over the seed values followed by the descent values:
+        rows = slice(i * searched, (i + 1) * searched)
+        # One argmin over the seed values followed by the searched values:
         # the first minimum wins, so a seed wins a tie.
         candidates = np.concatenate((seed_values[i], values[rows]))
         best = int(np.argmin(candidates))
@@ -500,7 +597,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         results.append(FrameSearchResult(
             best_value=float(np.ldexp(candidates[best], -power[i])),
             best_frame=best_frame,
-            samples_used=trials + seeded,
+            samples_used=searched + seeded,
             refinement_steps=int(iterations[rows].sum()),
             converged=bool(converged[rows].all()),
         ))

@@ -291,7 +291,7 @@ def test_analyze_rejects_both_file_and_model(tmp_path):
 
 
 def test_capped_searches_show_in_text_output(capped_descent, capsys):
-    assert cli.main(["search", "--dim", "4", "--hyp", "k4a0.5strict", "--concl", "pic",
+    assert cli.main(["search", "--dim", "5", "--hyp", "k4a0.5strict", "--concl", "pic",
                      "--trials", "3", "--pic-trials", "2"]) == 0
     assert "3 isotropic searches capped" in capsys.readouterr().out
     cli.main(["probe", "--base", "product:(sphere:n=4,k=1)x(flat:n=1)",

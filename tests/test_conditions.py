@@ -281,11 +281,26 @@ def test_descent_converges_on_sphere_times_circle(n, t):
 def test_descent_keeps_cp2_minimum_sign_exact():
     # CP^2 sits on the boundary: its isotropic minimum is exactly 0, and the
     # program's boundary check requires 0 <= isoMin, so no descent may dip
-    # below 0 by rounding.
+    # below 0 by rounding. The n = 4 search builds its frame instead of
+    # descending, so the descent runs here directly, from the 200 x 32
+    # starts min_isotropic_batch(200 x CP^2, 32, range(200)) would draw.
     cp2 = curvop.cp2_explicit()
-    results = min_isotropic_batch([cp2] * 200, 32, list(range(200)))
-    assert all(0.0 <= r.best_value <= 1e-6 for r in results)
-    assert all(r.converged for r in results)
+    starts = _retract(np.array([np.random.default_rng((seed, trial)).standard_normal((4, 4))
+                                for seed in range(200) for trial in range(32)]))
+    noise = np.array([1e-12 * max(1.0, cp2.max_abs())])
+    _, values, _, converged = _descend_batch(
+        _first_kind_matrices(cp2.array)[None], np.zeros(len(starts), dtype=int), starts, noise)
+    assert (values >= 0.0).all()
+    assert (values.reshape(200, 32).min(axis=1) <= 1e-6).all()
+    assert converged.all()
+
+
+def test_cp2_over_three_minimum_is_exactly_zero():
+    # CP^2 / 3, the probe's t = 2/3 row toward flat space: the descent once
+    # settled one ulp below its exact minimum 0.
+    cp2 = curvop.cp2_explicit()
+    blend = curvop.interpolate(cp2, curvop.build_model("flat:n=4"), 2 / 3)
+    assert min_isotropic(blend, 20, seed=2).best_value == 0.0
 
 
 def test_descent_step_keeps_lowest_sufficient_candidate():
@@ -392,7 +407,7 @@ def test_min_isotropic_batch_validation():
             min_isotropic_batch([four, four], trials=2, seeds=seeds)
 
 
-@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_batch_results_equal_separate_searches_bit_for_bit(n):
     # Boosted samples, an unboosted one and a small one (searched at a
     # power-of-two scale) share one batch; each result is the one its
@@ -712,14 +727,15 @@ def test_structured_descents_reproduce_the_reference_bit_for_bit(spec, t):
 # k4a0.5strict-boosted samples per dimension, five starts each, recorded from
 # the descent whose later line-search passes ran every ladder down to
 # min_step (NumPy 2.4.6, OpenBLAS 0.3.31, x86-64; another BLAS kernel may
-# round the last bits differently).
+# round the last bits differently). The n = 4 pins are the built exact
+# frames, no descent.
 _GOLDEN_SEARCHES = {
     4: (
-        ("0x1.fee31634e5088p+2", 118), ("0x1.d9a77114092e8p+2", 111),
-        ("0x1.217aa0525ef10p+2", 62), ("0x1.9715f87d183e2p+2", 47),
-        ("0x1.8bb0ad1947411p+2", 96), ("0x1.60d1b467170c2p+2", 70),
-        ("0x1.3d9a1265707b3p+2", 146), ("0x1.7a67148514140p+2", 61),
-        ("0x1.464265811c5c9p+2", 56), ("0x1.ae58fdc72bba9p+2", 116),
+        ("0x1.fee31634e45e4p+2", 0), ("0x1.d9a771140929cp+2", 0),
+        ("0x1.217aa0525e900p+2", 0), ("0x1.9715f87d1815ap+2", 0),
+        ("0x1.8bb0ad1947381p+2", 0), ("0x1.60d1b46717040p+2", 0),
+        ("0x1.3d9a126570619p+2", 0), ("0x1.7a67148513e54p+2", 0),
+        ("0x1.464265811c453p+2", 0), ("0x1.ae58fdc72b813p+2", 0),
     ),
     5: (
         ("0x1.470cfa0d5bac4p+3", 123), ("0x1.75742d3e5930cp+3", 171),
@@ -814,3 +830,97 @@ def test_sampled_minimum_lies_between_the_ky_fan_bound_and_the_seeds(n, seed, lo
     res = min_isotropic(t, 3, seed=seed)
     assert res.best_value >= bound - 1e-12 * max(1.0, t.max_abs())
     assert res.best_value <= _seed_values(t.array[None])[0].min()
+
+
+# --- The exact n = 4 search ------------------------------------------------
+
+def _four_dimensional_tensor(seed, log_scale, boosted):
+    t = curvop.random_curvature(4, seed=seed, scale=10.0 ** log_scale)
+    return boost_to_hypothesis(t, parse_predicate("k4a0.5strict"))[0] if boosted else t
+
+
+def _hodge_minimum(t):
+    """2 min(a1 + a2, c1 + c2) from the Hodge star: a and c are the
+    eigenvalues of the first-kind matrix on the +1 and -1 eigenspaces of the
+    star, found by an eigensolve of the star itself."""
+    star = np.zeros((6, 6))  # pairs 12, 13, 14, 23, 24, 34
+    for p, q, sign in ((0, 5, 1.0), (1, 4, -1.0), (2, 3, 1.0)):
+        star[p, q] = star[q, p] = sign
+    _, vectors = np.linalg.eigh(star)  # eigenvalues -1, -1, -1, 1, 1, 1
+    rmat = _first_kind_matrices(t.array)
+    lowest = [np.linalg.eigvalsh(half.T @ rmat @ half)[:2].sum() for half in (vectors[:, :3], vectors[:, 3:])]
+    return 2.0 * min(lowest)
+
+
+def _exact_property(test):
+    """Run ``test(seed, log_scale, boosted)`` on 40 random n = 4 tensors."""
+    cases = given(st.integers(min_value=0, max_value=2**32 - 1), st.floats(min_value=-3.0, max_value=3.0),
+                  st.booleans())
+    return settings(max_examples=40, deadline=None)(cases(test))
+
+
+@_exact_property
+def test_exact_search_reports_its_frame_and_the_closed_form(seed, log_scale, boosted):
+    t = _four_dimensional_tensor(seed, log_scale, boosted)
+    res = min_isotropic(t, 3, seed=seed)
+    assert res.best_value == isotropic_value(t, res.best_frame)
+    assert abs(res.best_value - _hodge_minimum(t)) <= 1e-13 * t.max_abs()
+    assert (res.samples_used, res.refinement_steps, res.converged) == (_coordinate_seed_axes(4).shape[0] + 1, 0, True)
+
+
+@_exact_property
+def test_exact_search_is_no_higher_than_a_descent(seed, log_scale, boosted):
+    t = _four_dimensional_tensor(seed, log_scale, boosted)
+    rng = np.random.default_rng(seed)
+    starts = np.array([random_frame(4, 4, rng) for _ in range(32)])
+    noise = np.array([1e-12 * max(1.0, t.max_abs())])
+    descended = _descend_batch(_first_kind_matrices(t.array)[None], np.zeros(32, dtype=int), starts, noise)[1]
+    assert min_isotropic(t, 3, seed=seed).best_value <= descended.min() + 1e-14 * t.max_abs()
+
+
+@_exact_property
+def test_exact_search_is_at_least_the_ky_fan_bound(seed, log_scale, boosted):
+    t = _four_dimensional_tensor(seed, log_scale, boosted)
+    ev = curvop.second_kind_spectrum(t).eigenvalues
+    bound = 2.0 / 9.0 * (4.0 * ev[:3].sum() + ev[3:9].sum())
+    assert min_isotropic(t, 3, seed=seed).best_value >= bound - 1e-13 * t.max_abs()
+
+
+@_exact_property
+def test_exact_search_is_invariant_under_a_change_of_basis(seed, log_scale, boosted):
+    # Both orientations: a basis change of determinant -1 swaps Lambda+ and
+    # Lambda-, so the search then wins on the other block.
+    t = _four_dimensional_tensor(seed, log_scale, boosted)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+    moved = CurvatureTensor(pullback(t.array, q))
+    base, turned = min_isotropic(t, 3, seed=seed).best_value, min_isotropic(moved, 3, seed=seed).best_value
+    assert abs(turned - base) <= 1e-12 * max(abs(base), t.max_abs())
+
+
+def test_orientation_reversed_cp2_goes_through_the_anti_self_dual_block():
+    # Flipping e4 swaps Lambda+ and Lambda-: the zero minimum of CP^2 moves
+    # to frames of determinant -1, and the built frame is one.
+    cp2 = curvop.cp2_explicit()
+    reversed_cp2 = CurvatureTensor(pullback(cp2.array, np.diag([1.0, 1.0, 1.0, -1.0])))
+    for t, det in ((cp2, 1.0), (reversed_cp2, -1.0)):
+        built = conditions._exact_frames(_first_kind_matrices(t.array)[None])[0]
+        assert np.linalg.det(built) == pytest.approx(det, abs=1e-12)
+        assert abs(isotropic_value(t, built)) <= 1e-14
+        res = min_isotropic(t, 3, seed=0)
+        assert res.best_value == 0.0
+        assert np.linalg.det(res.best_frame) == pytest.approx(det, abs=1e-12)
+
+
+@pytest.mark.parametrize(("angle", "frame_wins"), [(5e-7, False), (1e-6, True)])
+def test_built_frame_must_beat_the_seeds_by_more_than_the_noise_guard(angle, frame_wins):
+    # CP^2 turned by a small angle in the (e1, e3) plane: its minimum stays 0,
+    # while the best coordinate seed rises by about 12 angle^2, 3e-12 and
+    # 1.2e-11 here, against a guard of 4e-12.
+    c, s = math.cos(angle), math.sin(angle)
+    turn = np.array([[c, 0.0, -s, 0.0], [0.0, 1.0, 0.0, 0.0], [s, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    t = CurvatureTensor(pullback(curvop.cp2_explicit().array, turn))
+    rmat = _first_kind_matrices(t.array)[None]
+    built = _iso_values(rmat, conditions._exact_frames(rmat))[0][0]
+    seed = _seed_values(t.array[None]).min()
+    assert abs(built) <= 1e-14 < seed
+    assert min_isotropic(t, 3, seed=0).best_value == (built if frame_wins else seed)

@@ -199,10 +199,12 @@ def test_ric_trial_is_unchanged_by_trials_in_other_dimensions_between():
     assert first["counterexamples"] and first["shiftsApplied"] > 0
 
 
-def test_pic_counterexamples_replay_bit_for_bit():
-    # the samples of a run descend as one batch; each logged conclusion value
-    # must equal a search of the replayed tensor on its own
-    rep = implication_trial(4, "k9a0strict", "pic", trials=40, seed=123, pic_trials=3)
+@pytest.mark.parametrize(("n", "hypothesis"), [(4, "k9a0strict"), (5, "k12a0strict")])
+def test_pic_counterexamples_replay_bit_for_bit(n, hypothesis):
+    # the samples of a run are searched as one batch (at n = 5 their starts
+    # descend together); each logged conclusion value must equal a search of
+    # the replayed tensor on its own
+    rep = implication_trial(n, hypothesis, "pic", trials=40, seed=123, pic_trials=3)
     assert len(rep.counterexamples) > 0
     for i, ce in enumerate(rep.counterexamples):
         alone = curvop.min_isotropic(replay_counterexample(rep, i), 3, seed=(123, ce.trial, 1))
@@ -335,13 +337,15 @@ def test_probe_report_round_trips_to_dict():
 
 
 def test_implication_trial_counts_capped_searches(capped_descent, tmp_path):
-    rep = implication_trial(4, "k4a0.5strict", "pic", trials=3, seed=5, pic_trials=2)
+    rep = implication_trial(5, "k4a0.5strict", "pic", trials=3, seed=5, pic_trials=2)
     assert rep.capped_searches == 3
     assert rep.to_dict()["cappedSearches"] == 3
-    weak = implication_trial(4, "k9a0strict", "pic", trials=40, seed=123, pic_trials=3)
+    weak = implication_trial(5, "k9a0strict", "pic", trials=40, seed=123, pic_trials=3)
     assert weak.counterexamples
     envelope = emit_report(weak, str(tmp_path / "weak.json"))
     assert envelope["results"]["cappedSearches"] == weak.capped_searches == 40
+    # the n = 4 search is exact and runs no descent, so it cannot be capped
+    assert implication_trial(4, "k4a0.5strict", "pic", trials=3, seed=5, pic_trials=2).capped_searches == 0
 
 
 def test_implication_trial_reports_no_capped_searches_when_descents_converge():
@@ -355,6 +359,13 @@ def test_probe_rows_carry_search_convergence(capped_descent):
                           steps=2, seed=0, iso_trials=4)
     assert [r.converged for r in rep.rows] == [False, False]
     assert [r["converged"] for r in rep.to_dict()["rows"]] == [False, False]
+
+
+def test_cp2_to_flat_probe_rows_are_never_negative():
+    # the rows are multiples of CP^2, whose isotropic minimum is exactly 0;
+    # the t = 2/3 row once reported -2.2e-16
+    rep = sharpness_probe("cp2", "flat:n=4", steps=4, seed=2, iso_trials=8)
+    assert all(row.iso_min >= 0.0 for row in rep.rows)
 
 
 def test_probe_rows_converged_is_none_without_search():
