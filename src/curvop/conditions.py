@@ -7,9 +7,9 @@ The isotropic curvature of an orthonormal 4-frame (e1, e2, e3, e4) is
 where Kab = R(ea, eb, ea, eb). Its minimum over all orthonormal 4-frames
 is searched here from the coordinate 4-subsets (all pair splits, both
 cross-term signs, which covers all 4! * 2^4 signed permutations of a
-subset) and one more source of frames. At n = 4 that is a frame built to
-attain the exact minimum 2 min(a1 + a2, c1 + c2) from the blocks of the
-curvature operator on self-dual and anti-self-dual 2-forms
+subset) and one more source of frames. At n = 4 that is a frame that
+attains the exact minimum 2 min(a1 + a2, c1 + c2), read off two complex
+structures in the self-dual or anti-self-dual 2-forms and retracted
 (``_exact_frames``), so the search is exact there and runs no descent. For
 n >= 5 it is a descent on the Stiefel manifold from random starts,
 projected gradient steps for a warm-up and Polak-Ribiere+ conjugate
@@ -26,7 +26,7 @@ which is the first-kind matrix (``secondkind._first_kind_matrices``), and
 each frame as the six 2-forms e_a ^ e_c of its pairs.
 A line search tries a frame's step and three halvings, then, if none is
 sufficient, every halving left down to the frame's first-order floor
-max(min_step, noise / <r, d>) in one more pass, unless many frames miss at
+max(_MIN_STEP, noise / <r, d>) in one more pass, unless many frames miss at
 once (see ``_descend_batch``); below that floor a step gains less than the
 noise guard, so stopping there changes no decision.
 The coordinate seeds read their five components directly, in the
@@ -119,9 +119,11 @@ def _retract(f: np.ndarray) -> np.ndarray:
 
 def random_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish random orthonormal (n, k) frame, 1 <= k <= n: the retraction
-    of a Gaussian block."""
+    of a Gaussian block. ``rng`` must be an ``np.random.Generator``."""
     _check_int(n, "dimension", 1)
     _check_int(k, "frame width", 1, n)
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterOutOfRange(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     return _retract(rng.standard_normal((n, k)))
 
 
@@ -285,33 +287,19 @@ def _seed_values(arrays: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _self_dual_lifts() -> tuple[np.ndarray, np.ndarray]:
-    """The bases of Lambda+ and Lambda- in 2-form coordinates and the SO(4)
-    lifts of their rotations; built once and read-only.
-
-    ``bases`` (2, 6, 3) holds (e12+e34, e13-e24, e14+e23)/sqrt(2) for
-    Lambda+ and (e12-e34, e13+e24, e14-e23)/sqrt(2) for Lambda-, over the
-    pairs of ``_pair_index(4)``. ``lifts`` (2, 4, 4, 4) is linear in a unit
-    quaternion q: sum_k lifts[0, :, :, k] q_k is left multiplication by q on
-    R^4 = H, which turns Lambda+ in ``bases[0]`` by the rotation of q and
-    fixes Lambda-; sum_k lifts[1, :, :, k] q_k is right multiplication by
-    conj(q), which turns Lambda- in ``bases[1]`` by the rotation of q, with
-    e4 flipped, so that its frame carries Lambda- onto the isotropic value's
-    2-forms.
-    """
+def _self_dual_bases() -> np.ndarray:
+    """The bases of Lambda+ and Lambda- in 2-form coordinates, shape
+    (2, 6, 3): (e12+e34, e13-e24, e14+e23)/sqrt(2) and (e12-e34, e13+e24,
+    e14-e23)/sqrt(2), over the pairs of ``_pair_index(4)``. Built once and
+    read-only."""
     bases = np.zeros((2, 6, 3))
     root = np.sqrt(0.5)
     for side, sign in enumerate((1.0, -1.0)):
         bases[side, [0, 5], 0] = root, sign * root
         bases[side, [1, 4], 1] = root, -sign * root
         bases[side, [2, 3], 2] = root, sign * root
-    a, b, c, d = np.eye(4)
-    left = np.array([[a, -b, -c, -d], [b, a, -d, c], [c, d, a, -b], [d, -c, b, a]])
-    right = np.array([[a, -b, -c, -d], [b, a, d, -c], [c, -d, a, b], [d, c, -b, a]])
-    lifts = np.stack((left, right.transpose(1, 0, 2) * np.array([1.0, 1.0, 1.0, -1.0])[:, None]))
-    for table in (bases, lifts):
-        table.setflags(write=False)
-    return bases, lifts
+    bases.setflags(write=False)
+    return bases
 
 
 def _exact_frames(rmats: np.ndarray) -> np.ndarray:
@@ -324,37 +312,38 @@ def _exact_frames(rmats: np.ndarray) -> np.ndarray:
     turns each of them by all of SO(3). So the minimum is 2 min(a1 + a2,
     c1 + c2), with a and c the ascending eigenvalues of the blocks A and C
     of R on Lambda+ and Lambda- (Hamilton, Comm. Anal. Geom. 1997). The
-    frame maps X/sqrt(2) and Y/sqrt(2) to the two lowest eigenvectors u1, u2
-    of the winning block (Lambda+ on a tie): the rotation
-    M = [u1 x u2, u1, u2] of that block lifts to SO(4) through a unit
-    quaternion q (``_self_dual_lifts``), read off the largest-diagonal column
-    of the symmetric matrix 4 q q^T that is linear in M (Shepperd 1978). The
-    Lambda- frame has determinant -1. Each step is per tensor, so a frame
-    does not depend on its stack.
+    frame carries the two lowest eigenvectors u1, u2 of the winning block
+    (Lambda+ on a tie), with B its basis from ``_self_dual_bases``: as skew
+    4 x 4 matrices X = sqrt(2) B u1 and Y = sqrt(2) B u2 are anticommuting
+    complex structures (X^2 = Y^2 = -I, XY = -YX), so e1 = the first
+    standard vector, e3 = -X e1, e4 = -Y e1 and e2 = Y e3 form an
+    orthonormal frame with e13 - e24 = X and e14 + e23 = Y, of determinant
+    +1 on Lambda+ and -1 on Lambda-. One ``_retract`` makes it orthonormal
+    to rounding. Each step is per tensor, so a frame does not depend on its
+    stack.
     """
-    bases, lifts = _self_dual_lifts()
+    bases = _self_dual_bases()
     blocks = np.swapaxes(bases, 1, 2)[:, None] @ rmats @ bases[:, None]
     eigenvalues, eigenvectors = np.linalg.eigh(blocks)
     lowest = eigenvalues[..., 0] + eigenvalues[..., 1]
     side = (lowest[1] < lowest[0]).astype(int)
     tensor = np.arange(rmats.shape[0])
-    u1, u2 = eigenvectors[side, tensor, :, 0], eigenvectors[side, tensor, :, 1]
-    rot = np.stack((np.cross(u1, u2), u1, u2), axis=-1)
-    trace = np.trace(rot, axis1=1, axis2=2)
-    qq = np.empty((tensor.size, 4, 4))  # 4 q q^T
-    qq[:, 0, 0] = 1.0 + trace
-    qq[:, 1:, 1:] = rot + np.swapaxes(rot, 1, 2) + (1.0 - trace)[:, None, None] * np.eye(3)
-    qq[:, 0, 1:] = qq[:, 1:, 0] = np.stack(
-        (rot[:, 2, 1] - rot[:, 1, 2], rot[:, 0, 2] - rot[:, 2, 0], rot[:, 1, 0] - rot[:, 0, 1]), axis=1)
-    q = qq[tensor, :, np.diagonal(qq, axis1=1, axis2=2).argmax(axis=1)]
-    q /= np.sqrt(np.einsum("mk,mk->m", q, q))[:, None]
-    return np.einsum("mijk,mk->mij", lifts[side], q)
+    forms = np.sqrt(2.0) * np.swapaxes(bases[side] @ eigenvectors[side, tensor, :, :2], 1, 2)
+    i, j = _pair_index(4)
+    skew = np.zeros((tensor.size, 2, 4, 4))  # X and Y
+    skew[..., i, j], skew[..., j, i] = forms, -forms
+    e3, e4 = -skew[:, 0, :, 0], -skew[:, 1, :, 0]
+    e1 = np.broadcast_to(np.eye(4)[0], e3.shape)
+    return _retract(np.stack((e1, np.einsum("mij,mj->mi", skew[:, 1], e3), e3, e4), axis=-1))
 
 
 # Plain projected-gradient iterations before the conjugate directions start.
 # They keep each random start in the basin the plain descent reaches, and
 # the descents on the structured models stop inside them.
 _WARM = 8
+
+# Smallest step a line search may accept.
+_MIN_STEP = 1e-10
 
 # Frames per descent batch, and the candidates a later line-search pass of k
 # frames may hold, max(_DESCENT_CHUNK, 8 k): both bound the working set (the
@@ -371,7 +360,7 @@ def _tangent(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
-                   noise: np.ndarray, max_iter: int = 500, min_step: float = 1e-10):
+                   noise: np.ndarray, max_iter: int = 500):
     """Conjugate gradient descent on the Stiefel manifold, one frame per row.
 
     Frame i of the (m, n, 4) stack descends on tensor ``owner[i]``, whose
@@ -392,7 +381,7 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     the mirror point, still a decrease, and the frame bounces there for
     hundreds of iterations while a smaller candidate lands on the minimum.
     If no candidate beats the guard, a second pass tries every halving left
-    at or above the frame's floor max(``min_step``, noise / <r, d>) at once,
+    at or above the frame's floor max(``_MIN_STEP``, noise / <r, d>) at once,
     in groups of four in halving order; the first group with a sufficient
     candidate decides, so the wider pass changes no result. The floor is
     the first-order (Armijo) model of the line search (Absil, Mahony &
@@ -438,17 +427,19 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             descending = (cg * tangent).sum(axis=(1, 2)) > 0.0
             direction = np.where(descending[:, None, None], cg, tangent)
         tangent_prev[active], direction_prev[active] = tangent, direction
-        # Candidates below min_step are evaluated but never accepted.
-        searching = np.flatnonzero(step[active] >= min_step)
+        # A step s below noise / <r, d> gains s <r, d> < noise to first order,
+        # so the later passes try only the halvings at or above this floor.
+        # Candidates below _MIN_STEP are evaluated but never accepted.
+        floor = np.maximum(_MIN_STEP, noise[owner[active]] / (tangent * direction).sum(axis=(1, 2)))
+        searching = np.flatnonzero(step[active] >= _MIN_STEP)
         accepted = np.zeros(active.size, dtype=bool)
-        floor = None
         width = 4
         while searching.size:
             idx = active[searching]
             steps = step[idx][:, None] * 0.5 ** np.arange(width)
             cands = _retract(fa[searching, None] - steps[:, :, None, None] * direction[searching, None])
             vals, ys = _iso_values(rmats[owner[idx], None], cands)
-            ok = (vals < (value[idx] - noise[owner[idx]])[:, None]) & (steps >= min_step)
+            ok = (vals < (value[idx] - noise[owner[idx]])[:, None]) & (steps >= _MIN_STEP)
             groups = ok.reshape(idx.size, width // 4, 4).any(axis=2)
             hit = groups.any(axis=1)
             rows = np.flatnonzero(hit)
@@ -459,14 +450,8 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             step[won] = np.minimum(steps[rows, best] * 2.0, 1.0)
             accepted[searching[hit]] = True
             missed = idx[~hit]
-            step[missed] *= 0.5 ** (steps[~hit] >= min_step).sum(axis=1)
+            step[missed] *= 0.5 ** (steps[~hit] >= _MIN_STEP).sum(axis=1)
             searching = searching[~hit]
-            if floor is None:
-                # A step s below noise / <r, d> gains s <r, d> < noise to first
-                # order, so the later passes try only the halvings at or above it.
-                floor = np.full(active.size, min_step)
-                slope = (tangent[searching] * direction[searching]).sum(axis=(1, 2))
-                floor[searching] = np.maximum(min_step, noise[owner[missed]] / slope)
             searching = searching[step[missed] >= floor[searching]]
             if searching.size:
                 # Steps are powers of two: the largest left needs this many halvings.

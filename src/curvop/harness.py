@@ -342,8 +342,9 @@ def sharpness_probe(
     alpha_star(k) of the second-kind spectrum (k = 4 for the cp2 base,
     k = n otherwise), the sampled isotropic minimum (dimension >= 4), and
     the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
-    searches every row, row idx with seed material (seed, idx), so each
-    row equals ``min_isotropic`` on its blend alone. Known boundary bases
+    searches every row, row idx with seed material (*seed, idx) for a
+    tuple seed and (seed, idx) for an int, so each row equals
+    ``min_isotropic`` on its blend alone. Known boundary bases
     are verified at t = 0: cp2 must show alpha_star(4) = 1/2 and isotropic
     minimum 0; a unit S^(n-1) x R must show alpha_star(n) = (n-2)/n and
     Ricci minimum 0.
@@ -352,6 +353,7 @@ def sharpness_probe(
     steps = _check_int(steps, "steps", 2)
     iso_trials = _check_int(iso_trials, "iso_trials", 1)
     seed = _check_seed(seed)
+    material = seed if isinstance(seed, tuple) else (seed,)
     base_spec, dir_spec = parse_model(base), parse_model(direction)
     t_base = build_model(base_spec)
     t_dir = build_model(dir_spec)
@@ -364,7 +366,7 @@ def sharpness_probe(
     blends = [interpolate(t_base, t_dir, t) for t in ts]
     if n >= 4:
         searches = [(r.best_value, r.converged) for r in
-                    min_isotropic_batch(blends, iso_trials, [(seed, idx) for idx in range(steps)])]
+                    min_isotropic_batch(blends, iso_trials, [(*material, idx) for idx in range(steps)])]
     else:
         searches = [(None, None)] * steps
     rows = []

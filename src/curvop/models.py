@@ -94,9 +94,9 @@ def complex_space_form(m: int, c: float) -> CurvatureTensor:
     _check_real(c, "holomorphic curvature", ValidationFailure)
     n = 2 * m
     j = np.zeros((n, n))
-    for a_idx in range(m):
-        j[2 * a_idx + 1, 2 * a_idx] = 1.0
-        j[2 * a_idx, 2 * a_idx + 1] = -1.0
+    idx = np.arange(0, n, 2)
+    j[idx + 1, idx] = 1.0
+    j[idx, idx + 1] = -1.0
     jt = j.T  # jt[i, k] = <J e_i, e_k>
     eye = np.eye(n)
     a = (c / 4.0) * (

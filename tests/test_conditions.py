@@ -93,6 +93,12 @@ def test_random_frame_needs_between_one_and_n_vectors(n, k):
         random_frame(n, k, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("rng", [3, None, np.random.RandomState(0)])
+def test_random_frame_needs_a_generator(rng):
+    with pytest.raises(ParameterOutOfRange):
+        random_frame(5, 4, rng)
+
+
 def _gram_deviation(q):
     return np.abs(np.swapaxes(q, -1, -2) @ q - np.eye(q.shape[-1])).max(axis=(-2, -1))
 
@@ -727,15 +733,16 @@ def test_structured_descents_reproduce_the_reference_bit_for_bit(spec, t):
 # k4a0.5strict-boosted samples per dimension, five starts each, recorded from
 # the descent whose later line-search passes ran every ladder down to
 # min_step (NumPy 2.4.6, OpenBLAS 0.3.31, x86-64; another BLAS kernel may
-# round the last bits differently). The n = 4 pins are the built exact
-# frames, no descent.
+# round the last bits differently). The n = 4 pins are the kernel's values
+# at the exact frames built from two complex structures and retracted, no
+# descent.
 _GOLDEN_SEARCHES = {
     4: (
-        ("0x1.fee31634e45e4p+2", 0), ("0x1.d9a771140929cp+2", 0),
-        ("0x1.217aa0525e900p+2", 0), ("0x1.9715f87d1815ap+2", 0),
-        ("0x1.8bb0ad1947381p+2", 0), ("0x1.60d1b46717040p+2", 0),
-        ("0x1.3d9a126570619p+2", 0), ("0x1.7a67148513e54p+2", 0),
-        ("0x1.464265811c453p+2", 0), ("0x1.ae58fdc72b813p+2", 0),
+        ("0x1.fee31634e45e8p+2", 0), ("0x1.d9a771140929cp+2", 0),
+        ("0x1.217aa0525e904p+2", 0), ("0x1.9715f87d1815ap+2", 0),
+        ("0x1.8bb0ad1947380p+2", 0), ("0x1.60d1b46717041p+2", 0),
+        ("0x1.3d9a12657061bp+2", 0), ("0x1.7a67148513e55p+2", 0),
+        ("0x1.464265811c456p+2", 0), ("0x1.ae58fdc72b812p+2", 0),
     ),
     5: (
         ("0x1.470cfa0d5bac4p+3", 123), ("0x1.75742d3e5930cp+3", 171),
@@ -909,6 +916,21 @@ def test_orientation_reversed_cp2_goes_through_the_anti_self_dual_block():
         res = min_isotropic(t, 3, seed=0)
         assert res.best_value == 0.0
         assert np.linalg.det(res.best_frame) == pytest.approx(det, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([-20, 20]), st.booleans())
+def test_built_frames_are_orthonormal_to_rounding(seed, exponent, boosted):
+    # Both orientations at scales 2^-20 and 2^20. Unretracted, the frame read
+    # off X and Y is off by a few ulps, which check_frame's 1e-12 would pass.
+    t = _four_dimensional_tensor(seed, 0.0, boosted)
+    arrays = np.ldexp(np.stack([t.array, pullback(t.array, np.diag([1.0, 1.0, 1.0, -1.0]))]), exponent)
+    rmats = _first_kind_matrices(arrays)
+    frames = conditions._exact_frames(rmats)
+    assert _gram_deviation(frames).max() <= 1e-15
+    assert np.linalg.det(frames[0]) * np.linalg.det(frames[1]) == pytest.approx(-1.0, abs=1e-12)
+    exact = np.ldexp(_hodge_minimum(t), exponent)
+    assert np.abs(_iso_values(rmats, frames)[0] - exact).max() <= 1e-13 * np.abs(arrays).max()
 
 
 @pytest.mark.parametrize(("angle", "frame_wins"), [(5e-7, False), (1e-6, True)])

@@ -295,17 +295,30 @@ def test_sharpness_probe_sphere_times_flat_boundary(n):
     assert ric_ok and abs(ric0) <= 1e-9
 
 
-@pytest.mark.parametrize(("base", "n"), [("cp2", 4), ("product:(sphere:n=4,k=1)x(flat:n=1)", 5)])
+def _assert_probe_rows_equal_separate_searches(base, n, seed, prefix):
+    direction = f"sphere:n={n},k=1"
+    rep = sharpness_probe(base, direction, steps=4, seed=seed, iso_trials=8)
+    t_base, t_dir = curvop.build_model(base), curvop.build_model(direction)
+    for idx, row in enumerate(rep.rows):
+        alone = curvop.min_isotropic(curvop.interpolate(t_base, t_dir, row.t), 8, seed=(*prefix, idx))
+        assert np.float64(row.iso_min).tobytes() == np.float64(alone.best_value).tobytes()
+        assert row.converged == alone.converged
+
+
+_PROBE_BASES = [("cp2", 4), ("product:(sphere:n=4,k=1)x(flat:n=1)", 5)]
+
+
+@pytest.mark.parametrize(("base", "n"), _PROBE_BASES)
 def test_probe_rows_equal_separate_searches_bit_for_bit(base, n):
     # The probe searches all rows in one batch; row idx is the search of its
     # blend alone with seed material (seed, idx).
-    direction = f"sphere:n={n},k=1"
-    rep = sharpness_probe(base, direction, steps=4, seed=13, iso_trials=8)
-    t_base, t_dir = curvop.build_model(base), curvop.build_model(direction)
-    for idx, row in enumerate(rep.rows):
-        alone = curvop.min_isotropic(curvop.interpolate(t_base, t_dir, row.t), 8, seed=(13, idx))
-        assert np.float64(row.iso_min).tobytes() == np.float64(alone.best_value).tobytes()
-        assert row.converged == alone.converged
+    _assert_probe_rows_equal_separate_searches(base, n, 13, (13,))
+
+
+@pytest.mark.parametrize(("base", "n"), _PROBE_BASES)
+def test_probe_rows_of_a_tuple_seed_extend_its_material(base, n):
+    # Row idx of a probe with seed (1, 2) searches with material (1, 2, idx).
+    _assert_probe_rows_equal_separate_searches(base, n, (1, 2), (1, 2))
 
 
 def test_sharpness_probe_checks_only_sphere_times_a_line():
