@@ -20,17 +20,23 @@ rounding at a fraction of ``numpy.linalg.qr``'s cost. A tensor with
 max|R| < 1 is searched at an exact power-of-two scale. One batched
 kernel, ``_iso_values`` (with ``_iso_grads`` for the gradient of a kept
 frame), evaluates every isotropic value: single frames, the descent, the
-built n = 4 frames and the reported minimum. It runs on 2-forms: a tensor
-enters as its (N2, N2) matrix R_L[(i<j), (k<l)] = R_ijkl, N2 = n(n-1)/2,
-which is the first-kind matrix (``secondkind._first_kind_matrices``), and
-each frame as the six 2-forms e_a ^ e_c of its pairs.
+built n = 4 frames and the reported minimum. It runs on the frame's two
+complex structures X = e13 - e24 and Y = e14 + e23, whose isotropic
+2-vector (e1 + i e2) ^ (e3 + i e4) is X + iY, so the value is
+<R X, X> + <R Y, Y> (Micallef & Moore, Ann. Math. 1988). A tensor enters
+as its (N2, N2) matrix R_L[(i<j), (k<l)] = R_ijkl, N2 = n(n-1)/2, which is
+the first-kind matrix (``secondkind._first_kind_matrices``), and a frame F
+as the 2-forms F J F^T, with J the constant skew matrices ``_J`` of X and
+Y. This is the formula above plus 2 b(e1, e2, e3, e4), b the first
+Bianchi sum, which vanishes up to rounding on the tensors the package
+builds (see ``isotropic_value``).
 A line search tries a frame's step and three halvings, then, if none is
 sufficient, every halving left down to the frame's first-order floor
 max(_MIN_STEP, noise / <r, d>) in one more pass, unless many frames miss at
 once (see ``_descend_batch``); below that floor a step gains less than the
 noise guard, so stopping there changes no decision.
-The coordinate seeds read their five components directly, in the
-kernel's order, and equal its values bit for bit.
+The coordinate seeds read their six components directly and equal the
+kernel's values bit for bit (see ``_seed_values``).
 ``pullback`` stays apart from it, as the independent reference of the
 identity checks.
 
@@ -118,9 +124,10 @@ def _retract(f: np.ndarray) -> np.ndarray:
 
 
 def random_frame(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random orthonormal (n, k) frame, 1 <= k <= n: the retraction
-    of a Gaussian block. ``rng`` must be an ``np.random.Generator``."""
-    _check_int(n, "dimension", 1)
+    """Haar-ish random orthonormal (n, k) frame, 1 <= k <= n <= 32: the
+    retraction of a Gaussian block. ``rng`` must be an
+    ``np.random.Generator``."""
+    n = _check_dim(n)
     _check_int(k, "frame width", 1, n)
     if not isinstance(rng, np.random.Generator):
         raise ParameterOutOfRange(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
@@ -136,58 +143,14 @@ def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(3, 2, 1, 0))
 
 
-# Frame pairs (a, c) whose 2-forms e_a ^ e_c enter the isotropic value and
-# its gradient: the four sectional pairs, then the two cross-term pairs.
-_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 1))
-
-
-@functools.lru_cache(maxsize=None)
-def _two_form_gathers(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather indices into a flattened (n, 4) frame F that form the 2-forms
-    of ``_PAIRS``: with left and right each of shape (2, 6, N2), the product
-    F[left] * F[right] holds F[i, a] F[j, c] in slice 0 and F[j, a] F[i, c]
-    in slice 1, for pair p = (a, c) and index pair (i, j), i < j. Built
-    once per n and read-only."""
-    i, j = _pair_index(n)
-    a, c = (np.array(side)[:, None] for side in zip(*_PAIRS))
-    left = np.stack((4 * i + a, 4 * j + a))
-    right = np.stack((4 * j + c, 4 * i + c))
-    for index in (left, right):
-        index.setflags(write=False)
-    return left, right
-
-
-@functools.lru_cache(maxsize=None)
-def _gradient_gathers(n: int) -> tuple[np.ndarray, ...]:
-    """Gather indices and signs that turn ``_iso_values``' products y of a
-    frame F into its gradient as one matrix product, 2 Y B.
-
-    Y (n, 6n) holds the antisymmetric (n, n) expansions Y_p of the six rows
-    of y, Y_p[r, k] = R(e_r, e_k, e_a, e_c), as Y[r, 6k + p]. B (6n, 4)
-    holds in row 6k + p the signed entries of row k of F that Y_p meets:
-    for a sectional pair (a, c) column a takes F[k, c] and column c takes
-    -F[k, a]; each cross pair feeds the columns of the other, (a, c) =
-    (0, 1) or (2, 3), with the opposite signs. Each is a gather from the
-    flattened y or F times a sign in {-1, 0, 1}. Built once per n and
-    read-only.
-    """
-    i, j = _pair_index(n)
-    slot, sign = np.zeros((n, n), dtype=int), np.zeros((n, n))
-    slot[i, j] = slot[j, i] = np.arange(i.size)
-    sign[i, j], sign[j, i] = 1.0, -1.0
-    source, source_sign = np.zeros((6, 4), dtype=int), np.zeros((6, 4))
-    for p, (a, c) in enumerate(_PAIRS[:4] + _PAIRS[:3:-1]):
-        s = 1.0 if p < 4 else -1.0
-        source[p, [a, c]], source_sign[p, [a, c]] = (c, a), (s, -s)
-    out = (
-        (slot[:, :, None] + i.size * np.arange(6)).reshape(n, 6 * n),
-        np.repeat(sign, 6, axis=1),
-        (4 * np.arange(n)[:, None, None] + source).reshape(6 * n, 4),
-        np.tile(source_sign, (n, 1)),
-    )
-    for index in out:
-        index.setflags(write=False)
-    return out
+# The complex structures X = e13 - e24 and Y = e14 + e23 of a 4-frame as
+# skew 4 x 4 matrices: for a frame F, F J[0] F^T and F J[1] F^T are its
+# 2-forms X and Y as skew (n, n) matrices. Read-only.
+_J = np.array([
+    [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
+    [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]],
+])
+_J.setflags(write=False)
 
 
 def _iso_values(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -196,35 +159,37 @@ def _iso_values(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.n
     ``frames`` has shape (..., n, 4) and ``rmats`` holds the (N2, N2)
     matrix R_L on 2-forms (``_first_kind_matrices``) of each frame's tensor,
     broadcastable against the leading dimensions; returns values (...) and
-    y (..., 6, N2). Row p of w holds the 2-form e_a ^ e_c of pair p,
-    a_i c_j - a_j c_i for i < j, and row p of y = w @ R_L is the 2-form
-    R(e_a, e_c, ., .), which feeds the value here and the gradient in
-    ``_iso_grads``. Every product is a stacked ``matmul`` or ``einsum`` of
-    one fixed shape per frame, so a frame's numbers do not depend on how
-    many other frames share the call.
+    y (..., 2, N2). The rows of w are the 2-forms X and Y of ``_J``, the
+    i < j entries of F J F^T, and the rows of y = w @ R_L are R X and R Y,
+    so the value is <R X, X> + <R Y, Y>; y feeds the gradient in
+    ``_iso_grads``. F J only permutes and negates columns of F, so it is
+    exact. Every product is a stacked ``matmul`` or ``einsum`` of one fixed
+    shape per frame, so a frame's numbers do not depend on how many other
+    frames share the call.
     """
     n = frames.shape[-2]
-    left, right = _two_form_gathers(n)
-    # np.take, unlike an index on the last axis, returns C order, so the
+    i, j = _pair_index(n)
+    forms = (frames[..., None, :, :] @ _J) @ np.swapaxes(frames, -1, -2)[..., None, :, :]
+    # np.take, unlike an index on the last axes, returns C order, so the
     # einsum below sums every frame's products in the same order.
-    flat = frames.reshape(*frames.shape[:-2], 4 * n)
-    terms = np.take(flat, left, axis=-1) * np.take(flat, right, axis=-1)
-    w = terms[..., 0, :, :] - terms[..., 1, :, :]
+    w = np.take(forms.reshape(*forms.shape[:-2], n * n), i * n + j, axis=-1)
     y = np.matmul(w, rmats)
-    dots = np.einsum("...k,...k->...", w[..., :4, :], y[..., :4, :])
-    cross = np.einsum("...k,...k->...", w[..., 5, :], y[..., 4, :])
-    return dots[..., 0] + dots[..., 1] + dots[..., 2] + dots[..., 3] - 2.0 * cross, y
+    dots = np.einsum("...k,...k->...", w, y)
+    return dots[..., 0] + dots[..., 1], y
 
 
 def _iso_grads(y: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Euclidean gradients (..., n, 4) of the isotropic value at ``frames``,
     from the products y that ``_iso_values`` returned for the same frames:
-    2 Y B per frame, one stacked ``matmul`` (see ``_gradient_gathers``)."""
+    -2 (Xi_X F J_X + Xi_Y F J_Y), with Xi the skew (n, n) expansion of each
+    row of y, Xi[i, j] = y[(i, j)] = -Xi[j, i] for i < j."""
     n = frames.shape[-2]
-    y_gather, y_sign, f_gather, f_sign = _gradient_gathers(n)
-    expanded = np.take(y.reshape(*y.shape[:-2], 6 * y.shape[-1]), y_gather, axis=-1) * y_sign
-    signed = np.take(frames.reshape(*frames.shape[:-2], 4 * n), f_gather, axis=-1) * f_sign
-    return 2.0 * np.matmul(expanded, signed)
+    i, j = _pair_index(n)
+    xi = np.zeros((*y.shape[:-1], n, n))
+    xi[..., i, j] = y
+    xi[..., j, i] = -y
+    terms = xi @ (frames[..., None, :, :] @ _J)
+    return -2.0 * (terms[..., 0, :, :] + terms[..., 1, :, :])
 
 
 def isotropic_value(t: CurvatureTensor, frame) -> float:
@@ -232,6 +197,13 @@ def isotropic_value(t: CurvatureTensor, frame) -> float:
 
     Evaluated by the same kernel as the search, so it reproduces a
     ``FrameSearchResult.best_value`` from its ``best_frame`` bit for bit.
+    The kernel computes <R X, X> + <R Y, Y> with X = e13 - e24 and
+    Y = e14 + e23, which is K13 + K14 + K23 + K24 - 2 R1234 + 2 b(e1, e2,
+    e3, e4), with b the first Bianchi sum R1234 + R1342 + R1423
+    (``tensor._bianchi_cyclic``). b vanishes up to rounding on every tensor
+    the package builds; on a tensor that ``CurvatureTensor`` admits at a
+    Bianchi residual of 9e-11 max|R|, 2 b reached 2.9e-10 max|R| on random
+    frames (n = 4..8).
     """
     _check_dim(t.dim, 4)
     f = check_frame(frame, width=4, dim=t.dim)
@@ -264,13 +236,14 @@ def _coordinate_seed_axes(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _seed_components(n: int) -> np.ndarray:
-    """Flat indices into an (n, n, n, n) array of the five components that
-    each coordinate seed's value reads: R_acac, R_adad, R_bcbc, R_bdbd and
-    R_cdab (the cross term as the kernel reads it), shape (m, 5), for the
-    seed axes (a, b, c, d) of ``_coordinate_seed_axes``."""
+    """Flat indices into an (n, n, n, n) array of the six components that
+    each coordinate seed's value reads: R_acac, R_acbd and R_bdbd for
+    X = e_ac - e_bd, then R_adad, R_adbc and R_bcbc for Y = e_ad + e_bc,
+    shape (m, 6), for the seed axes (a, b, c, d) of
+    ``_coordinate_seed_axes``."""
     a, b, c, d = _coordinate_seed_axes(n).T
     idx = np.ravel_multi_index(
-        ([a, a, b, b, c], [c, d, c, d, d], [a, a, b, b, a], [c, d, c, d, b]), (n,) * 4
+        ([a, a, b, a, a, b], [c, c, d, d, d, c], [a, b, b, a, b, b], [c, d, d, d, c, c]), (n,) * 4
     ).T
     idx.setflags(write=False)
     return idx
@@ -278,12 +251,15 @@ def _seed_components(n: int) -> np.ndarray:
 
 def _seed_values(arrays: np.ndarray) -> np.ndarray:
     """Isotropic values of every coordinate seed frame for a stack of
-    (n, n, n, n) arrays, shape (tensors, m). Five component reads per frame,
-    summed in the kernel's order, equal ``_iso_values`` on the seed frames
-    bit for bit."""
+    (n, n, n, n) arrays, shape (tensors, m): <R X, X> + <R Y, Y> as
+    ((R_acac - R_acbd) + (R_bdbd - R_acbd)) + ((R_adad + R_adbc) +
+    (R_bcbc + R_adbc)). Each of the kernel's two dot products has only
+    these two nonzero terms, so its sum does not depend on the order, and
+    the seeds equal ``_iso_values`` on the seed frames bit for bit."""
     n = arrays.shape[-1]
     r = arrays.reshape(arrays.shape[0], n ** 4)[:, _seed_components(n)]
-    return r[..., 0] + r[..., 1] + r[..., 2] + r[..., 3] - 2.0 * r[..., 4]
+    x = (r[..., 0] - r[..., 1]) + (r[..., 2] - r[..., 1])
+    return x + ((r[..., 3] + r[..., 4]) + (r[..., 5] + r[..., 4]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -510,12 +486,12 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     batches, and a frame's descent does not depend on its batch. Start
     (i, trial) is a Gaussian (n, 4) block from ``default_rng((*seeds[i],
     trial))``; one stacked ``_retract`` retracts them all, with the bytes
-    each gets alone. The seed values are five component reads per frame,
-    equal to the kernel's bit for bit; the descent and the reported value come
-    from the kernel. A tensor with 0 < max|R| < 1 is searched times the
-    power of two 2^p that brings max|R| into [1, 2) and its values are
-    divided by 2^p, exactly, so min_isotropic(2^e R) = 2^e min_isotropic(R)
-    bit for bit for e <= 0 and 1 <= max|R| < 2.
+    each gets alone. The seed values are six component reads per frame,
+    equal to the kernel's bit for bit (``_seed_values``); the descent and
+    the reported value come from the kernel. A tensor with 0 < max|R| < 1
+    is searched times the power of two 2^p that brings max|R| into [1, 2)
+    and its values are divided by 2^p, exactly, so min_isotropic(2^e R) =
+    2^e min_isotropic(R) bit for bit for e <= 0 and 1 <= max|R| < 2.
 
     At n = 4 the search is exact: no start is drawn and no descent runs.
     Each tensor gets the frame ``_exact_frames`` builds for its minimum

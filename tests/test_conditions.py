@@ -1,7 +1,7 @@
 """Frames, isotropic curvature, the descent search, and identity suites."""
 
 import math
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -39,6 +39,7 @@ from curvop.conditions import (
 )
 from curvop.harness import boost_to_hypothesis, parse_predicate
 from curvop.secondkind import _first_kind_matrices
+from curvop.tensor import _bianchi_cyclic
 
 
 def test_check_frame_accepts_orthonormal_and_rejects_else():
@@ -198,6 +199,66 @@ def test_isotropic_value_matches_the_pullback_closed_form(n, seed):
     r4 = pullback(t.array, f)
     closed = r4[0, 2, 0, 2] + r4[0, 3, 0, 3] + r4[1, 2, 1, 2] + r4[1, 3, 1, 3] - 2.0 * r4[0, 1, 2, 3]
     assert abs(isotropic_value(t, f) - closed) <= 1e-12 * max(1.0, t.max_abs())
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_isotropic_value_adds_twice_the_bianchi_sum_of_an_admitted_tensor(n):
+    # The kernel computes <R X, X> + <R Y, Y>, the closed form plus
+    # 2 b(e1, e2, e3, e4) with b the cyclic Bianchi sum. A 4-form has every
+    # index symmetry of a curvature tensor and b = 3 times itself, so a random
+    # tensor plus a small one is admitted at a residual near 9e-11 max|R|.
+    base = curvop.random_curvature(n, seed=(23, n)).array
+    raw = np.random.default_rng((24, n)).standard_normal((n,) * 4)
+    form = np.zeros_like(raw)
+    for perm in permutations(range(4)):
+        form += (-1.0) ** sum(a > b for a, b in combinations(perm, 2)) * raw.transpose(perm)
+    t = CurvatureTensor(base + 3e-11 * np.abs(base).max() / np.abs(form).max() * form)
+    scale = t.max_abs()
+    assert 8e-11 * scale <= np.abs(_bianchi_cyclic(t.array)).max() <= 1e-10 * scale
+    rng = np.random.default_rng((25, n))
+    moves = []
+    for _ in range(8):
+        f = random_frame(n, 4, rng)
+        r4 = pullback(t.array, f)
+        closed = r4[0, 2, 0, 2] + r4[0, 3, 0, 3] + r4[1, 2, 1, 2] + r4[1, 3, 1, 3] - 2.0 * r4[0, 1, 2, 3]
+        move = 2.0 * (r4[0, 1, 2, 3] + r4[0, 2, 3, 1] + r4[0, 3, 1, 2])
+        assert abs(isotropic_value(t, f) - (closed + move)) <= 1e-13 * scale
+        moves.append(abs(move))
+    assert max(moves) > 1e-11 * scale  # the move is far above the tolerance
+
+
+def _first_kind_bound(t):
+    """2 (mu1 + mu2), mu the ascending eigenvalues of the first-kind matrix."""
+    mu = np.linalg.eigvalsh(curvop.first_kind_matrix(t))
+    return 2.0 * (mu[0] + mu[1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=4, max_value=8), st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_isotropic_values_are_at_least_the_first_kind_bound(n, seed, boosted):
+    # X = e13 - e24 and Y = e14 + e23 are orthogonal 2-forms of squared norm 2,
+    # so <R X, X> + <R Y, Y> >= 2 (mu1 + mu2) on every frame.
+    t = curvop.random_curvature(n, seed=seed)
+    if boosted:
+        t = boost_to_hypothesis(t, parse_predicate("k4a0.5strict"))[0]
+    bound = _first_kind_bound(t) - 1e-12 * max(1.0, t.max_abs())
+    rng = np.random.default_rng(seed)
+    for _ in range(4):
+        assert isotropic_value(t, random_frame(n, 4, rng)) >= bound
+    assert min_isotropic(t, 2, seed=seed).best_value >= bound
+
+
+@pytest.mark.parametrize(("spec", "minimum"), [("cp2", 0.0)] + [(f"sphere:n={n},k=1", 4.0) for n in range(4, 9)])
+def test_first_kind_bound_is_met_on_cp2_and_the_unit_spheres(spec, minimum):
+    t = curvop.build_model(spec)
+    assert _first_kind_bound(t) == pytest.approx(minimum, abs=1e-12)
+    assert min_isotropic(t, 4, seed=0).best_value == pytest.approx(minimum, abs=1e-12)
+
+
+def test_first_kind_bound_is_not_tight_on_s3_times_s1():
+    t = curvop.build_model("product:(sphere:n=3,k=1)x(flat:n=1)")
+    assert _first_kind_bound(t) == pytest.approx(0.0, abs=1e-12)
+    assert min_isotropic(t, 4, seed=0).best_value == 2.0
 
 
 def _coordinate_seed_frames(n):
@@ -731,46 +792,46 @@ def test_structured_descents_reproduce_the_reference_bit_for_bit(spec, t):
 
 # best_value.hex() and refinement_steps of min_isotropic_batch on ten
 # k4a0.5strict-boosted samples per dimension, five starts each, recorded from
-# the descent whose later line-search passes ran every ladder down to
-# min_step (NumPy 2.4.6, OpenBLAS 0.3.31, x86-64; another BLAS kernel may
-# round the last bits differently). The n = 4 pins are the kernel's values
-# at the exact frames built from two complex structures and retracted, no
-# descent.
+# the kernel that evaluates <R X, X> + <R Y, Y> on the frame's 2-forms
+# X = e13 - e24 and Y = e14 + e23 (NumPy 2.4.6, OpenBLAS 0.3.31, x86-64;
+# another BLAS kernel may round the last bits differently). The n = 4 pins
+# are the kernel's values at the exact frames built from two complex
+# structures and retracted, no descent.
 _GOLDEN_SEARCHES = {
     4: (
-        ("0x1.fee31634e45e8p+2", 0), ("0x1.d9a771140929cp+2", 0),
-        ("0x1.217aa0525e904p+2", 0), ("0x1.9715f87d1815ap+2", 0),
-        ("0x1.8bb0ad1947380p+2", 0), ("0x1.60d1b46717041p+2", 0),
-        ("0x1.3d9a12657061bp+2", 0), ("0x1.7a67148513e55p+2", 0),
-        ("0x1.464265811c456p+2", 0), ("0x1.ae58fdc72b812p+2", 0),
+        ("0x1.fee31634e45eap+2", 0), ("0x1.d9a771140929ep+2", 0),
+        ("0x1.217aa0525e904p+2", 0), ("0x1.9715f87d1815cp+2", 0),
+        ("0x1.8bb0ad1947380p+2", 0), ("0x1.60d1b46717040p+2", 0),
+        ("0x1.3d9a12657061ap+2", 0), ("0x1.7a67148513e55p+2", 0),
+        ("0x1.464265811c454p+2", 0), ("0x1.ae58fdc72b812p+2", 0),
     ),
     5: (
-        ("0x1.470cfa0d5bac4p+3", 123), ("0x1.75742d3e5930cp+3", 171),
-        ("0x1.3e488fd478794p+3", 99), ("0x1.ceb2cb7dc912ep+3", 155),
-        ("0x1.ba44478eb41a8p+3", 125), ("0x1.b2c135960c854p+3", 132),
-        ("0x1.c559aac07a56ep+3", 184), ("0x1.875f7af8a4b10p+3", 204),
-        ("0x1.5706d8e0dbefap+3", 117), ("0x1.838e39e9d3cbdp+3", 132),
+        ("0x1.470cfa0d5bac3p+3", 123), ("0x1.75742d3e5930cp+3", 171),
+        ("0x1.3e488fd478794p+3", 99), ("0x1.ceb2cb7dc912dp+3", 155),
+        ("0x1.ba44478eb41a4p+3", 125), ("0x1.b2c135960c855p+3", 132),
+        ("0x1.c559aac07a570p+3", 184), ("0x1.875f7af8a4b10p+3", 204),
+        ("0x1.5706d8e0dbef8p+3", 117), ("0x1.838e39e9d3cbdp+3", 132),
     ),
     6: (
-        ("0x1.02d8b9f6016e4p+4", 179), ("0x1.1e6dffe7c7808p+4", 138),
-        ("0x1.40577ccfcb350p+4", 144), ("0x1.02d7a78b53efbp+4", 130),
-        ("0x1.0920fdb5cdb88p+4", 143), ("0x1.f362aec5bab56p+3", 165),
-        ("0x1.31c6c7025f086p+4", 167), ("0x1.00fe1b8519688p+4", 278),
+        ("0x1.02d8b9f6016e3p+4", 179), ("0x1.1e6dffe7c7806p+4", 138),
+        ("0x1.40577ccfcb34fp+4", 144), ("0x1.02d7a78b53efbp+4", 130),
+        ("0x1.0920fdb5cdb86p+4", 143), ("0x1.f362aec5bab59p+3", 165),
+        ("0x1.31c6c7025f086p+4", 167), ("0x1.00fe1b8519689p+4", 278),
         ("0x1.21c4da32238c8p+4", 187), ("0x1.056c8c0e8eda0p+4", 141),
     ),
     7: (
-        ("0x1.75e3ca8ff510fp+4", 172), ("0x1.9ab56aeadc50cp+4", 173),
-        ("0x1.8fadf7a44fc5ep+4", 198), ("0x1.5ff1793a91c7fp+4", 190),
-        ("0x1.746dc4f7b372cp+4", 153), ("0x1.aa8566293b56cp+4", 225),
-        ("0x1.6f46462c5e264p+4", 189), ("0x1.74099da0f6a6ep+4", 213),
-        ("0x1.708f1df598a19p+4", 184), ("0x1.73e87b3cdfc31p+4", 214),
+        ("0x1.75e3ca8ff5112p+4", 172), ("0x1.9ab56aeadc50ep+4", 173),
+        ("0x1.8fadf7a44fc5ep+4", 198), ("0x1.5ff1793a91c80p+4", 190),
+        ("0x1.746dc4f7b372cp+4", 153), ("0x1.aa8566293b56fp+4", 225),
+        ("0x1.6f46462c5e264p+4", 189), ("0x1.74099da0f6a6fp+4", 213),
+        ("0x1.708f1df598a16p+4", 184), ("0x1.73e87b3cdfc32p+4", 214),
     ),
     8: (
-        ("0x1.e83ac297f109ep+4", 197), ("0x1.015de5fb6bef9p+5", 186),
-        ("0x1.f4e96bc3fe764p+4", 205), ("0x1.c1b847b529fe6p+4", 196),
-        ("0x1.008f3df591ffdp+5", 192), ("0x1.92e9059efcbe8p+4", 186),
-        ("0x1.dac0d0bf7ffc8p+4", 198), ("0x1.de5d2a98242fep+4", 197),
-        ("0x1.dac2395521a7ep+4", 227), ("0x1.a1aa88264ae59p+4", 172),
+        ("0x1.e83ac297f109fp+4", 197), ("0x1.015de5fb6bef8p+5", 186),
+        ("0x1.f4e96bc3fe764p+4", 205), ("0x1.c1b847b529fe5p+4", 196),
+        ("0x1.008f3df591ffep+5", 192), ("0x1.92e9059efcbe9p+4", 186),
+        ("0x1.dac0d0bf7ffc6p+4", 198), ("0x1.de5d2a98242fep+4", 197),
+        ("0x1.dac2395521a82p+4", 227), ("0x1.a1aa88264ae58p+4", 172),
     ),
 }
 

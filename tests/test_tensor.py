@@ -504,6 +504,10 @@ _H = "k4a0.5strict"
                  id="frame-width-float"),
     pytest.param(lambda: curvop.random_frame(4.0, 2, np.random.default_rng(0)), ParameterOutOfRange,
                  id="frame-dim-float"),
+    pytest.param(lambda: curvop.random_frame(33, 4, np.random.default_rng(0)), ParameterOutOfRange,
+                 id="frame-dim-above-the-bound"),
+    pytest.param(lambda: curvop.random_frame(2**40, 1, np.random.default_rng(0)), ParameterOutOfRange,
+                 id="frame-dim-huge"),
     pytest.param(lambda: curvop.min_isotropic(_T4, 2.5), ParameterOutOfRange, id="min-isotropic-trials-float"),
     pytest.param(lambda: curvop.min_isotropic(_T4, True), ParameterOutOfRange, id="min-isotropic-trials-bool"),
     pytest.param(lambda: curvop.implication_trial(4, _H, "ric", 2.5), ParameterOutOfRange, id="trial-trials-float"),
