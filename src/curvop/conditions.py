@@ -36,7 +36,11 @@ max(_MIN_STEP, noise / <r, d>) in one more pass, unless many frames miss at
 once (see ``_descend_batch``); below that floor a step gains less than the
 noise guard, so stopping there changes no decision.
 The coordinate seeds read their six components directly and equal the
-kernel's values bit for bit (see ``_seed_values``).
+kernel's values bit for bit (see ``_seed_values``). In every dimension one
+rule picks the result: a searched frame, built or descended, replaces the
+best seed only if it is lower by more than the noise guard, so rounding
+cannot carry a value below an exact seed (CP^2 reports 0, S^(n-1) x S^1
+2 and the unit sphere 4).
 ``pullback`` stays apart from it, as the independent reference of the
 identity checks.
 
@@ -143,13 +147,30 @@ def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(out.transpose(3, 2, 1, 0))
 
 
-# The complex structures X = e13 - e24 and Y = e14 + e23 of a 4-frame as
-# skew 4 x 4 matrices: for a frame F, F J[0] F^T and F J[1] F^T are its
-# 2-forms X and Y as skew (n, n) matrices. Read-only.
-_J = np.array([
-    [[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]],
-    [[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 1.0, 0.0], [0.0, -1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]],
+def _skew(y: np.ndarray, n: int) -> np.ndarray:
+    """Skew (n, n) expansion of a stack (..., N2) of 2-form coordinates over
+    the pairs of ``_pair_index(n)``: Xi[i, j] = y[(i, j)] = -Xi[j, i] for
+    i < j."""
+    i, j = _pair_index(n)
+    xi = np.zeros((*y.shape[:-1], n, n))
+    xi[..., i, j] = y
+    xi[..., j, i] = -y
+    return xi
+
+
+# Lambda+ and Lambda-, (e12 + e34, e13 - e24, e14 + e23) and (e12 - e34,
+# e13 + e24, e14 - e23), as coordinates over the pairs of ``_pair_index(4)``,
+# shape (2, 3, 6). Integers, so the zeros of ``_J`` are all +0.0. Read-only.
+_SELF_DUAL = np.array([
+    [[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0]],
+    [[1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 1, 0], [0, 0, 1, -1, 0, 0]],
 ])
+_SELF_DUAL.setflags(write=False)
+
+# The complex structures X = e13 - e24 and Y = e14 + e23 of a 4-frame, the
+# last two rows of Lambda+, as skew 4 x 4 matrices: for a frame F, F J[0] F^T
+# and F J[1] F^T are its 2-forms X and Y as skew (n, n) matrices. Read-only.
+_J = _skew(_SELF_DUAL[0, 1:], 4)
 _J.setflags(write=False)
 
 
@@ -181,14 +202,9 @@ def _iso_values(rmats: np.ndarray, frames: np.ndarray) -> tuple[np.ndarray, np.n
 def _iso_grads(y: np.ndarray, frames: np.ndarray) -> np.ndarray:
     """Euclidean gradients (..., n, 4) of the isotropic value at ``frames``,
     from the products y that ``_iso_values`` returned for the same frames:
-    -2 (Xi_X F J_X + Xi_Y F J_Y), with Xi the skew (n, n) expansion of each
-    row of y, Xi[i, j] = y[(i, j)] = -Xi[j, i] for i < j."""
-    n = frames.shape[-2]
-    i, j = _pair_index(n)
-    xi = np.zeros((*y.shape[:-1], n, n))
-    xi[..., i, j] = y
-    xi[..., j, i] = -y
-    terms = xi @ (frames[..., None, :, :] @ _J)
+    -2 (Xi_X F J_X + Xi_Y F J_Y), with Xi the skew (n, n) expansion
+    (``_skew``) of each row of y."""
+    terms = _skew(y, frames.shape[-2]) @ (frames[..., None, :, :] @ _J)
     return -2.0 * (terms[..., 0, :, :] + terms[..., 1, :, :])
 
 
@@ -262,22 +278,6 @@ def _seed_values(arrays: np.ndarray) -> np.ndarray:
     return x + ((r[..., 3] + r[..., 4]) + (r[..., 5] + r[..., 4]))
 
 
-@functools.lru_cache(maxsize=None)
-def _self_dual_bases() -> np.ndarray:
-    """The bases of Lambda+ and Lambda- in 2-form coordinates, shape
-    (2, 6, 3): (e12+e34, e13-e24, e14+e23)/sqrt(2) and (e12-e34, e13+e24,
-    e14-e23)/sqrt(2), over the pairs of ``_pair_index(4)``. Built once and
-    read-only."""
-    bases = np.zeros((2, 6, 3))
-    root = np.sqrt(0.5)
-    for side, sign in enumerate((1.0, -1.0)):
-        bases[side, [0, 5], 0] = root, sign * root
-        bases[side, [1, 4], 1] = root, -sign * root
-        bases[side, [2, 3], 2] = root, sign * root
-    bases.setflags(write=False)
-    return bases
-
-
 def _exact_frames(rmats: np.ndarray) -> np.ndarray:
     """A minimizing 4-frame of each n = 4 tensor, shape (m, 4, 4), from its
     (6, 6) first-kind matrix in the stack ``rmats``.
@@ -289,25 +289,24 @@ def _exact_frames(rmats: np.ndarray) -> np.ndarray:
     c1 + c2), with a and c the ascending eigenvalues of the blocks A and C
     of R on Lambda+ and Lambda- (Hamilton, Comm. Anal. Geom. 1997). The
     frame carries the two lowest eigenvectors u1, u2 of the winning block
-    (Lambda+ on a tie), with B its basis from ``_self_dual_bases``: as skew
-    4 x 4 matrices X = sqrt(2) B u1 and Y = sqrt(2) B u2 are anticommuting
-    complex structures (X^2 = Y^2 = -I, XY = -YX), so e1 = the first
-    standard vector, e3 = -X e1, e4 = -Y e1 and e2 = Y e3 form an
-    orthonormal frame with e13 - e24 = X and e14 + e23 = Y, of determinant
-    +1 on Lambda+ and -1 on Lambda-. One ``_retract`` makes it orthonormal
-    to rounding. Each step is per tensor, so a frame does not depend on its
-    stack.
+    (Lambda+ on a tie), with B its (6, 3) orthonormal basis, the rows of
+    ``_SELF_DUAL`` times sqrt(1/2): as skew 4 x 4 matrices X = sqrt(2) B u1
+    and Y = sqrt(2) B u2 are anticommuting complex structures (X^2 = Y^2 =
+    -I, XY = -YX), so e1 = the first standard vector, e3 = -X e1, e4 = -Y e1
+    and e2 = Y e3 form an orthonormal frame with e13 - e24 = X and
+    e14 + e23 = Y, of determinant +1 on Lambda+ and -1 on Lambda-. One
+    ``_retract`` makes it orthonormal to rounding. Each step is per tensor, so a frame does not depend on its
+    stack. Like a descended frame, the built frame must beat the best
+    coordinate seed by more than the noise guard (``min_isotropic_batch``).
     """
-    bases = _self_dual_bases()
+    bases = np.sqrt(0.5) * np.swapaxes(_SELF_DUAL, 1, 2)
     blocks = np.swapaxes(bases, 1, 2)[:, None] @ rmats @ bases[:, None]
     eigenvalues, eigenvectors = np.linalg.eigh(blocks)
     lowest = eigenvalues[..., 0] + eigenvalues[..., 1]
     side = (lowest[1] < lowest[0]).astype(int)
     tensor = np.arange(rmats.shape[0])
     forms = np.sqrt(2.0) * np.swapaxes(bases[side] @ eigenvectors[side, tensor, :, :2], 1, 2)
-    i, j = _pair_index(4)
-    skew = np.zeros((tensor.size, 2, 4, 4))  # X and Y
-    skew[..., i, j], skew[..., j, i] = forms, -forms
+    skew = _skew(forms, 4)  # X and Y
     e3, e4 = -skew[:, 0, :, 0], -skew[:, 1, :, 0]
     e1 = np.broadcast_to(np.eye(4)[0], e3.shape)
     return _retract(np.stack((e1, np.einsum("mij,mj->mi", skew[:, 1], e3), e3, e4), axis=-1))
@@ -381,7 +380,6 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     m = frames.shape[0]
     f = frames.copy()
     value, products = _iso_values(rmats[owner], f)
-    grad = _iso_grads(products, f)
     tangent_prev, direction_prev = np.empty_like(f), np.empty_like(f)
     step = np.ones(m)
     iterations = np.full(m, max_iter)
@@ -390,7 +388,7 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
         if active.size == 0:
             break
         fa = f[active]
-        tangent = _tangent(fa, grad[active])
+        tangent = _tangent(fa, _iso_grads(products[active], fa))
         moving = np.abs(tangent).max(axis=(1, 2)) != 0.0
         iterations[active[~moving]] = iteration
         active, fa, tangent = active[moving], fa[moving], tangent[moving]
@@ -407,7 +405,7 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
         # so the later passes try only the halvings at or above this floor.
         # Candidates below _MIN_STEP are evaluated but never accepted.
         floor = np.maximum(_MIN_STEP, noise[owner[active]] / (tangent * direction).sum(axis=(1, 2)))
-        searching = np.flatnonzero(step[active] >= _MIN_STEP)
+        searching = np.arange(active.size)
         accepted = np.zeros(active.size, dtype=bool)
         width = 4
         while searching.size:
@@ -426,7 +424,7 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             step[won] = np.minimum(steps[rows, best] * 2.0, 1.0)
             accepted[searching[hit]] = True
             missed = idx[~hit]
-            step[missed] *= 0.5 ** (steps[~hit] >= _MIN_STEP).sum(axis=1)
+            step[missed] = steps[~hit, -1] * 0.5
             searching = searching[~hit]
             searching = searching[step[missed] >= floor[searching]]
             if searching.size:
@@ -435,7 +433,6 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
                 width = 4 * min(-(-halvings // 4), max(_DESCENT_CHUNK // searching.size, 8) // 4)
         iterations[active[~accepted]] = iteration + 1
         active = active[accepted]
-        grad[active] = _iso_grads(products[active], f[active])
     converged = np.ones(m, dtype=bool)
     converged[active] = False
     return f, value, iterations, converged
@@ -454,7 +451,10 @@ class FrameSearchResult:
     the value is a sampled minimum: an upper bound for the true one. At
     n = 4 it is the exact minimum to rounding, from the coordinate seeds and
     one built frame, so ``samples_used`` is the seed count + 1,
-    ``refinement_steps`` is 0 and ``converged`` is True.
+    ``refinement_steps`` is 0 and ``converged`` is True. In every dimension
+    a searched frame is kept only if it beats the best coordinate seed by
+    more than the noise guard, so a seed that attains the minimum exactly
+    is reported exactly.
     """
 
     best_value: float
@@ -495,12 +495,15 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
 
     At n = 4 the search is exact: no start is drawn and no descent runs.
     Each tensor gets the frame ``_exact_frames`` builds for its minimum
-    2 min(a1 + a2, c1 + c2), valued by the kernel. That frame replaces the
-    best coordinate seed only if its value is lower by more than the noise
-    guard, the rule a descent step obeys, so a rounding-negative value does
-    not displace an exact 0 (CP^2 reports 0.0). ``trials`` and the seeds
+    2 min(a1 + a2, c1 + c2), valued by the kernel. ``trials`` and the seeds
     are validated but not used; ``samples_used`` is the seed count + 1,
     ``refinement_steps`` is 0 and ``converged`` is True.
+
+    In every dimension a searched frame, built or descended, replaces the
+    tensor's best coordinate seed only if its value is lower by more than
+    the noise guard, the rule a descent step obeys. So rounding does not
+    displace a seed that attains the minimum exactly: CP^2 reports 0.0,
+    S^(n-1) x S^1 2.0 and the unit sphere 4.0.
     """
     tensors, seeds = list(tensors), list(seeds)
     if len(seeds) != len(tensors):
@@ -528,10 +531,6 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         searched = 1
         frames = _exact_frames(rmats)
         values = _iso_values(rmats, frames)[0]
-        # The built frame must beat the seeds by more than the noise guard,
-        # as a descent step must beat its frame, so a rounding-negative value
-        # cannot displace an exact 0 seed.
-        values[values >= seed_values.min(axis=1) - noise] = np.inf
         iterations, converged = np.zeros(len(tensors), dtype=int), np.ones(len(tensors), dtype=bool)
     else:
         searched = trials
@@ -545,18 +544,19 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
                   for lo in range(0, len(starts), _DESCENT_CHUNK)]
         frames, values, iterations, converged = (np.concatenate(part) for part in zip(*chunks))
 
+    # A searched frame must beat its tensor's best seed by more than the noise
+    # guard, as a descent step must beat its frame, so rounding cannot carry
+    # a value below an exact seed (CP^2 keeps 0, the sphere 4).
+    values[values >= np.repeat(seed_values.min(axis=1) - noise, searched)] = np.inf
+    candidates = np.concatenate((seed_values, values.reshape(-1, searched)), axis=1)
     axes = _coordinate_seed_axes(n)
     seeded = axes.shape[0]
     results = []
-    for i in range(len(tensors)):
+    for i, best in enumerate(candidates.argmin(axis=1)):
         rows = slice(i * searched, (i + 1) * searched)
-        # One argmin over the seed values followed by the searched values:
-        # the first minimum wins, so a seed wins a tie.
-        candidates = np.concatenate((seed_values[i], values[rows]))
-        best = int(np.argmin(candidates))
         best_frame = np.eye(n)[:, axes[best]].copy() if best < seeded else frames[rows][best - seeded]
         results.append(FrameSearchResult(
-            best_value=float(np.ldexp(candidates[best], -power[i])),
+            best_value=float(np.ldexp(candidates[i, best], -power[i])),
             best_frame=best_frame,
             samples_used=searched + seeded,
             refinement_steps=int(iterations[rows].sum()),
@@ -615,9 +615,16 @@ class IdentityReport:
     values: dict[str, float]
 
 
-def _relative(lhs: float, rhs: float, scale: float) -> float:
-    denominator = max(abs(lhs), abs(rhs), scale)
-    return abs(lhs - rhs) / denominator if denominator else 0.0
+def _report(kind: str, dim: int, identities: dict, scale: float, values: dict) -> IdentityReport:
+    """The ``IdentityReport`` of ``identities``, {name: (lhs, rhs)}, with each
+    residual relative to ``scale`` (see ``IdentityReport``)."""
+    residuals = {}
+    for name, (lhs, rhs) in identities.items():
+        lhs = float(lhs)
+        denominator = max(abs(lhs), abs(rhs), scale)
+        residuals[name] = abs(lhs - rhs) / denominator if denominator else 0.0
+    return IdentityReport(kind=kind, dim=dim, max_residual=max(residuals.values()),
+                          residuals=residuals, values=values)
 
 
 def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
@@ -646,46 +653,34 @@ def verify_pic_identities(t: CurvatureTensor, frame) -> IdentityReport:
     iso = k13 + k14 + k23 + k24 - 2.0 * r1234
     scale = max(float(np.abs(r4).max()), float(np.abs(q).max()))
 
-    closed = {
-        "phi1": 2.0 * (-k12 - k34 + k13 + k24 + k14 + k23),
-        "phi2": 2.0 * (-k13 - k24 + k12 + k34 + k14 + k23),
-        "phi3": 2.0 * (-k14 - k23 + k12 + k34 + k13 + k24),
-        "phi4": 2.0 * (k14 + k23 + 2.0 * r1234 - 2.0 * r1342),
-        "phi5": 2.0 * (k14 + k23 - 2.0 * r1234 + 2.0 * r1342),
-        "phi6": 2.0 * (k13 + k24 - 2.0 * r1234 + 2.0 * r1423),
-        "phi7": 2.0 * (k13 + k24 + 2.0 * r1234 - 2.0 * r1423),
-        "phi8": 2.0 * (k12 + k34 + 2.0 * r1342 - 2.0 * r1423),
-        "phi9": 2.0 * (k12 + k34 - 2.0 * r1342 + 2.0 * r1423),
-    }
-    residuals = {
-        name: _relative(float(q[a]), closed[name], scale)
-        for a, name in enumerate(closed)
-    }
     s4 = k13 + k14 + k23 + k24
     pair_sum = k12 + k34
-    grouped = {
-        "phi1+phi5+phi6": (float(q[0] + q[4] + q[5]), 4.0 * s4 - 2.0 * pair_sum - 12.0 * r1234),
-        "phi2+phi3": (float(q[1] + q[2]), 4.0 * pair_sum),
-        "phi8+phi9": (float(q[7] + q[8]), 4.0 * pair_sum),
-        "phi4+phi7": (float(q[3] + q[6]), 2.0 * s4 + 12.0 * r1234),
+    closed = (
+        2.0 * (-k12 - k34 + k13 + k24 + k14 + k23),
+        2.0 * (-k13 - k24 + k12 + k34 + k14 + k23),
+        2.0 * (-k14 - k23 + k12 + k34 + k13 + k24),
+        2.0 * (k14 + k23 + 2.0 * r1234 - 2.0 * r1342),
+        2.0 * (k14 + k23 - 2.0 * r1234 + 2.0 * r1342),
+        2.0 * (k13 + k24 - 2.0 * r1234 + 2.0 * r1423),
+        2.0 * (k13 + k24 + 2.0 * r1234 - 2.0 * r1423),
+        2.0 * (k12 + k34 + 2.0 * r1342 - 2.0 * r1423),
+        2.0 * (k12 + k34 - 2.0 * r1342 + 2.0 * r1423),
+    )
+    identities = {f"phi{a + 1}": (q[a], rhs) for a, rhs in enumerate(closed)}
+    identities.update({
+        "phi1+phi5+phi6": (q[0] + q[4] + q[5], 4.0 * s4 - 2.0 * pair_sum - 12.0 * r1234),
+        "phi2+phi3": (q[1] + q[2], 4.0 * pair_sum),
+        "phi8+phi9": (q[7] + q[8], 4.0 * pair_sum),
+        "phi4+phi7": (q[3] + q[6], 2.0 * s4 + 12.0 * r1234),
         "master": (
-            float(6.0 * (q[0] + q[4] + q[5]) + 1.5 * (q[1] + q[2] + q[3] + q[6] + q[7] + q[8])),
+            6.0 * (q[0] + q[4] + q[5]) + 1.5 * (q[1] + q[2] + q[3] + q[6] + q[7] + q[8]),
             27.0 * s4 - 54.0 * r1234,
         ),
-    }
-    for name, (lhs, rhs) in grouped.items():
-        residuals[name] = _relative(lhs, rhs, scale)
-
-    values = {f"q_{name}": float(q[a]) for a, name in enumerate(closed)}
+    })
+    values = {f"q_phi{a + 1}": float(q[a]) for a in range(9)}
     values.update({"isotropic": float(iso), "R1234": float(r1234),
                    "R1342": float(r1342), "R1423": float(r1423)})
-    return IdentityReport(
-        kind="pic",
-        dim=t.dim,
-        max_residual=max(residuals.values()),
-        residuals=residuals,
-        values=values,
-    )
+    return _report("pic", t.dim, identities, scale, values)
 
 
 @functools.lru_cache(maxsize=None)
@@ -748,31 +743,16 @@ def verify_ric_identities(t: CurvatureTensor, frame) -> IdentityReport:
     s = float(np.trace(ric_mat))
     scale = max(abs(r11), abs(s), t.max_abs())
 
-    eq1_rhs = 2.0 * r11 / (n - 1) - s / (n * (n - 1))
-    eq2_rhs = r11
-    eq3_rhs = s / 2.0 - r11
-    eq4_rhs = (s - 2.0 * r11) / (n - 1)
-    comb_lhs = (n - 2) * (n + 1) / 2.0 * (q_phi1 + q_phi) + (n - 2) / n * (q_psi + q_xi)
-    comb_rhs = (n - 2) * (n + 1) * (n + 2) / (2.0 * n) * r11
-
-    residuals = {
-        "eq1": _relative(q_phi1, eq1_rhs, scale),
-        "eq2": _relative(q_phi, eq2_rhs, scale),
-        "eq3": _relative(q_psi, eq3_rhs, scale),
-        "eq4": _relative(q_xi, eq4_rhs, scale),
-        "combination": _relative(comb_lhs, comb_rhs, scale),
+    identities = {
+        "eq1": (q_phi1, 2.0 * r11 / (n - 1) - s / (n * (n - 1))),
+        "eq2": (q_phi, r11),
+        "eq3": (q_psi, s / 2.0 - r11),
+        "eq4": (q_xi, (s - 2.0 * r11) / (n - 1)),
+        "combination": ((n - 2) * (n + 1) / 2.0 * (q_phi1 + q_phi) + (n - 2) / n * (q_psi + q_xi),
+                        (n - 2) * (n + 1) * (n + 2) / (2.0 * n) * r11),
     }
-    values = {
-        "eq1": q_phi1, "eq2": q_phi, "eq3": q_psi, "eq4": q_xi,
-        "R11": r11, "scalar": s,
-    }
-    return IdentityReport(
-        kind="ric",
-        dim=n,
-        max_residual=max(residuals.values()),
-        residuals=residuals,
-        values=values,
-    )
+    values = {"eq1": q_phi1, "eq2": q_phi, "eq3": q_psi, "eq4": q_xi, "R11": r11, "scalar": s}
+    return _report("ric", n, identities, scale, values)
 
 
 def second_kind_spectrum(t: CurvatureTensor):

@@ -370,6 +370,18 @@ def test_cp2_over_three_minimum_is_exactly_zero():
     assert min_isotropic(blend, 20, seed=2).best_value == 0.0
 
 
+@pytest.mark.parametrize("trials", [5, 32])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_boundary_models_report_their_exact_minima(n, trials):
+    # A coordinate seed attains the minimum of the unit sphere (4) and of
+    # S^(n-1) x S^1 (2) exactly, and a descended frame that is lower only by
+    # rounding must not displace it: the sphere reported 4 - 8.9e-16.
+    sphere = curvop.build_model(f"sphere:n={n},k=1")
+    product = curvop.build_model(f"product:(sphere:n={n - 1},k=1)x(flat:n=1)")
+    assert min_isotropic(sphere, trials, seed=1).best_value == 4.0
+    assert min_isotropic(product, trials, seed=1).best_value == 2.0
+
+
 def test_descent_step_keeps_lowest_sufficient_candidate():
     # One iteration from random frames on S^5 x S^1: the kept frame is the
     # lowest of the four candidate steps that beat the noise guard, which is
@@ -437,7 +449,7 @@ def test_later_line_search_passes_stay_within_the_candidate_cap(monkeypatch):
     # more than max(_DESCENT_CHUNK, 8 x its frames) candidates.
     shapes = _record_line_search_passes(monkeypatch)
     pred = parse_predicate("k4a0.5strict")
-    for n in (4, 6, 8):
+    for n in (5, 6, 8):
         tensors = [boost_to_hypothesis(curvop.random_curvature(n, seed=(81, n, i), scale=4096.0), pred)[0]
                    for i in range(6)]
         results = min_isotropic_batch(tensors, 4, [(n, i) for i in range(6)])

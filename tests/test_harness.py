@@ -295,6 +295,15 @@ def test_sharpness_probe_sphere_times_flat_boundary(n):
     assert ric_ok and abs(ric0) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_sphere_times_circle_probe_rows_are_exact(n):
+    # S^(n-1) x S^1 blended toward the unit sphere: minima 2, 3 and 4, each
+    # attained exactly by a coordinate seed.
+    rep = sharpness_probe(f"product:(sphere:n={n - 1},k=1)x(flat:n=1)", f"sphere:n={n},k=1",
+                          steps=3, seed=5, iso_trials=32)
+    assert [row.iso_min for row in rep.rows] == [2.0, 3.0, 4.0]
+
+
 def _assert_probe_rows_equal_separate_searches(base, n, seed, prefix):
     direction = f"sphere:n={n},k=1"
     rep = sharpness_probe(base, direction, steps=4, seed=seed, iso_trials=8)
