@@ -12,8 +12,9 @@ minima move, confirming that the base sits exactly on the advertised
 boundary at t = 0.
 
 Reports serialize to a JSON envelope {tool, version, seed, config,
-results}; writes are atomic and counterexample tensors land in sibling
-files referenced from the report.
+results}; writes are atomic. A counterexample keeps only its seed
+material, and each tensor is replayed from it when it is written to a
+sibling file referenced from the envelope.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import functools
 import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,7 +46,8 @@ from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, save_t
 TOOL_NAME = "curvop"
 
 # Samples boosted and searched together in implication_trial; bounds the
-# samples held at once without changing any result.
+# samples held at once without changing any result. Counterexamples keep
+# only their seed material, so the bound holds for them too.
 _TRIAL_BLOCK = 100
 
 # boost_to_hypothesis clears the analytic threshold by this margin
@@ -69,15 +71,17 @@ def parse_predicate(text: str) -> PredicateSpec:
 
 @dataclass(frozen=True)
 class Counterexample:
-    """One sampled tensor that passed the hypothesis but failed the conclusion."""
+    """One sampled tensor that passed the hypothesis but failed the conclusion.
+
+    The tensor itself is not kept: ``replay_counterexample`` rebuilds it
+    byte for byte from the seed material and the shift.
+    """
 
     trial: int
     seed_material: tuple
     shift_amount: float
     hypothesis_value: float
     conclusion_value: float
-    tensor: CurvatureTensor = field(compare=False, repr=False)
-    tensor_file: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -86,7 +90,7 @@ class Counterexample:
             "shift": self.shift_amount,
             "hypothesisValue": self.hypothesis_value,
             "conclusionValue": self.conclusion_value,
-            "tensorFile": self.tensor_file,
+            "tensorFile": None,
         }
 
 
@@ -217,7 +221,7 @@ def implication_trial(
             capped += sum(not r.converged for r in results)
         else:
             concl_values = [ricci_min(sample) for sample in samples]
-        for trial, (sample, _, hyp_value, amount), concl_value in zip(block, boosted, concl_values):
+        for trial, (_, _, hyp_value, amount), concl_value in zip(block, boosted, concl_values):
             if amount != 0.0:
                 shifts += 1
             if not concl_value > 0.0:
@@ -228,7 +232,6 @@ def implication_trial(
                         shift_amount=amount,
                         hypothesis_value=hyp_value,
                         conclusion_value=concl_value,
-                        tensor=sample,
                     )
                 )
     return TrialReport(
@@ -338,10 +341,11 @@ def sharpness_probe(
     """Walk from ``base`` toward ``direction`` and tabulate thresholds.
 
     ``base`` and ``direction`` are model spec strings of equal dimension.
-    For each of ``steps`` evenly spaced t in [0, 1] the probe records
-    alpha_star(k) of the second-kind spectrum (k = 4 for the cp2 base,
-    k = n otherwise), the sampled isotropic minimum (dimension >= 4), and
-    the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
+    The dimension n must be at least 3, since alpha_star(n) needs
+    n <= N - 1 for the N = n(n+1)/2 - 1 second-kind eigenvalues. For each
+    of ``steps`` evenly spaced t in [0, 1] the probe records
+    alpha_star(n) of the second-kind spectrum, the sampled isotropic
+    minimum (dimension >= 4), and the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
     searches every row, row idx with seed material (*seed, idx) for a
     tuple seed and (seed, idx) for an int, so each row equals
     ``min_isotropic`` on its blend alone. Known boundary bases
@@ -357,11 +361,10 @@ def sharpness_probe(
     base_spec, dir_spec = parse_model(base), parse_model(direction)
     t_base = build_model(base_spec)
     t_dir = build_model(dir_spec)
-    n = t_base.dim
+    n = _check_dim(t_base.dim, 3)
     if t_dir.dim != n:
         raise ParameterOutOfRange(f"base dim {n} and direction dim {t_dir.dim} differ")
 
-    k = 4 if base_spec.kind == "cp2" else n
     ts = [float(t) for t in np.linspace(0.0, 1.0, steps)]
     blends = [interpolate(t_base, t_dir, t) for t in ts]
     if n >= 4:
@@ -372,7 +375,7 @@ def sharpness_probe(
     rows = []
     for t, blend, (iso, converged) in zip(ts, blends, searches):
         spectrum = eigen_sym(second_kind_matrix(blend), vectors=False)
-        rows.append(ProbeRow(t, alpha_star(spectrum, k), iso, ricci_min(blend), converged))
+        rows.append(ProbeRow(t, alpha_star(spectrum, n), iso, ricci_min(blend), converged))
 
     boundary: dict[str, tuple] = {}
     first = rows[0]
@@ -393,7 +396,7 @@ def sharpness_probe(
     return ProbeReport(
         base=base_spec.describe(),
         direction=dir_spec.describe(),
-        k=k,
+        k=n,
         rows=tuple(rows),
         boundary=boundary,
         seed=seed,
@@ -409,24 +412,23 @@ def sharpness_probe(
 def emit_report(report, path: str, seed: int | None = None, config: dict | None = None) -> dict:
     """Write a report as a JSON envelope, atomically; returns the envelope.
 
-    TrialReport counterexample tensors are saved to sibling files named
-    "<stem>.counterexample<i>.json" before the envelope is written, and
-    the envelope references them by filename.
+    Each TrialReport counterexample is replayed from its seed material and
+    saved to a sibling file named "<stem>.counterexample<i>.json" before
+    the envelope is written, and the envelope references it by filename.
     """
-    if isinstance(report, TrialReport) and report.counterexamples:
+    results = report.to_dict() if hasattr(report, "to_dict") else report
+    if isinstance(report, TrialReport):
         stem, _ = os.path.splitext(path)
-        rewritten = []
-        for i, cex in enumerate(report.counterexamples):
+        for i, entry in enumerate(results["counterexamples"]):
             tensor_file = f"{stem}.counterexample{i}.json"
-            save_tensor(cex.tensor, tensor_file)
-            rewritten.append(replace(cex, tensor_file=os.path.basename(tensor_file)))
-        report = replace(report, counterexamples=tuple(rewritten))
+            save_tensor(replay_counterexample(report, i), tensor_file)
+            entry["tensorFile"] = os.path.basename(tensor_file)
     envelope = {
         "tool": TOOL_NAME,
         "version": __version__,
         "seed": seed if seed is not None else getattr(report, "seed", None),
         "config": config if config is not None else getattr(report, "config", {}),
-        "results": report.to_dict() if hasattr(report, "to_dict") else report,
+        "results": results,
     }
     write_json_atomic(envelope, path)
     return envelope

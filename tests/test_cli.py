@@ -251,6 +251,11 @@ def test_invalid_input_exits_two(args):
     assert proc.stderr.strip()  # a diagnostic goes to stderr
 
 
+def test_probe_in_dimension_two_names_the_dimension():
+    proc = run_cli("probe", "--base", "flat:n=2", "--direction", "sphere:n=2", "--steps", "2", expect=2)
+    assert "need dimension >= 3, got 2" in proc.stderr
+
+
 def test_analyze_rejects_malformed_tensor_file(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
