@@ -42,7 +42,10 @@ for n in (4, 5, 6):
 
 # The positivity profile sweeps every k at once and names the standard
 # conditions along the way. It is the plain dict that `curvop analyze`
-# prints.
+# prints. CP^2 is 4.5-nonnegative but not 4.5-positive: its sum
+# sigma_4 + lambda_5/2 computes to about -2e-15, and each verdict weighs
+# the sum against the rounding bound of its own spectrum, so it reads as
+# the 0 it is.
 profile = curvop.positivity_profile(curvop.second_kind_spectrum(cp2))
 for row in profile["profile"]:
     print(f"  k={row['k']}  sigma_k={row['sigma']:+.6f}  alphaStar={row['alphaStar']}")

@@ -110,8 +110,8 @@ def _load_input(args, required: bool):
     return None
 
 
-def _sig(v: float) -> str:
-    return f"{v:.12g}"
+def _sig(v: float | str) -> str:
+    return v if isinstance(v, str) else f"{v:.12g}"  # alphaStar may be a word
 
 
 def _emit(args, report, seed: int | None = None, config: dict | None = None) -> dict:
@@ -155,9 +155,7 @@ def _cmd_analyze(args) -> int:
         print("  " + "  ".join(_sig(v) for v in results["eigenvalues"]))
         print("positivity profile (k, sigma_k, alphaStar):")
         for row in results["profile"]:
-            star = row["alphaStar"]
-            star_text = _sig(star) if isinstance(star, float) else star
-            print(f"  k={row['k']:<3d} sigma={_sig(row['sigma']):<20s} alphaStar={star_text}")
+            print(f"  k={row['k']:<3d} sigma={_sig(row['sigma']):<20s} alphaStar={_sig(row['alphaStar'])}")
         for name, verdict in results["verdicts"].items():
             print(f"  {name}: {'yes' if verdict else 'no'}")
         print(f"ricci min: {_sig(results['ricciMin'])}")
@@ -178,19 +176,17 @@ def _cmd_verify(args) -> int:
     tol = args.tol_identity
     if not 0.0 < tol < math.inf:  # a nan bound would pass every residual
         raise ParameterOutOfRange(f"--tol-identity must be finite and positive, got {tol}")
-    worst = 0.0
     checked = 0
     failures = 0
     suites: dict[str, float] = {}
 
     def run_case(tensor) -> None:
-        nonlocal worst, checked, failures
+        nonlocal checked, failures
         rng = np.random.default_rng((args.seed, checked))
         runs = [("pic", verify_pic_identities, 4)] if tensor.dim >= 4 else []
         for name, suite, width in runs + [("ric", verify_ric_identities, tensor.dim)]:
             report = suite(tensor, random_frame(tensor.dim, width, rng))
             suites[name] = max(suites.get(name, 0.0), report.max_residual)
-            worst = max(worst, report.max_residual)
             if report.max_residual > tol:
                 failures += 1
         checked += 1
@@ -198,9 +194,9 @@ def _cmd_verify(args) -> int:
     if extra is not None:
         run_case(extra)
     for trial in range(args.trials):
-        tensor = random_curvature(args.dim, seed=(args.seed, trial))
-        run_case(tensor)
+        run_case(random_curvature(args.dim, seed=(args.seed, trial)))
 
+    worst = max(suites.values())
     ok = failures == 0
     results = {
         "dim": args.dim,
@@ -248,11 +244,9 @@ def _cmd_probe(args) -> int:
         print(f"probe {report.base} -> {report.direction} (k = {report.k})")
         print(f"  {'t':>6s}  {'alphaStar':>14s}  {'isoMin':>14s}  {'ricciMin':>14s}")
         for row in results["rows"]:
-            star = row["alphaStar"]
-            star_text = _sig(star) if isinstance(star, float) else star
             iso_text = _sig(row["isoMin"]) if row["isoMin"] is not None else "-"
             capped = "  (search capped)" if row["converged"] is False else ""
-            print(f"  {row['t']:6.3f}  {star_text:>14s}  {iso_text:>14s}  "
+            print(f"  {row['t']:6.3f}  {_sig(row['alphaStar']):>14s}  {iso_text:>14s}  "
                   f"{_sig(row['ricciMin']):>14s}{capped}")
         for name, entry in results["boundary"].items():
             status = "ok" if entry["ok"] else "FAIL"

@@ -517,9 +517,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         return []
     n = tensors[0].dim
 
-    materials = [s if isinstance(s, (tuple, list)) else (s,) for s in seeds]
-    for material in materials:
-        _check_seed(material)
+    materials = [_check_seed(s if isinstance(s, (tuple, list)) else (s,)) for s in seeds]
     peak = np.array([t.max_abs() for t in tensors])
     # 2^power brings a max|R| in (0, 1) into [1, 2) and is 1 for max|R| >= 1.
     power = np.maximum(0, 1 - np.frexp(peak)[1])

@@ -35,7 +35,8 @@ from .models import ModelSpec, build_model, constant_curvature, interpolate, par
 from .secondkind import (
     PredicateSpec,
     Spectrum,
-    _k_alpha_holds,
+    _holds,
+    _k_alpha_bound,
     alpha_star,
     eigen_sym,
     k_alpha_value,
@@ -163,14 +164,14 @@ def boost_to_hypothesis(t: CurvatureTensor,
     """
     spectrum = eigen_sym(second_kind_matrix(t), vectors=False)
     value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if _k_alpha_holds(value, pred.strict):
+    if _holds(value, _k_alpha_bound(spectrum, pred.k, pred.alpha), pred.strict):
         return t, spectrum, value, 0.0
     threshold = -value / (pred.k + pred.alpha)
     amount = threshold * (1.0 + _BOOST_MARGIN) + _BOOST_MARGIN * max(1.0, abs(threshold))
     shifted = shift(t, _unit_sphere(t.dim), amount)
     spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
     value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if not _k_alpha_holds(value, pred.strict):
+    if not _holds(value, _k_alpha_bound(spectrum, pred.k, pred.alpha), pred.strict):
         raise ParameterOutOfRange(
             f"a shift by {amount:.6g} left hypothesis {pred.name} failing at {value:.6g}"
         )
@@ -224,7 +225,8 @@ def implication_trial(
         for trial, (_, _, hyp_value, amount), concl_value in zip(block, boosted, concl_values):
             if amount != 0.0:
                 shifts += 1
-            if not concl_value > 0.0:
+            # no certified bound on a sampled minimum or Ricci eigenvalue yet
+            if not _holds(concl_value, 0.0, True):
                 counterexamples.append(
                     Counterexample(
                         trial=trial,
@@ -322,6 +324,11 @@ class ProbeReport:
         }
 
 
+def _on_boundary(value: float, bound: float) -> bool:
+    """The paper's boundary: nonnegative and not positive within ``bound``."""
+    return _holds(value, bound, False) and not _holds(value, bound, True)
+
+
 def _is_sphere_times_flat(spec: ModelSpec) -> bool:
     """Whether a built spec is a unit sphere times a line, in either order."""
     if spec.kind != "product":
@@ -348,10 +355,11 @@ def sharpness_probe(
     minimum (dimension >= 4), and the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
     searches every row, row idx with seed material (*seed, idx) for a
     tuple seed and (seed, idx) for an int, so each row equals
-    ``min_isotropic`` on its blend alone. Known boundary bases
-    are verified at t = 0: cp2 must show alpha_star(4) = 1/2 and isotropic
-    minimum 0; a unit S^(n-1) x R must show alpha_star(n) = (n-2)/n and
-    Ricci minimum 0.
+    ``min_isotropic`` on its blend alone. Known boundary bases are
+    verified at t = 0 as the paper states them, nonnegative and not
+    positive: (n+alpha) at the advertised alpha (1/2 on cp2, (n-2)/n on a
+    unit S^(n-1) x R, which puts alpha_star(n) there) within its rounding
+    bound, and the isotropic (cp2) or Ricci (S^(n-1) x R) minimum exactly.
     """
     # Checked values are plain ints, so the report serializes as it is.
     steps = _check_int(steps, "steps", 2)
@@ -372,26 +380,20 @@ def sharpness_probe(
                     min_isotropic_batch(blends, iso_trials, [(*material, idx) for idx in range(steps)])]
     else:
         searches = [(None, None)] * steps
-    rows = []
-    for t, blend, (iso, converged) in zip(ts, blends, searches):
-        spectrum = eigen_sym(second_kind_matrix(blend), vectors=False)
-        rows.append(ProbeRow(t, alpha_star(spectrum, n), iso, ricci_min(blend), converged))
+    spectra = [eigen_sym(second_kind_matrix(blend), vectors=False) for blend in blends]
+    rows = [ProbeRow(t, alpha_star(spectrum, n), iso, ricci_min(blend), converged)
+            for t, blend, spectrum, (iso, converged) in zip(ts, blends, spectra, searches)]
 
     boundary: dict[str, tuple] = {}
-    first = rows[0]
-    if base_spec.kind == "cp2":
-        star0 = first.alpha_star
-        ok = isinstance(star0, float) and abs(star0 - 0.5) <= 1e-9
-        boundary["alphaStar(4) = 1/2"] = (0.5, star0, ok)
-        boundary["isotropic minimum = 0"] = (
-            0.0, first.iso_min, first.iso_min is not None and 0.0 <= first.iso_min <= 1e-6,
-        )
-    elif _is_sphere_times_flat(base_spec):
-        expected = (n - 2) / n
-        star0 = first.alpha_star
-        ok = isinstance(star0, float) and abs(star0 - expected) <= 1e-9
-        boundary[f"alphaStar({n}) = (n-2)/n"] = (expected, star0, ok)
-        boundary["Ricci minimum = 0"] = (0.0, first.ricci_min, abs(first.ricci_min) <= 1e-9)
+    cp2 = base_spec.kind == "cp2"
+    if cp2 or _is_sphere_times_flat(base_spec):
+        first, alpha = rows[0], (n - 2) / n  # 1/2 on cp2, where n = 4
+        value, bound = k_alpha_value(spectra[0], n, alpha), _k_alpha_bound(spectra[0], n, alpha)
+        star_name = "alphaStar(4) = 1/2" if cp2 else f"alphaStar({n}) = (n-2)/n"
+        boundary[star_name] = (alpha, first.alpha_star, _on_boundary(value, bound))
+        min_name, minimum = (("isotropic minimum = 0", first.iso_min) if cp2
+                             else ("Ricci minimum = 0", first.ricci_min))
+        boundary[min_name] = (0.0, minimum, _on_boundary(minimum, 0.0))
 
     return ProbeReport(
         base=base_spec.describe(),

@@ -93,11 +93,10 @@ def complex_space_form(m: int, c: float) -> CurvatureTensor:
     _check_dim(2 * m)
     _check_real(c, "holomorphic curvature", ValidationFailure)
     n = 2 * m
-    j = np.zeros((n, n))
+    jt = np.zeros((n, n))  # jt[i, k] = <J e_i, e_k>
     idx = np.arange(0, n, 2)
-    j[idx + 1, idx] = 1.0
-    j[idx, idx + 1] = -1.0
-    jt = j.T  # jt[i, k] = <J e_i, e_k>
+    jt[idx, idx + 1] = 1.0
+    jt[idx + 1, idx] = -1.0
     eye = np.eye(n)
     a = (c / 4.0) * (
         np.einsum("ik,jl->ijkl", eye, eye)
@@ -227,9 +226,7 @@ def _split_params(body: str) -> dict[str, str]:
     if not body:
         return out
     for piece in body.split(","):
-        if "=" not in piece:
-            raise ParseError(f"expected key=value, got {piece!r}")
-        key, _, value = piece.partition("=")
+        key, _, value = piece.partition("=")  # no "=" leaves value empty
         key, value = key.strip(), value.strip()
         if not key or not value:
             raise ParseError(f"expected key=value, got {piece!r}")
@@ -290,9 +287,7 @@ def parse_model(text: str) -> ModelSpec:
     kind = kind.strip()
     if kind not in _KINDS:
         raise ParseError(f"unknown model kind {kind!r}")
-    if not _KINDS[kind].children:
-        return ModelSpec(kind, _coerce(kind, _split_params(body.strip())))
-    children_raw, rest = _split_children(body.strip())
+    children_raw, rest = _split_children(body.strip()) if _KINDS[kind].children else ([], body.strip())
     _check_children(kind, len(children_raw))
     params = _coerce(kind, _split_params(rest))
     return ModelSpec(kind, params, tuple(parse_model(c) for c in children_raw))

@@ -10,9 +10,9 @@ n x n matrices. The bilinear form behind the second-kind matrix is
 
 whose eigenvalues are basis-independent. Eigenvalue positivity is graded
 by the (k+alpha) conditions: the sum of the k smallest eigenvalues plus
-alpha times the next one is positive (or nonnegative). The graded
-functions read a ``Spectrum``, whose eigenvalues ascend, and
-``_check_k_alpha`` states the range of k and alpha once.
+alpha times the next one is positive (or nonnegative) beyond rounding
+(``_holds``). The graded functions read a ``Spectrum``, whose eigenvalues
+ascend, and ``_check_k_alpha`` states the range of k and alpha once.
 
 Eigenvalues come from LAPACK through ``numpy.linalg``. For a fixed
 platform, NumPy/BLAS build and BLAS thread count they are bit-for-bit
@@ -33,6 +33,10 @@ from .tensor import CurvatureTensor, _check_dim, _check_int, _check_real, _pair_
 
 ALPHA_ALWAYS = "always"
 ALPHA_UNATTAINABLE = "unattainable"
+
+# c of a graded sum's rounding bound c (k + alpha) N eps max|lambda|.
+_ROUNDING_C = 4.0
+_EPS = float(np.finfo(float).eps)
 
 
 def lambda2_dim(n: int) -> int:
@@ -205,19 +209,28 @@ def k_alpha_value(spectrum: Spectrum, k: int, alpha: float) -> float:
     return value
 
 
-def _k_alpha_holds(value: float, strict: bool) -> bool:
-    return value > 0.0 if strict else value >= 0.0  # positive when strict, else nonnegative
+def _holds(value: float, bound: float, strict: bool) -> bool:
+    """The one sign rule, ``bound`` the value's rounding bound."""
+    return value > bound if strict else value >= -bound  # positive, else nonnegative
+
+
+def _k_alpha_bound(spectrum: Spectrum, k: int, alpha: float) -> float:
+    """Rounding bound of a graded sum: by Weyl's inequality and LAPACK's
+    backward error each eigenvalue is off by a small multiple of
+    N eps max|lambda|, and max|lambda| = max(-lambda_1, lambda_N)."""
+    ev = spectrum.eigenvalues
+    return _ROUNDING_C * (k + alpha) * ev.shape[0] * _EPS * max(-float(ev[0]), float(ev[-1]))
 
 
 def k_alpha_positive(spectrum: Spectrum, k: int, alpha: float, strict: bool) -> bool:
     """Decide (k+alpha)-positivity (strict) or -nonnegativity of a spectrum."""
-    return _k_alpha_holds(k_alpha_value(spectrum, k, alpha), strict)
+    return _holds(k_alpha_value(spectrum, k, alpha), _k_alpha_bound(spectrum, k, alpha), strict)
 
 
 @dataclass(frozen=True)
 class PredicateSpec:
     """A (k+alpha) hypothesis: (k+alpha)-positivity when ``strict``, else
-    (k+alpha)-nonnegativity, decided by ``k_alpha_positive``."""
+    (k+alpha)-nonnegativity, decided by ``k_alpha_positive`` within rounding."""
 
     k: int
     alpha: float
@@ -240,9 +253,7 @@ def alpha_star(spectrum: Spectrum, k: int) -> float | str:
     _check_k_alpha(spectrum.eigenvalues.shape[0], k, 1.0)
     sigma = k_alpha_value(spectrum, k, 0.0)
     lam_next = float(spectrum.eigenvalues[k])
-    if sigma > 0.0:
-        return ALPHA_ALWAYS
-    if sigma == 0.0 and lam_next == 0.0:
+    if sigma > 0.0 or (sigma == 0.0 and lam_next == 0.0):
         return ALPHA_ALWAYS
     if lam_next <= 0.0:
         return ALPHA_UNATTAINABLE
@@ -264,11 +275,10 @@ def named_conditions(n: int) -> dict[str, PredicateSpec]:
         conds["4.5-positive"] = PredicateSpec(4, 0.5, True)
         conds["4.5-nonnegative"] = PredicateSpec(4, 0.5, False)
     frac = Fraction(n - 2, n)
-    alpha = (n - 2) / n
-    if n + alpha <= size:
-        label = f"({n}+{frac})" if frac != 0 else f"({n}+0)"
-        conds[f"{label}-positive"] = PredicateSpec(n, alpha, True)
-        conds[f"{label}-nonnegative"] = PredicateSpec(n, alpha, False)
+    if n + frac <= size:
+        label = f"({n}+{frac})"  # a zero fraction prints as 0
+        conds[f"{label}-positive"] = PredicateSpec(n, float(frac), True)
+        conds[f"{label}-nonnegative"] = PredicateSpec(n, float(frac), False)
     return conds
 
 
@@ -278,7 +288,8 @@ def positivity_profile(spectrum: Spectrum) -> dict:
     "eigenvalues" lists the ascending eigenvalues, "profile" holds for each
     k in 1..N-1 the partial sum "sigma" and "alphaStar" ("always", a float
     in [0,1], or "unattainable"), and "verdicts" maps each of
-    ``named_conditions(n)`` to its decision. The dimension n solves
+    ``named_conditions(n)`` to its decision, within rounding: CP^2 is
+    4.5-nonnegative, not 4.5-positive. The dimension n solves
     N = (n-1)(n+2)/2, that is n = (sqrt(8N + 9) - 1)/2; a size with no
     integer solution gets no verdicts.
     """

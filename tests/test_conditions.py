@@ -347,8 +347,9 @@ def test_descent_converges_on_sphere_times_circle(n, t):
 
 def test_descent_keeps_cp2_minimum_sign_exact():
     # CP^2 sits on the boundary: its isotropic minimum is exactly 0, and the
-    # program's boundary check requires 0 <= isoMin, so no descent may dip
-    # below 0 by rounding. The n = 4 search builds its frame instead of
+    # probe's boundary check, with no rounding bound on a sampled minimum,
+    # requires isoMin to be exactly 0, so no descent may dip below 0 by
+    # rounding. The n = 4 search builds its frame instead of
     # descending, so the descent runs here directly, from the 200 x 32
     # starts min_isotropic_batch(200 x CP^2, 32, range(200)) would draw.
     cp2 = curvop.cp2_explicit()

@@ -327,6 +327,19 @@ def test_sharpness_probe_sphere_times_flat_boundary(n):
     assert ric_ok and abs(ric0) <= 1e-9
 
 
+@pytest.mark.parametrize("offset", [-1e-300, 1e-300])
+def test_sharpness_probe_boundary_minimum_must_be_exactly_zero(monkeypatch, offset):
+    # The minimum at t = 0 carries no rounding bound, so the boundary check
+    # reads "nonnegative and not positive" with bound 0: exactly 0.
+    base = "product:(sphere:n=3,k=1)x(flat:n=1)"
+    assert sharpness_probe(base, "flat:n=4", steps=2, iso_trials=2).boundary_ok
+    ricci_min = harness.ricci_min
+    monkeypatch.setattr(harness, "ricci_min", lambda t: ricci_min(t) + offset)
+    rep = sharpness_probe(base, "flat:n=4", steps=2, iso_trials=2)
+    assert rep.boundary["Ricci minimum = 0"] == (0.0, offset, False)
+    assert rep.boundary["alphaStar(4) = (n-2)/n"][2] and not rep.boundary_ok
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_sphere_times_circle_probe_rows_are_exact(n):
     # S^(n-1) x S^1 blended toward the unit sphere: minima 2, 3 and 4, each

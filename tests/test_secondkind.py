@@ -33,8 +33,8 @@ from curvop import (
     s20_dim,
     second_kind_matrix,
 )
-from curvop.conditions import _PHI, _ric_coordinates
-from curvop.secondkind import _first_kind_matrices
+from curvop.conditions import _PHI, _ric_coordinates, pullback
+from curvop.secondkind import _first_kind_matrices, _holds, _k_alpha_bound
 
 
 def test_dimension_counts():
@@ -302,6 +302,79 @@ def test_positivity_profile_structure_and_cp2_threshold():
     row = doc["profile"][3]
     assert row["k"] == 4 and row["alphaStar"] == pytest.approx(0.5, abs=1e-9)
     assert set(doc) >= {"eigenvalues", "profile", "verdicts"}
+
+
+def _known_spectra():
+    """Models with exact second-kind spectra: (name, tensor, eigenvalues)."""
+    cp2 = curvop.cp2_explicit()
+    reversed_cp2 = curvop.CurvatureTensor(pullback(cp2.array, np.diag([1.0, 1.0, 1.0, -1.0])))
+    cases = [("cp2", cp2, [-2.0] * 3 + [4.0] * 6), ("reversed cp2", reversed_cp2, [-2.0] * 3 + [4.0] * 6)]
+    for n in range(4, 9):
+        size = s20_dim(n)
+        product = curvop.build_model(f"product:(sphere:n={n - 1},k=1)x(flat:n=1)")
+        cases.append((f"S^{n - 1} x S^1", product, [-(n - 2) / n] + [0.0] * (n - 1) + [1.0] * (size - n)))
+        cases.append((f"S^{n}", curvop.constant_curvature(n, 1.0), [1.0] * size))
+    return [(name, t, np.array(ev)) for name, t, ev in cases]
+
+
+_KNOWN = _known_spectra()
+_BOUNDARY = [case for case in _KNOWN if case[2][0] < 0.0]  # CP^2 and S^(n-1) x S^1, not the spheres
+
+
+def _turned(t, seed, e):
+    """2^e times the tensor in a random orthonormal frame (an O(n) turn)."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((t.dim, t.dim)))
+    return curvop.CurvatureTensor(np.ldexp(pullback(t.array, q), e))
+
+
+def _advertised(n):
+    """The (n + (n-2)/n) pair of ``named_conditions``: 4.5 at n = 4."""
+    return [name for name in named_conditions(n) if name.startswith(f"({n}+")]
+
+
+@pytest.mark.parametrize("t", [c[1] for c in _BOUNDARY], ids=[c[0] for c in _BOUNDARY])
+def test_boundary_models_are_nonnegative_not_positive_at_their_alpha(t):
+    verdicts = positivity_profile(eigen_sym(second_kind_matrix(t), vectors=False))["verdicts"]
+    positive, nonnegative = _advertised(t.dim)
+    assert verdicts[nonnegative] is True and verdicts[positive] is False
+    if t.dim == 4:
+        assert verdicts["4.5-nonnegative"] is True and verdicts["4.5-positive"] is False
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_BOUNDARY), st.integers(0, 2**31 - 1), st.integers(-30, 30))
+def test_boundary_verdicts_do_not_move_under_turns_and_scalings(case, seed, e):
+    _, t, _ = case
+    verdicts = positivity_profile(curvop.second_kind_spectrum(t))["verdicts"]
+    assert positivity_profile(curvop.second_kind_spectrum(_turned(t, seed, e)))["verdicts"] == verdicts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_KNOWN), st.integers(0, 2**31 - 1), st.integers(-30, 30))
+def test_rounding_bound_covers_the_named_values_of_known_spectra(case, seed, e):
+    _, t, exact = case
+    spectrum = eigen_sym(second_kind_matrix(_turned(t, seed, e)), vectors=False)
+    exact = Spectrum(np.ldexp(exact, e), None, None)
+    for cond in named_conditions(t.dim).values():
+        error = abs(k_alpha_value(spectrum, cond.k, cond.alpha) - k_alpha_value(exact, cond.k, cond.alpha))
+        assert error <= 0.5 * _k_alpha_bound(spectrum, cond.k, cond.alpha)
+
+
+def test_sign_rule_one_ulp_either_side_of_zero_and_of_the_bound():
+    def spectrum(value):  # graded value at k = 1, alpha = 0 is ``value``
+        return Spectrum(np.array([value, 1.0]), None, None)
+
+    bound = _k_alpha_bound(spectrum(0.0), 1, 0.0)
+    assert bound == 8.0 * np.finfo(float).eps  # 4 (k + alpha) N eps max|lambda|
+    tiny = np.nextafter(0.0, 1.0)
+    for value in (-tiny, 0.0, tiny, -bound, bound):  # within rounding of 0
+        assert k_alpha_positive(spectrum(value), 1, 0.0, strict=False)
+        assert not k_alpha_positive(spectrum(value), 1, 0.0, strict=True)
+    assert k_alpha_positive(spectrum(np.nextafter(bound, 1.0)), 1, 0.0, strict=True)
+    assert not k_alpha_positive(spectrum(np.nextafter(-bound, -1.0)), 1, 0.0, strict=False)
+    # With no bound the rule is the plain sign of the value.
+    assert [_holds(v, 0.0, True) for v in (-tiny, 0.0, tiny)] == [False, False, True]
+    assert [_holds(v, 0.0, False) for v in (-tiny, 0.0, tiny)] == [False, True, True]
 
 
 @settings(max_examples=20, deadline=None)
