@@ -30,11 +30,10 @@ as the 2-forms F J F^T, with J the constant skew matrices ``_J`` of X and
 Y. This is the formula above plus 2 b(e1, e2, e3, e4), b the first
 Bianchi sum, which vanishes up to rounding on the tensors the package
 builds (see ``isotropic_value``).
-A line search tries a frame's step and three halvings, then, if none is
-sufficient, every halving left down to the frame's first-order floor
-max(_MIN_STEP, noise / <r, d>) in one more pass, unless many frames miss at
-once (see ``_descend_batch``); below that floor a step gains less than the
-noise guard, so stopping there changes no decision.
+Each pass of a line search tries a frame's step and three halvings, and
+the passes go on down to the frame's first-order floor
+max(_MIN_STEP, noise / <r, d>) (see ``_descend_batch``); below that floor a
+step gains less than the noise guard, so stopping there changes no decision.
 The coordinate seeds read their six components directly and equal the
 kernel's values bit for bit (see ``_seed_values``). In every dimension one
 rule picks the result: a searched frame, built or descended, replaces the
@@ -320,9 +319,8 @@ _WARM = 8
 # Smallest step a line search may accept.
 _MIN_STEP = 1e-10
 
-# Frames per descent batch, and the candidates a later line-search pass of k
-# frames may hold, max(_DESCENT_CHUNK, 8 k): both bound the working set (the
-# candidates of a pass and the per-pass gather of their tensors' matrices)
+# Frames per descent batch: it bounds the working set (the candidates of a
+# line-search pass and the per-pass gather of their tensors' matrices)
 # without changing any result.
 _DESCENT_CHUNK = 512
 
@@ -349,26 +347,21 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     space and beta = max(0, <r, r - r_prev> / <r_prev, r_prev>) (P is
     self-adjoint, so the old tangent needs no transport), and along r
     whenever <d, r> <= 0 (Absil, Mahony & Sepulchre 2008, ch. 8).
-    The line search tries the frame's current step and three halvings,
-    retracted by ``_retract``. Among the candidates that beat the guard it
-    keeps the one of lowest value (ties go to the larger step), not the
-    largest step: near a Morse-Bott minimum the largest step overshoots to
-    the mirror point, still a decrease, and the frame bounces there for
+    Each pass of the line search tries the frame's current step and three
+    halvings, retracted by ``_retract``. Among the candidates that beat the
+    guard it keeps the one of lowest value (ties go to the larger step), not
+    the largest step: near a Morse-Bott minimum the largest step overshoots
+    to the mirror point, still a decrease, and the frame bounces there for
     hundreds of iterations while a smaller candidate lands on the minimum.
-    If no candidate beats the guard, a second pass tries every halving left
-    at or above the frame's floor max(``_MIN_STEP``, noise / <r, d>) at once,
-    in groups of four in halving order; the first group with a sufficient
-    candidate decides, so the wider pass changes no result. The floor is
-    the first-order (Armijo) model of the line search (Absil, Mahony &
-    Sepulchre 2008, sec. 4.2): where the value along the step is convex, a
-    step s below the floor gains at most s <r, d> < noise, and where it is
-    concave out to the first pass's smallest step, which missed, no smaller
-    step gains more. So the halvings below the floor decide nothing unless
-    the curvature changes sign inside that smallest step or rounding
-    decides at the floor. A later pass holds at most max(``_DESCENT_CHUNK``,
-    8 x its frames) candidates, so when many frames miss at once it takes
-    a few groups per frame and the passes repeat until each frame is
-    decided. After a success the kept step doubles, capped at 1. Only the
+    If no candidate beats the guard, the step halves past the four and the
+    frame runs another pass while its step is at or above its floor
+    max(``_MIN_STEP``, noise / <r, d>). The floor is the first-order
+    (Armijo) model of the line search (Absil, Mahony & Sepulchre 2008,
+    sec. 4.2): where the value along the step is convex, a step s below the
+    floor gains at most s <r, d> < noise, and where it is concave out to
+    the smallest step tried, which missed, no smaller step gains more. So the halvings below the floor decide nothing unless the
+    curvature changes sign inside that smallest step or rounding decides at
+    the floor. After a success the kept step doubles, capped at 1. Only the
     kept candidate's gradient is computed.
     A frame is done when its tangent vanishes or its line search finds no
     sufficient step down to its floor. Frames evolve independently, so a
@@ -402,23 +395,20 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             direction = np.where(descending[:, None, None], cg, tangent)
         tangent_prev[active], direction_prev[active] = tangent, direction
         # A step s below noise / <r, d> gains s <r, d> < noise to first order,
-        # so the later passes try only the halvings at or above this floor.
-        # Candidates below _MIN_STEP are evaluated but never accepted.
+        # so a pass runs only from a step at or above this floor. Candidates
+        # below _MIN_STEP are evaluated but never accepted.
         floor = np.maximum(_MIN_STEP, noise[owner[active]] / (tangent * direction).sum(axis=(1, 2)))
         searching = np.arange(active.size)
         accepted = np.zeros(active.size, dtype=bool)
-        width = 4
         while searching.size:
             idx = active[searching]
-            steps = step[idx][:, None] * 0.5 ** np.arange(width)
+            steps = step[idx][:, None] * 0.5 ** np.arange(4)
             cands = _retract(fa[searching, None] - steps[:, :, None, None] * direction[searching, None])
             vals, ys = _iso_values(rmats[owner[idx], None], cands)
             ok = (vals < (value[idx] - noise[owner[idx]])[:, None]) & (steps >= _MIN_STEP)
-            groups = ok.reshape(idx.size, width // 4, 4).any(axis=2)
-            hit = groups.any(axis=1)
+            hit = ok.any(axis=1)
             rows = np.flatnonzero(hit)
-            first = np.arange(width) // 4 == groups.argmax(axis=1)[rows, None]
-            best = np.where(ok[rows] & first, vals[rows], np.inf).argmin(axis=1)
+            best = np.where(ok[rows], vals[rows], np.inf).argmin(axis=1)
             won = idx[hit]
             f[won], value[won], products[won] = cands[rows, best], vals[rows, best], ys[rows, best]
             step[won] = np.minimum(steps[rows, best] * 2.0, 1.0)
@@ -427,10 +417,6 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
             step[missed] = steps[~hit, -1] * 0.5
             searching = searching[~hit]
             searching = searching[step[missed] >= floor[searching]]
-            if searching.size:
-                # Steps are powers of two: the largest left needs this many halvings.
-                halvings = int(np.log2((step[active[searching]] / floor[searching]).max())) + 1
-                width = 4 * min(-(-halvings // 4), max(_DESCENT_CHUNK // searching.size, 8) // 4)
         iterations[active[~accepted]] = iteration + 1
         active = active[accepted]
     converged = np.ones(m, dtype=bool)

@@ -243,22 +243,26 @@ class PredicateSpec:
 
 
 def alpha_star(spectrum: Spectrum, k: int) -> float | str:
-    """Largest alpha in [0,1] with sigma_k + alpha lambda_{k+1} >= 0.
+    """Threshold of the sum sigma_k + alpha lambda_{k+1}: the smallest alpha
+    in [0,1] at which it is nonnegative. k runs over 1..N-1.
 
-    Returns "always" when the sum is nonnegative for every alpha (and in
-    particular when sigma_k > 0), the critical ratio -sigma_k/lambda_{k+1}
-    when that lies in [0,1], and "unattainable" when no alpha in [0,1]
-    restores nonnegativity. k runs over 1..N-1.
+    Each end is decided by ``_holds`` against its own rounding bound
+    (``_k_alpha_bound`` at alpha = 0 and alpha = 1). Returns "always" when
+    sigma_k is positive, or when sigma_k and sigma_k + lambda_{k+1} are both
+    within their bounds of 0; 0.0 when only sigma_k is; "unattainable" when
+    sigma_k + lambda_{k+1} is negative; 1.0 when it is within its bound of
+    0; and otherwise the ratio -sigma_k/lambda_{k+1}.
     """
-    _check_k_alpha(spectrum.eigenvalues.shape[0], k, 1.0)
-    sigma = k_alpha_value(spectrum, k, 0.0)
-    lam_next = float(spectrum.eigenvalues[k])
-    if sigma > 0.0 or (sigma == 0.0 and lam_next == 0.0):
+    sigma, top = k_alpha_value(spectrum, k, 0.0), k_alpha_value(spectrum, k, 1.0)
+    low, high = _k_alpha_bound(spectrum, k, 0.0), _k_alpha_bound(spectrum, k, 1.0)
+    top_zero = _holds(top, high, False) and not _holds(top, high, True)
+    if _holds(sigma, low, True):
         return ALPHA_ALWAYS
-    if lam_next <= 0.0:
+    if _holds(sigma, low, False):
+        return ALPHA_ALWAYS if top_zero else 0.0
+    if not _holds(top, high, False):
         return ALPHA_UNATTAINABLE
-    ratio = -sigma / lam_next + 0.0
-    return ratio if ratio <= 1.0 else ALPHA_UNATTAINABLE
+    return 1.0 if top_zero else -sigma / float(spectrum.eigenvalues[k]) + 0.0
 
 
 def named_conditions(n: int) -> dict[str, PredicateSpec]:

@@ -25,7 +25,6 @@ from curvop import (
 )
 from curvop import conditions
 from curvop.conditions import (
-    _DESCENT_CHUNK,
     _PHI,
     _WARM,
     _coordinate_seed_axes,
@@ -444,10 +443,10 @@ def _record_line_search_passes(monkeypatch):
     return shapes
 
 
-def test_later_line_search_passes_stay_within_the_candidate_cap(monkeypatch):
+def test_every_line_search_pass_holds_four_candidates_per_frame(monkeypatch):
     # On scaled boosted samples the unit step overshoots by orders of
-    # magnitude, so a later pass tries many halvings at once, but never holds
-    # more than max(_DESCENT_CHUNK, 8 x its frames) candidates.
+    # magnitude, so a line search runs many passes, each of them the frame's
+    # step and its three halvings.
     shapes = _record_line_search_passes(monkeypatch)
     pred = parse_predicate("k4a0.5strict")
     for n in (5, 6, 8):
@@ -455,8 +454,7 @@ def test_later_line_search_passes_stay_within_the_candidate_cap(monkeypatch):
                    for i in range(6)]
         results = min_isotropic_batch(tensors, 4, [(n, i) for i in range(6)])
         assert all(r.converged for r in results)
-    assert all(frames * width <= max(_DESCENT_CHUNK, 8 * frames) for frames, width in shapes)
-    assert max(width for _, width in shapes) > 8
+    assert shapes and all(width == 4 for _, width in shapes)
 
 
 def test_later_line_search_passes_stop_at_the_first_order_floor(monkeypatch):
@@ -778,12 +776,12 @@ def _assert_descent_matches_the_reference(tensors, starts_per_tensor, seed, max_
 @pytest.mark.parametrize("scale", [1.0, 16.0, 4096.0])
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
 def test_warm_up_reproduces_the_reference_descent_bit_for_bit(n, scale):
-    # Inside the warm-up the descent takes the plain steps, so the wider
-    # line-search passes, the winner-only gradients and the shared matrix
+    # Inside the warm-up the descent takes the plain steps, so the
+    # first-order floor, the winner-only gradients and the shared matrix
     # stack must leave every frame, value, count and flag as they were. On
     # the scaled tensors the first unit step overshoots by orders of
-    # magnitude, so wide passes often hold sufficient candidates in more
-    # than one group, and only the first such group may decide.
+    # magnitude, so a line search runs many passes of four halvings before
+    # one holds a sufficient candidate.
     pred = parse_predicate("k4a0.5strict")
     tensors = [boost_to_hypothesis(curvop.random_curvature(n, seed=(81, n, i), scale=scale), pred)[0]
                for i in range(6)]

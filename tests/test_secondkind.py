@@ -377,6 +377,19 @@ def test_sign_rule_one_ulp_either_side_of_zero_and_of_the_bound():
     assert [_holds(v, 0.0, False) for v in (-tiny, 0.0, tiny)] == [False, True, True]
 
 
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("spec, k", [
+    ("product:(sphere:n=2,k=1)x(sphere:n=2,k=1)", 5),  # {-1, 0 x4, 1 x4}
+    ("csf:m=3,c=4", 11),  # CP^3: {-2 x8, 4 x12}
+])
+def test_alpha_star_reads_its_boundary_ends_exactly_under_turns(spec, k, seed):
+    # sigma_k + lambda_{k+1} = 0 and sigma_{k+1} = 0 exactly, so the threshold
+    # is 1 at k and 0 at k + 1 in every frame, however the eigensolver rounds
+    # the two sums.
+    spectrum = curvop.second_kind_spectrum(_turned(curvop.build_model(spec), seed, 0))
+    assert alpha_star(spectrum, k) == 1.0 and alpha_star(spectrum, k + 1) == 0.0
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=0, max_value=2**31 - 1))
 def test_matrix_scales_linearly_with_tensor_scale(seed):
