@@ -27,8 +27,9 @@ print("CP^2 eigenvalues:    ", np.round(spec.eigenvalues, 12))
 
 # alpha_star(k) asks: how much of the (k+1)-th eigenvalue must be added
 # before the running sum turns positive? For CP^2 and k = 4 the answer
-# is exactly one half - the sum of the four smallest is -2, and half of
-# the next (+4) cancels it.
+# is one half up to rounding - the sum of the four smallest is -2, and
+# half of the next (+4) cancels it; the eigensolve's rounding shows in
+# the last digits printed.
 star = curvop.alpha_star(spec, 4)
 print("CP^2 alpha_star(4) =", star)
 

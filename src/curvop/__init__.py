@@ -44,12 +44,12 @@ from .secondkind import (
     Spectrum,
     alpha_star,
     eigen_sym,
-    first_kind_matrix,
     k_alpha_positive,
     k_alpha_value,
     lambda2_basis,
     lambda2_dim,
     named_conditions,
+    parse_predicate,
     positivity_profile,
     s20_basis,
     s20_dim,
@@ -88,7 +88,6 @@ from .harness import (
     boost_to_hypothesis,
     emit_report,
     implication_trial,
-    parse_predicate,
     replay_counterexample,
     sharpness_probe,
 )

@@ -73,7 +73,7 @@ from .secondkind import (
     s20_basis,
     second_kind_matrix,
 )
-from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, _pair_index, ricci
+from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, _pair_index, _skew, ricci
 
 FRAME_TOL = 1e-12
 
@@ -144,17 +144,6 @@ def pullback(array: np.ndarray, frame: np.ndarray) -> np.ndarray:
     out = np.tensordot(out, frame, axes=([1], [0]))  # i d c b
     out = np.tensordot(out, frame, axes=([0], [0]))  # d c b a
     return np.ascontiguousarray(out.transpose(3, 2, 1, 0))
-
-
-def _skew(y: np.ndarray, n: int) -> np.ndarray:
-    """Skew (n, n) expansion of a stack (..., N2) of 2-form coordinates over
-    the pairs of ``_pair_index(n)``: Xi[i, j] = y[(i, j)] = -Xi[j, i] for
-    i < j."""
-    i, j = _pair_index(n)
-    xi = np.zeros((*y.shape[:-1], n, n))
-    xi[..., i, j] = y
-    xi[..., j, i] = -y
-    return xi
 
 
 # Lambda+ and Lambda-, (e12 + e34, e13 - e24, e14 + e23) and (e12 - e34,

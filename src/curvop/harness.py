@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,16 +29,17 @@ import numpy as np
 # wrapper installed there (bench/spans.py) sees every draw.
 from . import __version__, models
 from .conditions import min_isotropic_batch, ricci_min
-from .errors import ParameterOutOfRange, ParseError
+from .errors import ParameterOutOfRange
 from .models import ModelSpec, build_model, constant_curvature, interpolate, parse_model, shift
 from .secondkind import (
     PredicateSpec,
     Spectrum,
-    _holds,
     _k_alpha_bound,
+    _sign,
     alpha_star,
     eigen_sym,
     k_alpha_value,
+    parse_predicate,
     second_kind_matrix,
 )
 from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, save_tensor, write_json_atomic
@@ -55,19 +55,8 @@ _TRIAL_BLOCK = 100
 # (relative plus absolute), which dwarfs the rounding of the shift.
 _BOOST_MARGIN = 0.05
 
-_PREDICATE_RE = re.compile(r"^k(\d+)a(\d+\.?\d*|\.\d+)(strict|nonneg)?$")
-
 # The conclusions implication_trial can test.
 CONCLUSIONS = ("pic", "ric")
-
-
-def parse_predicate(text: str) -> PredicateSpec:
-    """Parse a hypothesis such as "k4a0.5strict" or "k9a0nonneg"."""
-    text = text.strip()
-    m = _PREDICATE_RE.match(text)
-    if not m:
-        raise ParseError(f"cannot parse hypothesis {text!r}")
-    return PredicateSpec(int(m.group(1)), float(m.group(2)), strict=m.group(3) != "nonneg")
 
 
 @dataclass(frozen=True)
@@ -164,14 +153,14 @@ def boost_to_hypothesis(t: CurvatureTensor,
     """
     spectrum = eigen_sym(second_kind_matrix(t), vectors=False)
     value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if _holds(value, _k_alpha_bound(spectrum, pred.k, pred.alpha), pred.strict):
+    if _sign(value, _k_alpha_bound(spectrum, pred.k, pred.alpha)) >= pred.strict:
         return t, spectrum, value, 0.0
     threshold = -value / (pred.k + pred.alpha)
     amount = threshold * (1.0 + _BOOST_MARGIN) + _BOOST_MARGIN * max(1.0, abs(threshold))
     shifted = shift(t, _unit_sphere(t.dim), amount)
     spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
     value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if not _holds(value, _k_alpha_bound(spectrum, pred.k, pred.alpha), pred.strict):
+    if _sign(value, _k_alpha_bound(spectrum, pred.k, pred.alpha)) < pred.strict:
         raise ParameterOutOfRange(
             f"a shift by {amount:.6g} left hypothesis {pred.name} failing at {value:.6g}"
         )
@@ -226,7 +215,7 @@ def implication_trial(
             if amount != 0.0:
                 shifts += 1
             # no certified bound on a sampled minimum or Ricci eigenvalue yet
-            if not _holds(concl_value, 0.0, True):
+            if _sign(concl_value, 0.0) < 1:
                 counterexamples.append(
                     Counterexample(
                         trial=trial,
@@ -324,11 +313,6 @@ class ProbeReport:
         }
 
 
-def _on_boundary(value: float, bound: float) -> bool:
-    """The paper's boundary: nonnegative and not positive within ``bound``."""
-    return _holds(value, bound, False) and not _holds(value, bound, True)
-
-
 def _is_sphere_times_flat(spec: ModelSpec) -> bool:
     """Whether a built spec is a unit sphere times a line, in either order."""
     if spec.kind != "product":
@@ -390,10 +374,10 @@ def sharpness_probe(
         first, alpha = rows[0], (n - 2) / n  # 1/2 on cp2, where n = 4
         value, bound = k_alpha_value(spectra[0], n, alpha), _k_alpha_bound(spectra[0], n, alpha)
         star_name = "alphaStar(4) = 1/2" if cp2 else f"alphaStar({n}) = (n-2)/n"
-        boundary[star_name] = (alpha, first.alpha_star, _on_boundary(value, bound))
+        boundary[star_name] = (alpha, first.alpha_star, _sign(value, bound) == 0)
         min_name, minimum = (("isotropic minimum = 0", first.iso_min) if cp2
                              else ("Ricci minimum = 0", first.ricci_min))
-        boundary[min_name] = (0.0, minimum, _on_boundary(minimum, 0.0))
+        boundary[min_name] = (0.0, minimum, _sign(minimum, 0.0) == 0)
 
     return ProbeReport(
         base=base_spec.describe(),

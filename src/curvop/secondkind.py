@@ -10,9 +10,10 @@ n x n matrices. The bilinear form behind the second-kind matrix is
 
 whose eigenvalues are basis-independent. Eigenvalue positivity is graded
 by the (k+alpha) conditions: the sum of the k smallest eigenvalues plus
-alpha times the next one is positive (or nonnegative) beyond rounding
-(``_holds``). The graded functions read a ``Spectrum``, whose eigenvalues
-ascend, and ``_check_k_alpha`` states the range of k and alpha once.
+alpha times the next one is positive, zero within rounding, or negative
+(``_sign``). The graded functions read a ``Spectrum``, whose eigenvalues
+ascend, and ``_check_k_alpha`` states the range of k and alpha once; a
+hypothesis's text form is ``PredicateSpec.name`` and ``parse_predicate``.
 
 Eigenvalues come from LAPACK through ``numpy.linalg``. For a fixed
 platform, NumPy/BLAS build and BLAS thread count they are bit-for-bit
@@ -23,13 +24,14 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoConvergence, NotSymmetric, ParameterOutOfRange, ValidationFailure
-from .tensor import CurvatureTensor, _check_dim, _check_int, _check_real, _pair_index
+from .errors import DimensionMismatch, NoConvergence, NotSymmetric, ParameterOutOfRange, ParseError, ValidationFailure
+from .tensor import CurvatureTensor, _check_dim, _check_int, _check_real, _pair_index, _skew
 
 ALPHA_ALWAYS = "always"
 ALPHA_UNATTAINABLE = "unattainable"
@@ -62,12 +64,7 @@ def lambda2_basis(n: int) -> np.ndarray:
     (i,j)/(j,i).
     """
     _check_dim(n, 2)
-    i, j = _pair_index(n)
-    a = np.arange(i.size)
-    mats = np.zeros((i.size, n, n))
-    mats[a, i, j] = 1.0
-    mats[a, j, i] = -1.0
-    return mats
+    return _skew(np.eye(lambda2_dim(n), dtype=int), n)  # integers: every zero +0.0
 
 
 @functools.lru_cache(maxsize=None, typed=True)  # typed: a float n is checked, not served as an int
@@ -119,19 +116,14 @@ def second_kind_matrix(t: CurvatureTensor, basis: np.ndarray | None = None) -> n
     return (p @ r) @ p.T
 
 
-def first_kind_matrix(t: CurvatureTensor) -> np.ndarray:
-    """Matrix of the first-kind operator on 2-forms.
+def _first_kind_matrices(arrays: np.ndarray) -> np.ndarray:
+    """Matrix of the first-kind operator on 2-forms, of an (n, n, n, n)
+    array or of a stack of them, shape (..., N2, N2) with N2 = n(n-1)/2.
 
     Entry ((i,j),(k,l)) is R_ijkl over lexicographic index pairs i<j,
     k<l; with the 2-form inner product <A,B> = (1/2) tr(A^T B) this is
     the operator matrix in the basis ``lambda2_basis``.
     """
-    return _first_kind_matrices(t.array)
-
-
-def _first_kind_matrices(arrays: np.ndarray) -> np.ndarray:
-    """``first_kind_matrix`` of an (n, n, n, n) array or of a stack of them,
-    shape (..., N2, N2) with N2 = n(n-1)/2."""
     i, j = _pair_index(arrays.shape[-1])
     return arrays[..., i[:, None], j[:, None], i, j]
 
@@ -209,9 +201,11 @@ def k_alpha_value(spectrum: Spectrum, k: int, alpha: float) -> float:
     return value
 
 
-def _holds(value: float, bound: float, strict: bool) -> bool:
-    """The one sign rule, ``bound`` the value's rounding bound."""
-    return value > bound if strict else value >= -bound  # positive, else nonnegative
+def _sign(value: float, bound: float) -> int:
+    """The one sign rule, ``bound`` the value's rounding bound: 1 above the
+    bound, 0 within it of zero, -1 below -bound or nan. Positive is
+    ``_sign >= 1``, nonnegative ``_sign >= 0``."""
+    return 1 if value > bound else 0 if value >= -bound else -1
 
 
 def _k_alpha_bound(spectrum: Spectrum, k: int, alpha: float) -> float:
@@ -224,7 +218,7 @@ def _k_alpha_bound(spectrum: Spectrum, k: int, alpha: float) -> float:
 
 def k_alpha_positive(spectrum: Spectrum, k: int, alpha: float, strict: bool) -> bool:
     """Decide (k+alpha)-positivity (strict) or -nonnegativity of a spectrum."""
-    return _holds(k_alpha_value(spectrum, k, alpha), _k_alpha_bound(spectrum, k, alpha), strict)
+    return _sign(k_alpha_value(spectrum, k, alpha), _k_alpha_bound(spectrum, k, alpha)) >= strict
 
 
 @dataclass(frozen=True)
@@ -238,31 +232,42 @@ class PredicateSpec:
 
     @property
     def name(self) -> str:
-        suffix = "strict" if self.strict else "nonneg"
-        return f"k{self.k}a{self.alpha:g}{suffix}"
+        # alpha in :g form where that is exact, else in full, and -0 as 0: parse_predicate reads it back
+        alpha = f"{self.alpha + 0.0:g}"
+        alpha = alpha if float(alpha) == self.alpha else repr(float(self.alpha))
+        return f"k{self.k}a{alpha}{'strict' if self.strict else 'nonneg'}"
+
+
+_PREDICATE_RE = re.compile(r"^k(\d+)a((?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)(strict|nonneg)?$")
+
+
+def parse_predicate(text: str) -> PredicateSpec:
+    """Parse a hypothesis such as "k4a0.5strict" or "k9a0nonneg" (strict by default)."""
+    text = text.strip()
+    m = _PREDICATE_RE.match(text)
+    if not m:
+        raise ParseError(f"cannot parse hypothesis {text!r}")
+    return PredicateSpec(int(m.group(1)), float(m.group(2)), strict=m.group(3) != "nonneg")
 
 
 def alpha_star(spectrum: Spectrum, k: int) -> float | str:
     """Threshold of the sum sigma_k + alpha lambda_{k+1}: the smallest alpha
     in [0,1] at which it is nonnegative. k runs over 1..N-1.
 
-    Each end is decided by ``_holds`` against its own rounding bound
-    (``_k_alpha_bound`` at alpha = 0 and alpha = 1). Returns "always" when
-    sigma_k is positive, or when sigma_k and sigma_k + lambda_{k+1} are both
-    within their bounds of 0; 0.0 when only sigma_k is; "unattainable" when
-    sigma_k + lambda_{k+1} is negative; 1.0 when it is within its bound of
-    0; and otherwise the ratio -sigma_k/lambda_{k+1}.
+    Each end, sigma_k (alpha = 0) and sigma_k + lambda_{k+1} (alpha = 1),
+    takes its ``_sign`` against its own ``_k_alpha_bound``. Returns "always"
+    when sigma_k is positive or both ends are zero; 0.0 when only sigma_k is
+    zero; "unattainable" when the alpha = 1 end is negative, 1.0 when it is
+    zero; and otherwise the ratio -sigma_k/lambda_{k+1}.
     """
-    sigma, top = k_alpha_value(spectrum, k, 0.0), k_alpha_value(spectrum, k, 1.0)
-    low, high = _k_alpha_bound(spectrum, k, 0.0), _k_alpha_bound(spectrum, k, 1.0)
-    top_zero = _holds(top, high, False) and not _holds(top, high, True)
-    if _holds(sigma, low, True):
-        return ALPHA_ALWAYS
-    if _holds(sigma, low, False):
-        return ALPHA_ALWAYS if top_zero else 0.0
-    if not _holds(top, high, False):
+    sigma = k_alpha_value(spectrum, k, 0.0)
+    low = _sign(sigma, _k_alpha_bound(spectrum, k, 0.0))
+    high = _sign(k_alpha_value(spectrum, k, 1.0), _k_alpha_bound(spectrum, k, 1.0))
+    if low >= 0:
+        return ALPHA_ALWAYS if low == 1 or high == 0 else 0.0
+    if high == -1:
         return ALPHA_UNATTAINABLE
-    return 1.0 if top_zero else -sigma / float(spectrum.eigenvalues[k]) + 0.0
+    return 1.0 if high == 0 else -sigma / float(spectrum.eigenvalues[k]) + 0.0
 
 
 def named_conditions(n: int) -> dict[str, PredicateSpec]:

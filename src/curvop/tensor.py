@@ -88,6 +88,17 @@ def _pair_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs
 
 
+def _skew(y: np.ndarray, n: int) -> np.ndarray:
+    """Skew (n, n) expansion of a stack (..., N2) of 2-form coordinates over
+    the pairs of ``_pair_index(n)``: Xi[i, j] = y[(i, j)] = -Xi[j, i] for
+    i < j."""
+    i, j = _pair_index(n)
+    xi = np.zeros((*y.shape[:-1], n, n))
+    xi[..., i, j] = y
+    xi[..., j, i] = -y
+    return xi
+
+
 def _exact_symmetrize(raw: np.ndarray, negated: np.ndarray | None = None) -> np.ndarray:
     """Rebuild an array from its canonical slots so symmetries are exact.
 

@@ -11,7 +11,7 @@ PUBLIC_NAMES = [
     "SIGN_CONVENTION", "Spectrum", "SymmetryConflict", "TrialReport",
     "ValidationFailure", "alpha_star", "bianchi_project", "boost_to_hypothesis",
     "build_model", "check_frame", "complex_space_form", "constant_curvature",
-    "cp2_explicit", "eigen_sym", "emit_report", "first_kind_matrix", "flat",
+    "cp2_explicit", "eigen_sym", "emit_report", "flat",
     "from_dict", "implication_trial", "interpolate", "isotropic_value",
     "k_alpha_positive", "k_alpha_value", "lambda2_basis", "lambda2_dim", "load_tensor",
     "min_isotropic", "named_conditions", "new_from_components", "parse_model",

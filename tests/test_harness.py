@@ -275,6 +275,28 @@ def test_predicate_spec_takes_a_hypothesis_and_reads_like_the_parser():
         implication_trial(4, "k9a0nonneg", "ric", trials=2, seed=7).to_dict()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=35), st.floats(min_value=0.0, max_value=1.0), st.booleans())
+def test_hypothesis_names_parse_back_to_their_spec(k, alpha, strict):
+    spec = PredicateSpec(k, alpha, strict)
+    assert parse_predicate(spec.name) == spec
+
+
+def test_hypothesis_names_keep_every_digit_of_alpha():
+    assert harness.parse_predicate is curvop.secondkind.parse_predicate
+    # :g where it is exact, so the names in use stay as they are
+    for name in ("k4a0.5strict", "k9a0strict", "k5a0.6strict", "k35a0strict", "k4a0.5nonneg"):
+        assert parse_predicate(name).name == name
+    assert PredicateSpec(3, 1e-5).name == "k3a1e-05strict"
+    assert PredicateSpec(9, -0.0).name == "k9a0strict"
+    assert PredicateSpec(8, 1 / 3).name == "k8a0.3333333333333333strict"
+    # a report's hypothesis replays its run: every counterexample the same
+    first = implication_trial(4, PredicateSpec(8, 1 / 3), "ric", trials=20, seed=123)
+    assert first.counterexamples
+    again = implication_trial(4, first.hypothesis, "ric", trials=20, seed=123)
+    assert again.hypothesis == first.hypothesis and again.counterexamples == first.counterexamples
+
+
 def test_emit_report_envelope_and_counterexample_files(tmp_path):
     rep = implication_trial(4, "k9a0strict", "ric", trials=2, seed=123)
     out = tmp_path / "search.json"

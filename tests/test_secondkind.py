@@ -20,7 +20,6 @@ from curvop import (
     ValidationFailure,
     alpha_star,
     eigen_sym,
-    first_kind_matrix,
     k_alpha_positive,
     k_alpha_value,
     lambda2_basis,
@@ -34,7 +33,7 @@ from curvop import (
     second_kind_matrix,
 )
 from curvop.conditions import _PHI, _ric_coordinates, pullback
-from curvop.secondkind import _first_kind_matrices, _holds, _k_alpha_bound
+from curvop.secondkind import _first_kind_matrices, _k_alpha_bound, _sign
 
 
 def test_dimension_counts():
@@ -110,7 +109,7 @@ def test_lambda2_basis_carries_the_first_kind_matrix(n):
     t = curvop.random_curvature(n, seed=(8, n))
     forms = lambda2_basis(n)
     m = np.einsum("ijkl,aij,bkl->ab", t.array, forms, forms) / 4.0
-    assert np.array_equal(m, first_kind_matrix(t))
+    assert np.array_equal(m, _first_kind_matrices(t.array))
 
 
 def test_second_kind_matrix_matches_bilinear_form_definition():
@@ -165,7 +164,7 @@ def test_second_kind_spectrum_is_basis_independent():
 
 
 def test_first_kind_matrix_sphere_is_identity():
-    m = first_kind_matrix(curvop.constant_curvature(5, 1.0))
+    m = _first_kind_matrices(curvop.constant_curvature(5, 1.0).array)
     assert np.abs(m - np.eye(10)).max() < 1e-14
 
 
@@ -174,7 +173,7 @@ def test_first_kind_matrix_matches_pair_loop(n):
     t = curvop.random_curvature(n, seed=(77, n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     loop = np.array([[t.array[i, j, k, l] for (k, l) in pairs] for (i, j) in pairs])
-    assert np.array_equal(first_kind_matrix(t), loop)
+    assert np.array_equal(_first_kind_matrices(t.array), loop)
     # the (n^2, n^2) view restricted to i < j, k < l; the isotropic kernel
     # takes it for a stack of arrays at once
     flat = [i * n + j for i, j in pairs]
@@ -372,9 +371,10 @@ def test_sign_rule_one_ulp_either_side_of_zero_and_of_the_bound():
         assert not k_alpha_positive(spectrum(value), 1, 0.0, strict=True)
     assert k_alpha_positive(spectrum(np.nextafter(bound, 1.0)), 1, 0.0, strict=True)
     assert not k_alpha_positive(spectrum(np.nextafter(-bound, -1.0)), 1, 0.0, strict=False)
-    # With no bound the rule is the plain sign of the value.
-    assert [_holds(v, 0.0, True) for v in (-tiny, 0.0, tiny)] == [False, False, True]
-    assert [_holds(v, 0.0, False) for v in (-tiny, 0.0, tiny)] == [False, True, True]
+    edges = (np.nextafter(-bound, -1.0), -bound, bound, np.nextafter(bound, 1.0))
+    assert [_sign(v, bound) for v in edges] == [-1, 0, 0, 1]
+    # With no bound the rule is the plain sign of the value; nan reads negative.
+    assert [_sign(v, 0.0) for v in (-tiny, 0.0, tiny, np.nan)] == [-1, 0, 1, -1]
 
 
 @pytest.mark.parametrize("seed", range(8))
