@@ -4,17 +4,19 @@ Five subcommands: ``model`` writes a tensor JSON file, ``analyze``
 reports the second-kind spectrum and positivity profile of a tensor,
 ``verify`` checks the frame identities on random tensors, ``search``
 runs the Monte Carlo implication harness, and ``probe`` walks a
-sharpness interpolation. Exit codes: 0 on success, 1 when a check fails
-or a counterexample is found, 2 on bad input or usage.
-
-Numeric results are computed once into a JSON-shaped dict; the text
-format renders that dict, so both formats always agree. ``--seed``
-defaults to the CURV_SEED environment variable when present.
+sharpness interpolation. The last four compute a results dict once, and
+``main`` sends it down one output path: ``emit_report`` for ``--output``,
+the dict itself for ``--format json``, else a text renderer that reads
+only the dict, so all three agree. One exit rule follows: 1 when
+``pass`` is false, ``verdict`` is "counterexample" or ``boundaryOk`` is
+false, 2 on bad input or usage, else 0. ``--seed`` defaults to the
+CURV_SEED environment variable when present.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -28,7 +30,7 @@ from .errors import CurvopError, ParameterOutOfRange
 from .harness import CONCLUSIONS, TOOL_NAME, emit_report, implication_trial, sharpness_probe
 from .models import build_model, random_curvature
 from .secondkind import eigen_sym, positivity_profile, second_kind_matrix
-from .tensor import load_tensor, save_tensor, to_dict
+from .tensor import _check_int, load_tensor, save_tensor, to_dict
 
 # Default relative residual bound of the identity suites run by ``verify``.
 _TOL_IDENTITY = 1e-8
@@ -99,11 +101,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_input(args, required: bool):
-    if getattr(args, "model", None) and getattr(args, "tensor", None):
+    if args.model and args.tensor:
         raise CurvopError("give either a tensor file or --model, not both")
-    if getattr(args, "model", None):
+    if args.model:
         return build_model(args.model)
-    if getattr(args, "tensor", None):
+    if args.tensor:
         return load_tensor(args.tensor)
     if required:
         raise CurvopError("a tensor file or --model is required")
@@ -112,18 +114,6 @@ def _load_input(args, required: bool):
 
 def _sig(v: float | str) -> str:
     return v if isinstance(v, str) else f"{v:.12g}"  # alphaStar may be a word
-
-
-def _emit(args, report, seed: int | None = None, config: dict | None = None) -> dict:
-    """Write the envelope to --output, print its results for --format json
-    and return them, so the file, stdout and the text renderer agree."""
-    if args.output:
-        results = emit_report(report, args.output, seed=seed, config=config)["results"]
-    else:
-        results = report if isinstance(report, dict) else report.to_dict()
-    if args.format == "json":
-        print(json.dumps(results, indent=2, sort_keys=True))
-    return results
 
 
 def _cmd_model(args) -> int:
@@ -138,8 +128,9 @@ def _cmd_model(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     tensor = _load_input(args, required=True)
+    _check_int(args.trials, "trials", 1)
     spectrum = eigen_sym(second_kind_matrix(tensor), vectors=False)
     results = positivity_profile(spectrum)
     results["dim"] = tensor.dim
@@ -148,25 +139,25 @@ def _cmd_analyze(args) -> int:
         search = min_isotropic(tensor, args.trials, seed=args.seed)
         results["isotropicMin"] = search.best_value
         results["isotropicSamples"] = search.samples_used
-    config = {"trials": args.trials}
-    _emit(args, results, args.seed, config)
-    if args.format == "text":
-        print(f"dim {tensor.dim}, second-kind eigenvalues:")
-        print("  " + "  ".join(_sig(v) for v in results["eigenvalues"]))
-        print("positivity profile (k, sigma_k, alphaStar):")
-        for row in results["profile"]:
-            print(f"  k={row['k']:<3d} sigma={_sig(row['sigma']):<20s} alphaStar={_sig(row['alphaStar'])}")
-        for name, verdict in results["verdicts"].items():
-            print(f"  {name}: {'yes' if verdict else 'no'}")
-        print(f"ricci min: {_sig(results['ricciMin'])}")
-        if "isotropicMin" in results:
-            how = "exact" if tensor.dim == 4 else "sampled"
-            print(f"isotropic min ({how}, {results['isotropicSamples']} frames): "
-                  f"{_sig(results['isotropicMin'])}")
-    return 0
+    return results, {"trials": args.trials}
 
 
-def _cmd_verify(args) -> int:
+def _render_analyze(results: dict) -> None:
+    print(f"dim {results['dim']}, second-kind eigenvalues:")
+    print("  " + "  ".join(_sig(v) for v in results["eigenvalues"]))
+    print("positivity profile (k, sigma_k, alphaStar):")
+    for row in results["profile"]:
+        print(f"  k={row['k']:<3d} sigma={_sig(row['sigma']):<20s} alphaStar={_sig(row['alphaStar'])}")
+    for name, verdict in results["verdicts"].items():
+        print(f"  {name}: {'yes' if verdict else 'no'}")
+    print(f"ricci min: {_sig(results['ricciMin'])}")
+    if "isotropicMin" in results:
+        how = "exact" if results["dim"] == 4 else "sampled"
+        print(f"isotropic min ({how}, {results['isotropicSamples']} frames): "
+              f"{_sig(results['isotropicMin'])}")
+
+
+def _cmd_verify(args):
     extra = _load_input(args, required=False)
     if args.dim < 3 or (extra is not None and extra.dim < 3):
         raise ParameterOutOfRange("the identity suites need dimension >= 3")
@@ -176,101 +167,103 @@ def _cmd_verify(args) -> int:
     tol = args.tol_identity
     if not 0.0 < tol < math.inf:  # a nan bound would pass every residual
         raise ParameterOutOfRange(f"--tol-identity must be finite and positive, got {tol}")
-    checked = 0
-    failures = 0
+    randoms = (random_curvature(args.dim, seed=(args.seed, trial)) for trial in range(args.trials))
     suites: dict[str, float] = {}
-
-    def run_case(tensor) -> None:
-        nonlocal checked, failures
-        rng = np.random.default_rng((args.seed, checked))
+    for case, tensor in enumerate(itertools.chain(() if extra is None else (extra,), randoms)):
+        rng = np.random.default_rng((args.seed, case))
         runs = [("pic", verify_pic_identities, 4)] if tensor.dim >= 4 else []
         for name, suite, width in runs + [("ric", verify_ric_identities, tensor.dim)]:
             report = suite(tensor, random_frame(tensor.dim, width, rng))
             suites[name] = max(suites.get(name, 0.0), report.max_residual)
-            if report.max_residual > tol:
-                failures += 1
-        checked += 1
-
-    if extra is not None:
-        run_case(extra)
-    for trial in range(args.trials):
-        run_case(random_curvature(args.dim, seed=(args.seed, trial)))
-
     worst = max(suites.values())
-    ok = failures == 0
     results = {
         "dim": args.dim,
-        "casesChecked": checked,
+        "casesChecked": args.trials + (extra is not None),
         "maxResidual": worst,
         "tolerance": tol,
         "suites": suites,
-        "pass": ok,
+        "pass": bool(worst <= tol),
     }
-    config = {"dim": args.dim, "trials": args.trials, "tolIdentity": tol}
-    _emit(args, results, args.seed, config)
-    if args.format == "text":
-        print(f"checked {checked} cases in dim {args.dim}; "
-              f"max relative residual {worst:.3e} (tolerance {tol:.1e})")
-        for name, value in suites.items():
-            print(f"  suite {name}: max residual {value:.3e}")
-        print("PASS" if ok else "FAIL")
-    return 0 if ok else 1
+    return results, {"dim": args.dim, "trials": args.trials, "tolIdentity": tol}
 
 
-def _cmd_search(args) -> int:
-    report = implication_trial(
-        args.dim, args.hyp, args.concl, trials=args.trials, seed=args.seed, pic_trials=args.pic_trials
-    )
-    _emit(args, report)
-    if args.format == "text":
-        print(f"dim {report.dim}: {report.hypothesis} => {report.conclusion}?")
-        print(f"  {report.trials_passing}/{report.trials_attempted} samples satisfied the "
-              f"hypothesis ({report.shifts_applied} boosted, "
-              f"{report.capped_searches} isotropic searches capped)")
-        if report.counterexamples:
-            print(f"  {len(report.counterexamples)} counterexample(s):")
-            for cex in report.counterexamples:
-                print(f"    trial {cex.trial}: hypothesis value {_sig(cex.hypothesis_value)}, "
-                      f"conclusion value {_sig(cex.conclusion_value)}")
-        print(f"verdict: {report.verdict}")
-    return 0 if report.verdict == "consistent" else 1
+def _render_verify(results: dict) -> None:
+    print(f"checked {results['casesChecked']} cases in dim {results['dim']}; max relative residual "
+          f"{results['maxResidual']:.3e} (tolerance {results['tolerance']:.1e})")
+    for name, value in results["suites"].items():
+        print(f"  suite {name}: max residual {value:.3e}")
+    print("PASS" if results["pass"] else "FAIL")
 
 
-def _cmd_probe(args) -> int:
-    report = sharpness_probe(args.base, args.direction, steps=args.steps,
-                             seed=args.seed, iso_trials=args.iso_trials)
-    results = _emit(args, report)
-    if args.format == "text":
-        print(f"probe {report.base} -> {report.direction} (k = {report.k})")
-        print(f"  {'t':>6s}  {'alphaStar':>14s}  {'isoMin':>14s}  {'ricciMin':>14s}")
-        for row in results["rows"]:
-            iso_text = _sig(row["isoMin"]) if row["isoMin"] is not None else "-"
-            capped = "  (search capped)" if row["converged"] is False else ""
-            print(f"  {row['t']:6.3f}  {_sig(row['alphaStar']):>14s}  {iso_text:>14s}  "
-                  f"{_sig(row['ricciMin']):>14s}{capped}")
-        for name, entry in results["boundary"].items():
-            status = "ok" if entry["ok"] else "FAIL"
-            print(f"  boundary {name}: expected {entry['expected']}, "
-                  f"actual {entry['actual']} [{status}]")
-    return 0 if report.boundary_ok else 1
+def _cmd_search(args):
+    return implication_trial(args.dim, args.hyp, args.concl, trials=args.trials,
+                             seed=args.seed, pic_trials=args.pic_trials), None
+
+
+def _render_search(results: dict) -> None:
+    print(f"dim {results['dim']}: {results['hypothesis']} => {results['conclusion']}?")
+    print(f"  {results['trialsPassing']}/{results['trialsAttempted']} samples satisfied the "
+          f"hypothesis ({results['shiftsApplied']} boosted, "
+          f"{results['cappedSearches']} isotropic searches capped)")
+    if results["counterexamples"]:
+        print(f"  {len(results['counterexamples'])} counterexample(s):")
+        for cex in results["counterexamples"]:
+            print(f"    trial {cex['trial']}: hypothesis value {_sig(cex['hypothesisValue'])}, "
+                  f"conclusion value {_sig(cex['conclusionValue'])}")
+    print(f"verdict: {results['verdict']}")
+
+
+def _cmd_probe(args):
+    return sharpness_probe(args.base, args.direction, steps=args.steps,
+                           seed=args.seed, iso_trials=args.iso_trials), None
+
+
+def _render_probe(results: dict) -> None:
+    print(f"probe {results['base']} -> {results['direction']} (k = {results['k']})")
+    print(f"  {'t':>6s}  {'alphaStar':>14s}  {'isoMin':>14s}  {'ricciMin':>14s}")
+    for row in results["rows"]:
+        iso_text = _sig(row["isoMin"]) if row["isoMin"] is not None else "-"
+        capped = "  (search capped)" if row["converged"] is False else ""
+        print(f"  {row['t']:6.3f}  {_sig(row['alphaStar']):>14s}  {iso_text:>14s}  "
+              f"{_sig(row['ricciMin']):>14s}{capped}")
+    for name, entry in results["boundary"].items():
+        status = "ok" if entry["ok"] else "FAIL"
+        print(f"  boundary {name}: expected {entry['expected']}, "
+              f"actual {entry['actual']} [{status}]")
+
+
+# subcommand -> (compute step, text renderer); compute returns a report (a results
+# dict or an object with to_dict) and its envelope config, None for the report's own
+_COMMANDS = {
+    "analyze": (_cmd_analyze, _render_analyze),
+    "verify": (_cmd_verify, _render_verify),
+    "search": (_cmd_search, _render_search),
+    "probe": (_cmd_probe, _render_probe),
+}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "model": _cmd_model,
-        "analyze": _cmd_analyze,
-        "verify": _cmd_verify,
-        "search": _cmd_search,
-        "probe": _cmd_probe,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) is None:
+        if args.command == "model":
+            return _cmd_model(args)
+        if args.seed is None:
             args.seed = _default_seed()
-        if getattr(args, "seed", 0) < 0:
+        if args.seed < 0:
             raise ParameterOutOfRange(f"the seed must be non-negative, got {args.seed}")
-        return handlers[args.command](args)
+        compute, render = _COMMANDS[args.command]
+        report, config = compute(args)
+        if args.output:
+            results = emit_report(report, args.output, seed=args.seed, config=config)["results"]
+        else:
+            results = report if isinstance(report, dict) else report.to_dict()
+        if args.format == "json":
+            print(json.dumps(results, indent=2, sort_keys=True))
+        else:
+            render(results)
+        failed = (results.get("pass") is False or results.get("verdict") == "counterexample"
+                  or results.get("boundaryOk") is False)
+        return 1 if failed else 0
     except CurvopError as exc:
         print(f"{TOOL_NAME}: error: {exc}", file=sys.stderr)
         return 2

@@ -19,6 +19,7 @@ sibling file referenced from the envelope.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from dataclasses import dataclass
@@ -401,20 +402,31 @@ def emit_report(report, path: str, seed: int | None = None, config: dict | None 
     Each TrialReport counterexample is replayed from its seed material and
     saved to a sibling file named "<stem>.counterexample<i>.json" before
     the envelope is written, and the envelope references it by filename.
+    If a side file or the envelope cannot be written, the side files this
+    call wrote are removed before the error propagates, so a failed write
+    leaves no counterexample file that no envelope names.
     """
     results = report.to_dict() if hasattr(report, "to_dict") else report
-    if isinstance(report, TrialReport):
-        stem, _ = os.path.splitext(path)
-        for i, entry in enumerate(results["counterexamples"]):
-            tensor_file = f"{stem}.counterexample{i}.json"
-            save_tensor(replay_counterexample(report, i), tensor_file)
-            entry["tensorFile"] = os.path.basename(tensor_file)
-    envelope = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "seed": seed if seed is not None else getattr(report, "seed", None),
-        "config": config if config is not None else getattr(report, "config", {}),
-        "results": results,
-    }
-    write_json_atomic(envelope, path)
+    written = []
+    try:
+        if isinstance(report, TrialReport):
+            stem, _ = os.path.splitext(path)
+            for i, entry in enumerate(results["counterexamples"]):
+                tensor_file = f"{stem}.counterexample{i}.json"
+                save_tensor(replay_counterexample(report, i), tensor_file)
+                written.append(tensor_file)
+                entry["tensorFile"] = os.path.basename(tensor_file)
+        envelope = {
+            "tool": TOOL_NAME,
+            "version": __version__,
+            "seed": seed if seed is not None else getattr(report, "seed", None),
+            "config": config if config is not None else getattr(report, "config", {}),
+            "results": results,
+        }
+        write_json_atomic(envelope, path)
+    except BaseException:
+        for tensor_file in written:
+            with contextlib.suppress(OSError):
+                os.unlink(tensor_file)
+        raise
     return envelope

@@ -215,12 +215,6 @@ _KINDS = {
 }
 
 
-def _check_children(kind: str, count: int) -> None:
-    arity = _KINDS[kind].children
-    if count != arity:
-        raise ParseError(f"{kind} takes exactly {arity} children, got {count}")
-
-
 def _split_params(body: str) -> dict[str, str]:
     out: dict[str, str] = {}
     if not body:
@@ -237,13 +231,13 @@ def _split_params(body: str) -> dict[str, str]:
 
 
 def _coerce(kind: str, raw: dict[str, str]) -> dict:
+    """Convert each parameter the kind takes to its type; a name it does
+    not take stays a string, for ``_with_defaults`` to refuse."""
     schema = _KINDS[kind].params
     params = {}
     for key, value in raw.items():
-        if key not in schema:
-            raise ParseError(f"model kind {kind!r} does not take parameter {key!r}")
         try:
-            params[key] = schema[key][0](value)
+            params[key] = schema[key][0](value) if key in schema else value
         except ValueError as exc:
             raise ParseError(f"bad value for {kind}.{key}: {value!r}") from exc
     return params
@@ -279,7 +273,7 @@ def _split_children(body: str) -> tuple[list[str], str]:
 
 
 def parse_model(text: str) -> ModelSpec:
-    """Parse a model-spec string into a ModelSpec tree."""
+    """Parse a model-spec string into a ModelSpec tree that ``_with_defaults`` accepts."""
     text = text.strip()
     if not text:
         raise ParseError("empty model spec")
@@ -288,9 +282,9 @@ def parse_model(text: str) -> ModelSpec:
     if kind not in _KINDS:
         raise ParseError(f"unknown model kind {kind!r}")
     children_raw, rest = _split_children(body.strip()) if _KINDS[kind].children else ([], body.strip())
-    _check_children(kind, len(children_raw))
-    params = _coerce(kind, _split_params(rest))
-    return ModelSpec(kind, params, tuple(parse_model(c) for c in children_raw))
+    spec = ModelSpec(kind, _coerce(kind, _split_params(rest)), tuple(parse_model(c) for c in children_raw))
+    _with_defaults(spec)
+    return spec
 
 
 def _with_defaults(spec: ModelSpec) -> dict:
@@ -301,7 +295,8 @@ def _with_defaults(spec: ModelSpec) -> dict:
     if spec.kind not in _KINDS:
         raise ParseError(f"unknown model kind {spec.kind!r}")
     kind = _KINDS[spec.kind]
-    _check_children(spec.kind, len(spec.children))
+    if len(spec.children) != kind.children:
+        raise ParseError(f"{spec.kind} takes exactly {kind.children} children, got {len(spec.children)}")
     for key in spec.params:
         if key not in kind.params:
             raise ParseError(f"model kind {spec.kind!r} does not take parameter {key!r}")

@@ -163,6 +163,18 @@ def test_verify_rejects_unusable_tolerances(tol):
     assert "PASS" not in proc.stdout
 
 
+def test_failing_verify_exits_one_and_still_writes_its_envelope(tmp_path, capsys):
+    # a bound no rounding residual meets: the check fails, it is not a usage error
+    argv = ["verify", "--dim", "4", "--trials", "2", "--tol-identity", "1e-30"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "FAIL"
+    out = tmp_path / "verify.json"
+    assert cli.main([*argv, "--format", "json", "--output", str(out)]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["pass"] is False
+    assert check_envelope(out)["results"] == printed
+
+
 def test_verify_checks_a_lone_tensor_with_zero_trials():
     proc = run_cli("verify", "--model", "cp2", "--trials", "0", "--format", "json")
     assert json.loads(proc.stdout)["casesChecked"] == 1
@@ -196,6 +208,16 @@ def test_search_counterexample_exits_one(tmp_path):
     assert entry["tensorFile"] == "report.counterexample0.json"
     saved = curvop.load_tensor(str(tmp_path / entry["tensorFile"]))
     assert curvop.ricci_min(saved) == pytest.approx(entry["conclusionValue"], abs=1e-9)
+
+
+def test_failed_output_write_leaves_no_counterexample_files(tmp_path, capsys):
+    # the envelope path is a directory, so its write fails after the side files
+    out = tmp_path / "d"
+    out.mkdir()
+    assert cli.main(["search", "--dim", "4", "--hyp", "k9a0strict", "--concl", "ric",
+                     "--trials", "3", "--seed", "1", "--output", str(out)]) == 2
+    assert f"cannot write {out}" in capsys.readouterr().err
+    assert list(tmp_path.glob("d.counterexample*.json")) == []
 
 
 def test_json_stdout_is_the_written_results(tmp_path, capsys):
@@ -287,6 +309,15 @@ def test_analyze_rejects_non_numeric_values_and_oversized_dim(doc, tmp_path, cap
     bad.write_text(json.dumps(doc))
     assert cli.main(["analyze", str(bad), "--trials", "2"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", ["flat:n=3", "flat:n=4"])
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_analyze_needs_a_positive_trial_count_in_every_dimension(model, trials, tmp_path, capsys):
+    out = tmp_path / "analysis.json"
+    assert cli.main(["analyze", "--model", model, "--trials", trials, "--output", str(out)]) == 2
+    assert f"trials must be an integer in [1, inf], got {trials}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_rejects_both_file_and_model(tmp_path):
