@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import FrameNotOrthonormal, ParameterOutOfRange
 from .secondkind import (
@@ -413,6 +414,112 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     return f, value, iterations, converged
 
 
+# NumPy's SeedSequence, O'Neill's seed_seq design ("PCG: A Family of Simple
+# Fast Space-Efficient Statistically Good Algorithms for Random Number
+# Generation", 2014), whose output NumPy keeps fixed for reproducibility:
+# the first constant and multiplier of the hash that fills and mixes its
+# 4-word pool (A) and of the hash that reads the pool out (B), and the two
+# multipliers of mix(x, y) = L x - R y, which mixes word y into word x.
+_MASK32 = 0xFFFFFFFF
+_HASH_A = (0x43B0D7E5, 0x931E8875)
+_HASH_B = (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _hash_constants(first: int, multiplier: int, count: int) -> np.ndarray:
+    """The run first, first * multiplier, ... of ``count`` hash constants,
+    mod 2^32; hash call k uses constants k and k + 1."""
+    constants = [first]
+    while len(constants) < count:
+        constants.append(constants[-1] * multiplier & _MASK32)
+    return np.array(constants, dtype=np.uint32)
+
+
+def _hashmix(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix with consecutive constants, one call per
+    column: (value ^ c_k) * c_(k+1), then xor-shifted by 16. uint32 array
+    arithmetic wraps mod 2^32 without a warning."""
+    value = (value ^ constants[:-1]) * constants[1:]
+    return value ^ (value >> np.uint32(16))
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` of every row of an
+    (m, w) uint32 entropy array, shape (m, 4) uint64, in one pass.
+
+    The hash constants depend only on the word count w, so every row runs
+    the same sequence of array operations. The pool is the hash of the first
+    four words (of 0 past w); each pool word is then mixed into the other
+    three, and each word past the fourth into all four, as SeedSequence
+    does one word at a time. A mixed-in word does not change while it is
+    mixed, so the three or four mixes of one word are one operation.
+    """
+    m, w = entropy.shape
+    a = _hash_constants(*_HASH_A, 17 + 4 * max(0, w - 4))
+    pool = np.zeros((m, 4), dtype=np.uint32)
+    pool[:, :min(w, 4)] = entropy[:, :4]
+    pool = _hashmix(pool, a[:5])
+    k = 4
+    for source in range(4 + max(0, w - 4)):
+        if source < 4:
+            targets, word, count = np.arange(4) != source, pool[:, source, None], 3
+        else:
+            targets, word, count = slice(None), entropy[:, source, None], 4
+        mixed = _MIX_L * pool[:, targets] - _MIX_R * _hashmix(word, a[k:k + count + 1])
+        pool[:, targets] = mixed ^ (mixed >> np.uint32(16))
+        k += count
+    state = _hashmix(np.tile(pool, 2), _hash_constants(*_HASH_B, 9)).astype(np.uint64)
+    return state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian word pairs
+
+
+class _Seeded(ISeedSequence):
+    """A seed sequence whose state is already generated: the (4,) uint64
+    ``generate_state(4, np.uint64)``, the one call PCG64 makes on it."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.state
+
+
+def _words(part: int) -> list[int]:
+    """The 32-bit words of a non-negative int, least significant first; 0
+    is the one word 0. SeedSequence reads each part of a tuple so."""
+    words = [part & _MASK32]
+    while part > _MASK32:
+        part >>= 32
+        words.append(part & _MASK32)
+    return words
+
+
+def _draw_starts(materials, trials: int, n: int) -> np.ndarray:
+    """Gaussian (n, 4) blocks for every (material, trial), material-major,
+    shape (len(materials) * trials, n, 4).
+
+    Block (material, trial) equals
+    ``np.random.default_rng((*material, trial)).standard_normal((n, 4))``
+    byte for byte. That generator is a PCG64 seeded by SeedSequence on the
+    words of the parts (``_words``); here the hash runs once over the
+    entropy of every start with the same word count (``_pcg64_seeds``), and
+    each start's PCG64 takes its seed through ``_Seeded``. A trial index is
+    one word: 2^32 starts would not fit in memory.
+    """
+    words = [[word for part in material for word in _words(part)] for material in materials]
+    seeds = np.empty((len(materials), trials, 4), dtype=np.uint64)
+    for width in set(map(len, words)):
+        members = [i for i, w in enumerate(words) if len(w) == width]
+        entropy = np.empty((len(members), trials, width + 1), dtype=np.uint32)
+        material_words = np.array([words[i] for i in members], dtype=np.uint32)
+        entropy[..., :width] = material_words.reshape(len(members), 1, width)
+        entropy[..., width] = np.arange(trials)
+        seeds[members] = _pcg64_seeds(entropy.reshape(-1, width + 1)).reshape(-1, trials, 4)
+    blocks = np.empty((len(materials) * trials, n, 4))
+    for block, seed in zip(blocks, seeds.reshape(-1, 4)):
+        np.random.Generator(np.random.PCG64(_Seeded(seed))).standard_normal(out=block)
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)
 class FrameSearchResult:
     """Outcome of a sampled isotropic-curvature minimization.
@@ -459,11 +566,13 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     Result i equals ``min_isotropic(tensors[i], trials, seed=seeds[i])``
     bit for bit: the starts of all tensors descend together in fixed-size
     batches, and a frame's descent does not depend on its batch. Start
-    (i, trial) is a Gaussian (n, 4) block from ``default_rng((*seeds[i],
-    trial))``; one stacked ``_retract`` retracts them all, with the bytes
-    each gets alone. The seed values are six component reads per frame,
-    equal to the kernel's bit for bit (``_seed_values``); the descent and
-    the reported value come from the kernel. A tensor with 0 < max|R| < 1
+    (i, trial) is the Gaussian (n, 4) block of ``default_rng((*seeds[i],
+    trial))``, byte for byte; ``_draw_starts`` draws every start of the
+    call from one pass of the seed hash. One stacked ``_retract`` retracts
+    them all, with the bytes each gets alone. The seed values are six
+    component reads per frame, equal to the kernel's bit for bit
+    (``_seed_values``); the descent and the reported value come from the
+    kernel. A tensor with 0 < max|R| < 1
     is searched times the power of two 2^p that brings max|R| into [1, 2)
     and its values are divided by 2^p, exactly, so min_isotropic(2^e R) =
     2^e min_isotropic(R) bit for bit for e <= 0 and 1 <= max|R| < 2.
@@ -507,11 +616,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         iterations, converged = np.zeros(len(tensors), dtype=int), np.ones(len(tensors), dtype=bool)
     else:
         searched = trials
-        starts = _retract(np.array([
-            np.random.default_rng((*material, trial)).standard_normal((n, 4))
-            for material in materials
-            for trial in range(trials)
-        ]))
+        starts = _retract(_draw_starts(materials, trials, n))
         owner = np.repeat(np.arange(len(tensors)), trials)
         chunks = [_descend_batch(rmats, owner[lo:lo + _DESCENT_CHUNK], starts[lo:lo + _DESCENT_CHUNK], noise)
                   for lo in range(0, len(starts), _DESCENT_CHUNK)]

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import json
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,15 +37,26 @@ from .models import ModelSpec, build_model, constant_curvature, interpolate, par
 from .secondkind import (
     PredicateSpec,
     Spectrum,
+    _eigenvalues,
     _k_alpha_bound,
+    _second_kind_matrices,
     _sign,
     alpha_star,
     eigen_sym,
     k_alpha_value,
     parse_predicate,
+    s20_basis,
     second_kind_matrix,
 )
-from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, save_tensor, write_json_atomic
+from .tensor import (
+    CurvatureTensor,
+    _check_dim,
+    _check_int,
+    _check_seed,
+    _ricci,
+    save_tensor,
+    write_json_atomic,
+)
 
 TOOL_NAME = "curvop"
 
@@ -335,15 +348,19 @@ def sharpness_probe(
     ``base`` and ``direction`` are model spec strings of equal dimension.
     The dimension n must be at least 3, since alpha_star(n) needs
     n <= N - 1 for the N = n(n+1)/2 - 1 second-kind eigenvalues. For each
-    of ``steps`` evenly spaced t in [0, 1] the probe records
-    alpha_star(n) of the second-kind spectrum, the sampled isotropic
-    minimum (dimension >= 4), and the smallest Ricci eigenvalue. One ``min_isotropic_batch`` call
-    searches every row, row idx with seed material (*seed, idx) for a
-    tuple seed and (seed, idx) for an int, so each row equals
-    ``min_isotropic`` on its blend alone. Known boundary bases are
-    verified at t = 0 as the paper states them, nonnegative and not
-    positive: (n+alpha) at the advertised alpha (1/2 on cp2, (n-2)/n on a
-    unit S^(n-1) x R, which puts alpha_star(n) there) within its rounding
+    of ``steps`` evenly spaced t in [0, 1] the probe records alpha_star(n)
+    of the second-kind spectrum, the sampled isotropic minimum
+    (dimension >= 4), and the smallest Ricci eigenvalue. One
+    ``min_isotropic_batch`` call searches every row, row idx with seed
+    material (*seed, idx) for a tuple seed and (seed, idx) for an int, so
+    each row equals ``min_isotropic`` on its blend alone. The rows'
+    second-kind matrices are one stacked product, and their second-kind
+    and Ricci spectra two stacked solves, through the kernels and checks of
+    ``second_kind_matrix``, ``eigen_sym`` and ``ricci_min``, so each row
+    equals those functions on its blend alone, bit for bit. Known boundary
+    bases are verified at t = 0 as the paper states them, nonnegative and
+    not positive: (n+alpha) at the advertised alpha (1/2 on cp2, (n-2)/n on
+    a unit S^(n-1) x R, which puts alpha_star(n) there) within its rounding
     bound, and the isotropic (cp2) or Ricci (S^(n-1) x R) minimum exactly.
     """
     # Checked values are plain ints, so the report serializes as it is.
@@ -365,9 +382,12 @@ def sharpness_probe(
                     min_isotropic_batch(blends, iso_trials, [(*material, idx) for idx in range(steps)])]
     else:
         searches = [(None, None)] * steps
-    spectra = [eigen_sym(second_kind_matrix(blend), vectors=False) for blend in blends]
-    rows = [ProbeRow(t, alpha_star(spectrum, n), iso, ricci_min(blend), converged)
-            for t, blend, spectrum, (iso, converged) in zip(ts, blends, spectra, searches)]
+    arrays = np.stack([blend.array for blend in blends])
+    co2 = _eigenvalues(_second_kind_matrices(arrays, s20_basis(n)))[1]
+    spectra = [Spectrum(eigenvalues, None, None) for eigenvalues in co2]
+    ricci_minima = _eigenvalues(_ricci(arrays))[1][:, 0]
+    rows = [ProbeRow(t, alpha_star(spectrum, n), iso, float(ric), converged)
+            for t, spectrum, ric, (iso, converged) in zip(ts, spectra, ricci_minima, searches)]
 
     boundary: dict[str, tuple] = {}
     cp2 = base_spec.kind == "cp2"
@@ -376,8 +396,10 @@ def sharpness_probe(
         value, bound = k_alpha_value(spectra[0], n, alpha), _k_alpha_bound(spectra[0], n, alpha)
         star_name = "alphaStar(4) = 1/2" if cp2 else f"alphaStar({n}) = (n-2)/n"
         boundary[star_name] = (alpha, first.alpha_star, _sign(value, bound) == 0)
+        # The Ricci check takes t = 0 through ``ricci_min``, the single-tensor
+        # path, which row 0's stacked value equals bit for bit.
         min_name, minimum = (("isotropic minimum = 0", first.iso_min) if cp2
-                             else ("Ricci minimum = 0", first.ricci_min))
+                             else ("Ricci minimum = 0", ricci_min(blends[0])))
         boundary[min_name] = (0.0, minimum, _sign(minimum, 0.0) == 0)
 
     return ProbeReport(
@@ -396,6 +418,23 @@ def sharpness_probe(
     )
 
 
+def _named_side_files(path: str) -> set[str]:
+    """The file names of the side files that the envelope at ``path``
+    names: each "tensorFile" of its counterexamples that has the form
+    "<stem>.counterexample<i>.json" that ``emit_report`` gives them. A
+    missing, unreadable or foreign file, or one that is not a regular file,
+    names none."""
+    if not os.path.isfile(path):
+        return set()
+    try:
+        with open(path) as fh:
+            names = {entry["tensorFile"] for entry in json.load(fh)["results"]["counterexamples"]}
+    except (OSError, ValueError, LookupError, TypeError):
+        return set()
+    form = re.escape(os.path.basename(os.path.splitext(path)[0])) + r"\.counterexample\d+\.json"
+    return {name for name in names if isinstance(name, str) and re.fullmatch(form, name)}
+
+
 def emit_report(report, path: str, seed: int | None = None, config: dict | None = None) -> dict:
     """Write a report as a JSON envelope, atomically; returns the envelope.
 
@@ -404,9 +443,13 @@ def emit_report(report, path: str, seed: int | None = None, config: dict | None 
     the envelope is written, and the envelope references it by filename.
     If a side file or the envelope cannot be written, the side files this
     call wrote are removed before the error propagates, so a failed write
-    leaves no counterexample file that no envelope names.
+    leaves no counterexample file that no envelope names. Once the envelope
+    is written, the side files that the envelope it replaced named
+    (``_named_side_files``) and that this call did not rewrite are removed;
+    files that envelope did not name are left alone.
     """
     results = report.to_dict() if hasattr(report, "to_dict") else report
+    stale = _named_side_files(path)
     written = []
     try:
         if isinstance(report, TrialReport):
@@ -429,4 +472,7 @@ def emit_report(report, path: str, seed: int | None = None, config: dict | None 
             with contextlib.suppress(OSError):
                 os.unlink(tensor_file)
         raise
+    for name in stale.difference(os.path.basename(tensor_file) for tensor_file in written):
+        with contextlib.suppress(OSError):
+            os.unlink(os.path.join(os.path.dirname(path), name))
     return envelope

@@ -109,10 +109,21 @@ def second_kind_matrix(t: CurvatureTensor, basis: np.ndarray | None = None) -> n
         raise ValidationFailure(f"basis is not an array of numbers: {exc}") from exc
     if phi.shape[1:] != (n, n):
         raise DimensionMismatch(f"tensor dim {n} vs basis elements of shape {phi.shape[1:]}")
-    # M[a,b] = sum_{ijkl} R_iklj phi_a[i,j] phi_b[k,l]: axes (i, k, l, j)
-    # of t.array reordered to rows (i, j) and columns (k, l).
+    return _second_kind_matrices(t.array, phi)
+
+
+def _second_kind_matrices(arrays: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The second-kind matrix of an (n, n, n, n) array, or of each array of
+    a stack, on the (N, n, n) stack ``phi``, shape (..., N, N).
+
+    M[a,b] = sum_{ijkl} R_iklj phi_a[i,j] phi_b[k,l]: the axes (i, k, l, j)
+    of each array reordered to rows (i, j) and columns (k, l). ``matmul``
+    runs one BLAS product per array, so an array's matrix does not depend
+    on its stack.
+    """
+    n = arrays.shape[-1]
     p = phi.reshape(phi.shape[0], n * n)
-    r = t.array.transpose(0, 3, 1, 2).reshape(n * n, n * n)
+    r = arrays.swapaxes(-1, -3).swapaxes(-1, -2).reshape(arrays.shape[:-4] + (n * n, n * n))
     return (p @ r) @ p.T
 
 
@@ -149,36 +160,56 @@ def eigen_sym(m: np.ndarray, vectors: bool = True) -> Spectrum:
     Raises NotSymmetric for input that is not a square array of numbers
     or is asymmetric beyond 1e-10 of its Frobenius norm, ValidationFailure
     for non-finite input or input whose norm overflows, and NoConvergence
-    when LAPACK reports failure. The Frobenius norm is one ``np.vdot`` of
-    the matrix with itself, which neither warns nor needs an ``np.errstate``.
-    Eigenvalues come from the eigenvalue-only driver in both modes, so
-    ``vectors=False`` returns the same bits as ``vectors=True``; the
-    vector driver runs only when vectors are requested.
+    when LAPACK reports failure (see ``_eigenvalues``). Eigenvalues come
+    from the eigenvalue-only driver in both modes, so ``vectors=False``
+    returns the same bits as ``vectors=True``; the vector driver runs only
+    when vectors are requested.
     """
     try:
         m = np.asarray(m, dtype=float)
     except (TypeError, ValueError) as exc:  # ragged or non-numeric
         raise NotSymmetric(f"expected a square array of numbers: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != 2:
         raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
-    # np.vdot, unlike np.dot, raises no floating-point warning: an
-    # overflowing or non-finite norm comes back as inf or nan, unwarned.
-    norm = math.sqrt(float(np.vdot(m, m)))
-    if not math.isfinite(norm):
-        raise ValidationFailure("matrix has non-finite entries or its norm overflows")
-    if norm > 0 and float(np.abs(m - m.T).max()) > 1e-10 * norm:
-        raise NotSymmetric("matrix is not symmetric within 1e-10 of its norm")
-
-    a = (m + m.T) / 2.0
+    a, eigenvalues = _eigenvalues(m)
+    if not vectors:
+        return Spectrum(eigenvalues, None, None)
     try:
-        eigenvalues = np.linalg.eigvalsh(a)
-        if not vectors:
-            return Spectrum(eigenvalues, None, None)
         eigenvectors = np.linalg.eigh(a)[1]  # NumPy 1.x returns a plain (w, v) tuple
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
     residual = float(np.abs(a @ eigenvectors - eigenvectors * eigenvalues).max(initial=0.0))
     return Spectrum(eigenvalues, eigenvectors, residual)
+
+
+def _eigenvalues(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The checks of ``eigen_sym`` and its eigenvalue solve, for a float
+    square matrix or a stack of them, shape (..., N, N).
+
+    A stack is checked as the block-diagonal matrix of its matrices, whose
+    eigenvalues are theirs. The Frobenius norm is one ``np.vdot`` of the
+    input with itself, which neither warns nor needs an ``np.errstate``: an
+    overflowing or non-finite norm comes back as inf or nan and raises
+    ValidationFailure. An asymmetry beyond 1e-10 of the norm raises
+    NotSymmetric, as does a shape that is not square. Returns
+    (a, eigenvalues): a = (m + m^T)/2 and its ascending eigenvalues
+    (..., N) from one ``eigvalsh`` call, which runs one LAPACK solve per
+    matrix, so a matrix's eigenvalues do not depend on its stack; a failed
+    solve raises NoConvergence.
+    """
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSymmetric(f"expected a square matrix, got shape {m.shape}")
+    norm = math.sqrt(float(np.vdot(m, m)))
+    if not math.isfinite(norm):
+        raise ValidationFailure("matrix has non-finite entries or its norm overflows")
+    transposed = m.swapaxes(-1, -2)
+    if norm > 0 and float(np.abs(m - transposed).max()) > 1e-10 * norm:
+        raise NotSymmetric("matrix is not symmetric within 1e-10 of its norm")
+    a = (m + transposed) / 2.0
+    try:
+        return a, np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigensolver failed: {exc}") from exc
 
 
 def _check_k_alpha(size: int, k: int, alpha: float) -> None:

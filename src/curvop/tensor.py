@@ -323,7 +323,14 @@ def bianchi_project(array) -> CurvatureTensor:
 
 def ricci(t: CurvatureTensor) -> np.ndarray:
     """Ricci contraction Ric_ij = sum_k R_ikjk, a symmetric (n,n) array."""
-    return np.einsum("ikjk->ij", t.array)
+    return _ricci(t.array)
+
+
+def _ricci(arrays: np.ndarray) -> np.ndarray:
+    """Ricci contraction of an (n, n, n, n) array or of each array of a
+    stack, shape (..., n, n); an array's contraction does not depend on its
+    stack."""
+    return np.einsum("...ikjk->...ij", arrays)
 
 
 def to_dict(t: CurvatureTensor) -> dict:
@@ -383,7 +390,12 @@ def from_dict(doc) -> CurvatureTensor:
 
 
 def write_json_atomic(doc: dict, path: str) -> None:
-    """Write a JSON document atomically (temp file + rename)."""
+    """Write a JSON document atomically (temp file + rename).
+
+    A failed write raises IoFailure naming ``path`` and the OS error's
+    message, never the temporary file, so the same failure reads the same
+    on every run.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -397,7 +409,7 @@ def write_json_atomic(doc: dict, path: str) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise IoFailure(f"cannot write {path}: {exc}") from exc
+        raise IoFailure(f"cannot write {path}: {exc.strerror or type(exc).__name__}") from exc
 
 
 def save_tensor(t: CurvatureTensor, path: str) -> None:

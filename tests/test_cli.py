@@ -220,6 +220,20 @@ def test_failed_output_write_leaves_no_counterexample_files(tmp_path, capsys):
     assert list(tmp_path.glob("d.counterexample*.json")) == []
 
 
+def test_a_rewritten_output_removes_the_side_files_its_old_envelope_named(tmp_path):
+    # a 5-trial run names five side files; a 2-trial run over it names two
+    # and removes the other three, but not a file no envelope named
+    search = ("search", "--dim", "4", "--hyp", "k9a0strict", "--concl", "ric", "--seed", "1",
+              "--output", str(tmp_path / "w.json"))
+    assert cli.main([*search, "--trials", "5"]) == 1
+    assert len(list(tmp_path.glob("w.counterexample*.json"))) == 5
+    (tmp_path / "w.counterexample9.json").write_text("{}")
+    assert cli.main([*search, "--trials", "2"]) == 1
+    named = [c["tensorFile"] for c in check_envelope(tmp_path / "w.json")["results"]["counterexamples"]]
+    assert named == ["w.counterexample0.json", "w.counterexample1.json"]
+    assert sorted(p.name for p in tmp_path.glob("w.counterexample*.json")) == [*named, "w.counterexample9.json"]
+
+
 def test_json_stdout_is_the_written_results(tmp_path, capsys):
     runs = [
         ("search", "--dim", "4", "--hyp", "k9a0strict", "--concl", "pic", "--trials", "30",

@@ -29,6 +29,7 @@ from curvop.conditions import (
     _WARM,
     _coordinate_seed_axes,
     _descend_batch,
+    _draw_starts,
     _iso_grads,
     _iso_values,
     _retract,
@@ -342,6 +343,26 @@ def test_descent_converges_on_sphere_times_circle(n, t):
     assert res.refinement_steps <= 320
     scale = max(1.0, blend.max_abs())
     assert expected - 1e-12 * scale <= res.best_value <= expected + 1e-9
+
+
+# Seed parts of one, two and three 32-bit words, the edges included.
+_SEED_PARTS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 5]), st.integers(0, 2**96))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(_SEED_PARTS, max_size=6).map(tuple), min_size=1, max_size=4),
+       st.integers(min_value=1, max_value=5), st.integers(min_value=4, max_value=8))
+@example([(0,), (2**32 - 1,), (2**32,), (2**64 + 5,)], 2, 5)
+@example([(1,), (1, 2), (1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 6)], 3, 8)
+@example([(2**64 + 5, 0), (7,), (2**64 + 5, 2**32, 2**32 - 1, 0)], 4, 6)
+def test_drawn_starts_equal_default_rng_draws_byte_for_byte(materials, trials, n):
+    # One hash pass over every start's entropy, grouped by word count, must
+    # seed each start as default_rng((*material, trial)) does: materials of
+    # 1 to 6 words and past the 4-word pool, mixed in one call.
+    expected = np.array([np.random.default_rng((*material, trial)).standard_normal((n, 4))
+                         for material in materials for trial in range(trials)])
+    drawn = _draw_starts(materials, trials, n)
+    assert drawn.shape == expected.shape and drawn.tobytes() == expected.tobytes()
 
 
 def test_descent_keeps_cp2_minimum_sign_exact():

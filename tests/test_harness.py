@@ -397,6 +397,28 @@ def test_probe_rows_of_a_tuple_seed_extend_its_material(base, n):
     _assert_probe_rows_equal_separate_searches(base, n, (1, 2), (1, 2))
 
 
+_STACKED_BASES = [("cp2", 4), *((f"product:(sphere:n={n - 1},k=1)x(flat:n=1)", n) for n in range(4, 9)),
+                  *((f"random:n={n},seed={n}", n) for n in (3, 4, 6, 8))]
+
+
+@pytest.mark.parametrize(("base", "n"), _STACKED_BASES)
+def test_probe_spectra_and_ricci_minima_equal_each_blend_alone(base, n):
+    # The probe solves all rows' second-kind and Ricci spectra as two stacks;
+    # each row must equal the single-tensor path bit for bit.
+    direction = f"random:n={n},seed=99"
+    t_base, t_dir = curvop.build_model(base), curvop.build_model(direction)
+    blends = [curvop.interpolate(t_base, t_dir, t) for t in np.linspace(0.0, 1.0, 5)]
+    arrays = np.stack([blend.array for blend in blends])
+    stacked = harness._eigenvalues(harness._second_kind_matrices(arrays, curvop.s20_basis(n)))[1]
+    ricci_minima = harness._eigenvalues(harness._ricci(arrays))[1][:, 0]
+    rep = sharpness_probe(base, direction, steps=5, iso_trials=2)
+    for blend, eigenvalues, ricci_minimum, row in zip(blends, stacked, ricci_minima, rep.rows):
+        alone = eigen_sym(second_kind_matrix(blend), vectors=False)
+        assert eigenvalues.tobytes() == alone.eigenvalues.tobytes()
+        assert ricci_minimum == row.ricci_min == curvop.ricci_min(blend)
+        assert row.alpha_star == curvop.alpha_star(alone, n)
+
+
 def test_sharpness_probe_checks_only_sphere_times_a_line():
     # S^3 x R^2 is not the sharp case, so it has no advertised boundary ...
     wide = sharpness_probe("product:(sphere:n=3,k=1)x(flat:n=2)", "sphere:n=5,k=1", steps=2,

@@ -1,5 +1,6 @@
 """Storage, symmetry, Bianchi handling, contractions, and JSON round trips."""
 
+import errno
 import json
 import os
 import time
@@ -18,6 +19,7 @@ from curvop import (
     DimensionTooSmall,
     FrameNotOrthonormal,
     IndexOutOfRange,
+    IoFailure,
     NotSymmetric,
     ParameterOutOfRange,
     ParseError,
@@ -581,3 +583,18 @@ def test_numpy_integer_arguments_reach_reports_as_plain_ints(tmp_path):
         with open(path) as handle:
             assert json.load(handle) == json.loads(json.dumps(envelope))
         assert all(type(v) is int for v in envelope["config"].values() if not isinstance(v, str))
+
+
+def test_a_failed_write_names_only_its_target_and_the_os_error(tmp_path):
+    # the target is a directory, so the rename fails; the message must not
+    # name the random temporary file, and reads the same on every run
+    target = tmp_path / "d"
+    target.mkdir()
+    messages = []
+    for _ in range(2):
+        with pytest.raises(IoFailure) as info:
+            curvop.write_json_atomic({"a": 1}, str(target))
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == f"cannot write {target}: {os.strerror(errno.EISDIR)}"
+    assert not any(".tmp" in m for m in messages)
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
