@@ -9,8 +9,7 @@ sharpness interpolation. The last four compute a results dict once, and
 the dict itself for ``--format json``, else a text renderer that reads
 only the dict, so all three agree. One exit rule follows: 1 when
 ``pass`` is false, ``verdict`` is "counterexample" or ``boundaryOk`` is
-false, 2 on bad input or usage, else 0. ``--seed`` defaults to the
-CURV_SEED environment variable when present.
+false, 2 on bad input or usage, else 0. ``--seed`` defaults to 0.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ import argparse
 import itertools
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -36,21 +34,12 @@ from .tensor import _check_int, load_tensor, save_tensor, to_dict
 _TOL_IDENTITY = 1e-8
 
 
-def _default_seed() -> int:
-    env = os.environ.get("CURV_SEED", "0")
-    try:
-        return int(env)
-    except ValueError:
-        raise CurvopError(f"CURV_SEED must be an integer, got {env!r}") from None
-
-
 def _add_common(parser: argparse.ArgumentParser, with_seed: bool = True) -> None:
     parser.add_argument("--output", help="write JSON results to this file")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="stdout rendering (default text)")
     if with_seed:
-        parser.add_argument("--seed", type=int,
-                            help="base RNG seed (default: CURV_SEED or 0)")
+        parser.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -247,8 +236,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "model":
             return _cmd_model(args)
-        if args.seed is None:
-            args.seed = _default_seed()
         if args.seed < 0:
             raise ParameterOutOfRange(f"the seed must be non-negative, got {args.seed}")
         compute, render = _COMMANDS[args.command]

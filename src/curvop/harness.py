@@ -12,18 +12,14 @@ minima move, confirming that the base sits exactly on the advertised
 boundary at t = 0.
 
 Reports serialize to a JSON envelope {tool, version, seed, config,
-results}; writes are atomic. A counterexample keeps only its seed
-material, and each tensor is replayed from it when it is written to a
-sibling file referenced from the envelope.
+results}, written in one atomic rename. A counterexample keeps only its
+seed material in memory; its tensor is replayed from it into its own
+entry of the envelope when the envelope is written.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
-import json
-import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +50,7 @@ from .tensor import (
     _check_int,
     _check_seed,
     _ricci,
-    save_tensor,
+    to_dict,
     write_json_atomic,
 )
 
@@ -94,7 +90,6 @@ class Counterexample:
             "shift": self.shift_amount,
             "hypothesisValue": self.hypothesis_value,
             "conclusionValue": self.conclusion_value,
-            "tensorFile": None,
         }
 
 
@@ -150,6 +145,13 @@ def _unit_sphere(n: int) -> CurvatureTensor:
     return constant_curvature(n, 1.0)
 
 
+def _ricci_minima(arrays: np.ndarray) -> np.ndarray:
+    """The smallest Ricci eigenvalue of each array of a stack, from one
+    stacked solve through the checks of ``eigen_sym``; each equals
+    ``ricci_min`` on its tensor alone, bit for bit."""
+    return _eigenvalues(_ricci(arrays))[1][:, 0]
+
+
 def boost_to_hypothesis(t: CurvatureTensor,
                         pred: PredicateSpec) -> tuple[CurvatureTensor, Spectrum, float, float]:
     """Shift a tensor into the hypothesis class along the sphere direction.
@@ -199,8 +201,9 @@ def implication_trial(
     conclusion value fails. The run is reproducible from (n, hypothesis,
     conclusion, trials, seed) alone; pic conclusions use ``pic_trials``
     descent starts with seed material (seed, trial, 1), searched for a
-    block of samples at a time with ``min_isotropic_batch``. A hypothesis
-    that does not fit the spectrum raises at the first boost.
+    block of samples at a time with ``min_isotropic_batch``, and ric
+    conclusions one stacked Ricci solve per block (``_ricci_minima``). A
+    hypothesis that does not fit the spectrum raises at the first boost.
     """
     hyp = parse_predicate(hypothesis) if isinstance(hypothesis, str) else hypothesis
     if conclusion not in CONCLUSIONS:
@@ -224,7 +227,7 @@ def implication_trial(
             concl_values = [r.best_value for r in results]
             capped += sum(not r.converged for r in results)
         else:
-            concl_values = [ricci_min(sample) for sample in samples]
+            concl_values = _ricci_minima(np.stack([sample.array for sample in samples])).tolist()
         for trial, (_, _, hyp_value, amount), concl_value in zip(block, boosted, concl_values):
             if amount != 0.0:
                 shifts += 1
@@ -385,8 +388,8 @@ def sharpness_probe(
     arrays = np.stack([blend.array for blend in blends])
     co2 = _eigenvalues(_second_kind_matrices(arrays, s20_basis(n)))[1]
     spectra = [Spectrum(eigenvalues, None, None) for eigenvalues in co2]
-    ricci_minima = _eigenvalues(_ricci(arrays))[1][:, 0]
-    rows = [ProbeRow(t, alpha_star(spectrum, n), iso, float(ric), converged)
+    ricci_minima = _ricci_minima(arrays).tolist()
+    rows = [ProbeRow(t, alpha_star(spectrum, n), iso, ric, converged)
             for t, spectrum, ric, (iso, converged) in zip(ts, spectra, ricci_minima, searches)]
 
     boundary: dict[str, tuple] = {}
@@ -418,61 +421,24 @@ def sharpness_probe(
     )
 
 
-def _named_side_files(path: str) -> set[str]:
-    """The file names of the side files that the envelope at ``path``
-    names: each "tensorFile" of its counterexamples that has the form
-    "<stem>.counterexample<i>.json" that ``emit_report`` gives them. A
-    missing, unreadable or foreign file, or one that is not a regular file,
-    names none."""
-    if not os.path.isfile(path):
-        return set()
-    try:
-        with open(path) as fh:
-            names = {entry["tensorFile"] for entry in json.load(fh)["results"]["counterexamples"]}
-    except (OSError, ValueError, LookupError, TypeError):
-        return set()
-    form = re.escape(os.path.basename(os.path.splitext(path)[0])) + r"\.counterexample\d+\.json"
-    return {name for name in names if isinstance(name, str) and re.fullmatch(form, name)}
-
-
 def emit_report(report, path: str, seed: int | None = None, config: dict | None = None) -> dict:
     """Write a report as a JSON envelope, atomically; returns the envelope.
 
-    Each TrialReport counterexample is replayed from its seed material and
-    saved to a sibling file named "<stem>.counterexample<i>.json" before
-    the envelope is written, and the envelope references it by filename.
-    If a side file or the envelope cannot be written, the side files this
-    call wrote are removed before the error propagates, so a failed write
-    leaves no counterexample file that no envelope names. Once the envelope
-    is written, the side files that the envelope it replaced named
-    (``_named_side_files``) and that this call did not rewrite are removed;
-    files that envelope did not name are left alone.
+    Each TrialReport counterexample entry carries its tensor under
+    "tensor", replayed from its seed material (``replay_counterexample``)
+    in the canonical form of a tensor file. The envelope is the only file
+    written, in one atomic rename, so a failed write leaves nothing.
     """
     results = report.to_dict() if hasattr(report, "to_dict") else report
-    stale = _named_side_files(path)
-    written = []
-    try:
-        if isinstance(report, TrialReport):
-            stem, _ = os.path.splitext(path)
-            for i, entry in enumerate(results["counterexamples"]):
-                tensor_file = f"{stem}.counterexample{i}.json"
-                save_tensor(replay_counterexample(report, i), tensor_file)
-                written.append(tensor_file)
-                entry["tensorFile"] = os.path.basename(tensor_file)
-        envelope = {
-            "tool": TOOL_NAME,
-            "version": __version__,
-            "seed": seed if seed is not None else getattr(report, "seed", None),
-            "config": config if config is not None else getattr(report, "config", {}),
-            "results": results,
-        }
-        write_json_atomic(envelope, path)
-    except BaseException:
-        for tensor_file in written:
-            with contextlib.suppress(OSError):
-                os.unlink(tensor_file)
-        raise
-    for name in stale.difference(os.path.basename(tensor_file) for tensor_file in written):
-        with contextlib.suppress(OSError):
-            os.unlink(os.path.join(os.path.dirname(path), name))
+    if isinstance(report, TrialReport):
+        for i, entry in enumerate(results["counterexamples"]):
+            entry["tensor"] = to_dict(replay_counterexample(report, i))
+    envelope = {
+        "tool": TOOL_NAME,
+        "version": __version__,
+        "seed": seed if seed is not None else getattr(report, "seed", None),
+        "config": config if config is not None else getattr(report, "config", {}),
+        "results": results,
+    }
+    write_json_atomic(envelope, path)
     return envelope

@@ -55,6 +55,11 @@ _SYM_TOL = 1e-12  # relative index-symmetry deviation accepted in a raw array
 _BIANCHI_TOL = 1e-10  # first Bianchi residual accepted, relative to the largest component
 _MAX_DIM = 32  # largest dimension accepted: dense arrays and the index map grow as n**4
 
+# The process umask, read once: os.umask reads it only by setting it, so it
+# is put back at once. Written files get the mode a plain open() gives.
+_UMASK = os.umask(0o077)
+os.umask(_UMASK)
+
 
 @functools.lru_cache(maxsize=None)
 def _canonical_map(n: int) -> np.ndarray:
@@ -392,15 +397,17 @@ def from_dict(doc) -> CurvatureTensor:
 def write_json_atomic(doc: dict, path: str) -> None:
     """Write a JSON document atomically (temp file + rename).
 
-    A failed write raises IoFailure naming ``path`` and the OS error's
-    message, never the temporary file, so the same failure reads the same
-    on every run.
+    The file gets mode 0o666 less the umask, as a plain ``open`` would give
+    it, not the 0o600 of the temporary file. A failed write raises
+    IoFailure naming ``path`` and the OS error's message, never the
+    temporary file, so the same failure reads the same on every run.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
+                os.fchmod(fh.fileno(), 0o666 & ~_UMASK)
                 json.dump(doc, fh, indent=2, sort_keys=True)
                 fh.write("\n")
             os.replace(tmp, path)

@@ -14,13 +14,8 @@ from curvop import cli
 CLI = [sys.executable, "-c", "import curvop.cli, sys; sys.exit(curvop.cli.main())"]
 
 
-def run_cli(*args, env_extra=None, expect=0):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
-    proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, env=env, timeout=300
-    )
+def run_cli(*args, expect=0):
+    proc = subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=300)
     assert proc.returncode == expect, (
         f"exit {proc.returncode} != {expect}\nstdout: {proc.stdout}\nstderr: {proc.stderr}"
     )
@@ -51,6 +46,20 @@ def test_model_writes_loadable_tensor_file(tmp_path):
     assert np.array_equal(t.array, curvop.cp2_explicit().array)
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_written_files_take_their_mode_from_the_umask(umask, mode, tmp_path):
+    # a tensor file and an envelope get the mode a plain open() gives them,
+    # not the 0600 of the temporary file they are renamed from
+    runs = [("model", "--model", "cp2"),
+            ("search", "--dim", "4", "--hyp", "k9a0strict", "--concl", "ric", "--trials", "2")]
+    for i, args in enumerate(runs):
+        out = tmp_path / f"out{i}.json"
+        proc = subprocess.run(CLI + [*args, "--output", str(out)], capture_output=True,
+                              timeout=300, preexec_fn=lambda: os.umask(umask))
+        assert proc.returncode == i, proc.stderr  # the weak search exits 1
+        assert out.stat().st_mode & 0o777 == mode
+
+
 def test_model_then_analyze_pipeline(tmp_path):
     tensor_file = tmp_path / "sphere.json"
     report_file = tmp_path / "analysis.json"
@@ -78,29 +87,14 @@ def test_analyze_model_spec_text_output():
         json.loads(proc.stdout)
 
 
-def test_analyze_seed_flag_and_env_agree():
-    a = run_cli("analyze", "--model", "random:n=5,seed=2", "--trials", "4",
-                "--seed", "9", "--format", "json")
-    b = run_cli("analyze", "--model", "random:n=5,seed=2", "--trials", "4",
-                "--format", "json", env_extra={"CURV_SEED": "9"})
-    assert json.loads(a.stdout) == json.loads(b.stdout)
-    # the explicit flag wins over the environment
-    c = run_cli("analyze", "--model", "random:n=5,seed=2", "--trials", "4",
-                "--seed", "9", "--format", "json", env_extra={"CURV_SEED": "3"})
-    assert json.loads(c.stdout) == json.loads(a.stdout)
-
-
 @pytest.mark.parametrize("argv", [
     ["search", "--dim", "4", "--hyp", "k4a0.5strict", "--concl", "ric", "--trials", "2"],
     ["analyze", "--model", "cp2", "--trials", "2"],
     ["verify", "--trials", "2"],
     ["probe", "--base", "cp2", "--direction", "flat:n=4", "--steps", "2", "--iso-trials", "2"],
 ])
-def test_negative_seed_exits_two(argv, monkeypatch, capsys):
+def test_negative_seed_exits_two(argv, capsys):
     assert cli.main(argv + ["--seed", "-1"]) == 2
-    assert "seed" in capsys.readouterr().err
-    monkeypatch.setenv("CURV_SEED", "-1")
-    assert cli.main(argv) == 2
     assert "seed" in capsys.readouterr().err
 
 
@@ -115,14 +109,6 @@ def test_conclusion_is_pic_or_ric(capsys):
         cli.main(["search", "--dim", "4", "--hyp", "k4a0.5strict", "--concl", "k4a0.5strict"])
     assert exc.value.code == 2
     assert "--concl" in capsys.readouterr().err
-
-
-def test_unparsable_seed_environment_exits_two(monkeypatch, capsys):
-    monkeypatch.setenv("CURV_SEED", "abc")
-    assert cli.main(["analyze", "--model", "cp2", "--trials", "2"]) == 2
-    assert "CURV_SEED" in capsys.readouterr().err
-    # an explicit --seed does not need the environment
-    assert cli.main(["analyze", "--model", "cp2", "--trials", "2", "--seed", "1"]) == 0
 
 
 def test_verify_reports_residuals():
@@ -205,33 +191,31 @@ def test_search_counterexample_exits_one(tmp_path):
     assert results["verdict"] == "counterexample"
     envelope = check_envelope(out)
     entry = envelope["results"]["counterexamples"][0]
-    assert entry["tensorFile"] == "report.counterexample0.json"
-    saved = curvop.load_tensor(str(tmp_path / entry["tensorFile"]))
-    assert curvop.ricci_min(saved) == pytest.approx(entry["conclusionValue"], abs=1e-9)
+    assert curvop.ricci_min(curvop.from_dict(entry["tensor"])) == entry["conclusionValue"]
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_failed_output_write_leaves_no_counterexample_files(tmp_path, capsys):
-    # the envelope path is a directory, so its write fails after the side files
+    # the envelope path is a directory, so its one rename fails
     out = tmp_path / "d"
     out.mkdir()
     assert cli.main(["search", "--dim", "4", "--hyp", "k9a0strict", "--concl", "ric",
                      "--trials", "3", "--seed", "1", "--output", str(out)]) == 2
     assert f"cannot write {out}" in capsys.readouterr().err
-    assert list(tmp_path.glob("d.counterexample*.json")) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["d"]
 
 
-def test_a_rewritten_output_removes_the_side_files_its_old_envelope_named(tmp_path):
-    # a 5-trial run names five side files; a 2-trial run over it names two
-    # and removes the other three, but not a file no envelope named
+def test_a_rewritten_output_leaves_only_its_envelope(tmp_path):
+    # the counterexample tensors live in the envelope, so a 2-trial run over
+    # a 5-trial one leaves one file naming two counterexamples
     search = ("search", "--dim", "4", "--hyp", "k9a0strict", "--concl", "ric", "--seed", "1",
               "--output", str(tmp_path / "w.json"))
     assert cli.main([*search, "--trials", "5"]) == 1
-    assert len(list(tmp_path.glob("w.counterexample*.json"))) == 5
-    (tmp_path / "w.counterexample9.json").write_text("{}")
     assert cli.main([*search, "--trials", "2"]) == 1
-    named = [c["tensorFile"] for c in check_envelope(tmp_path / "w.json")["results"]["counterexamples"]]
-    assert named == ["w.counterexample0.json", "w.counterexample1.json"]
-    assert sorted(p.name for p in tmp_path.glob("w.counterexample*.json")) == [*named, "w.counterexample9.json"]
+    entries = check_envelope(tmp_path / "w.json")["results"]["counterexamples"]
+    assert [c["trial"] for c in entries] == [0, 1]
+    assert all(c["tensor"]["dim"] == 4 for c in entries)
+    assert [p.name for p in tmp_path.iterdir()] == ["w.json"]
 
 
 def test_json_stdout_is_the_written_results(tmp_path, capsys):
@@ -247,8 +231,9 @@ def test_json_stdout_is_the_written_results(tmp_path, capsys):
         printed = json.loads(capsys.readouterr().out)
         assert printed == json.loads(out.read_text())["results"]
         for cex in printed.get("counterexamples", []):
-            assert (tmp_path / cex["tensorFile"]).is_file()
-    assert len(list(tmp_path.glob("run0.counterexample*.json"))) > 0
+            assert curvop.from_dict(cex["tensor"]).dim == 4
+    assert json.loads((tmp_path / "run0.json").read_text())["results"]["counterexamples"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run0.json", "run1.json"]
 
 
 def test_probe_boundary_ok_exit_zero(tmp_path):

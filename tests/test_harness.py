@@ -1,7 +1,6 @@
 """Predicates, boosting, implication trials, reports, and sharpness probes."""
 
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -297,7 +296,7 @@ def test_hypothesis_names_keep_every_digit_of_alpha():
     assert again.hypothesis == first.hypothesis and again.counterexamples == first.counterexamples
 
 
-def test_emit_report_envelope_and_counterexample_files(tmp_path):
+def test_emit_report_envelope_holds_the_counterexample_tensors(tmp_path):
     rep = implication_trial(4, "k9a0strict", "ric", trials=2, seed=123)
     out = tmp_path / "search.json"
     envelope = emit_report(rep, str(out), seed=123, config={"trials": 2})
@@ -309,12 +308,25 @@ def test_emit_report_envelope_and_counterexample_files(tmp_path):
     assert envelope["config"] == {"trials": 2}
     results = envelope["results"]
     assert results["verdict"] == "counterexample"
+    assert len(results["counterexamples"]) == 2
     for i, entry in enumerate(results["counterexamples"]):
-        fname = entry["tensorFile"]
-        assert fname == f"search.counterexample{i}.json"
-        path = os.path.join(str(tmp_path), fname)
-        saved = curvop.load_tensor(path)
-        assert np.array_equal(saved.array, replay_counterexample(rep, i).array)
+        replayed = replay_counterexample(rep, i)
+        assert entry["tensor"] == curvop.to_dict(replayed)
+        stored = curvop.from_dict(entry["tensor"])
+        assert stored.array.tobytes() == replayed.array.tobytes()
+        assert curvop.ricci_min(stored) == entry["conclusionValue"]
+    assert [p.name for p in tmp_path.iterdir()] == ["search.json"]
+
+
+def test_emit_report_pic_tensors_give_back_their_conclusion_values(tmp_path):
+    seed, pic_trials = 123, 3
+    rep = implication_trial(5, "k9a0strict", "pic", trials=12, seed=seed, pic_trials=pic_trials)
+    entries = emit_report(rep, str(tmp_path / "pic.json"))["results"]["counterexamples"]
+    assert entries
+    for c in entries:
+        found = curvop.min_isotropic(curvop.from_dict(c["tensor"]), pic_trials,
+                                     seed=(seed, c["trial"], 1))
+        assert found.best_value == c["conclusionValue"]
 
 
 def test_emit_report_consistent_run_writes_no_side_files(tmp_path):
