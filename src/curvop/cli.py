@@ -4,12 +4,14 @@ Five subcommands: ``model`` writes a tensor JSON file, ``analyze``
 reports the second-kind spectrum and positivity profile of a tensor,
 ``verify`` checks the frame identities on random tensors, ``search``
 runs the Monte Carlo implication harness, and ``probe`` walks a
-sharpness interpolation. The last four compute a results dict once, and
-``main`` sends it down one output path: ``emit_report`` for ``--output``,
-the dict itself for ``--format json``, else a text renderer that reads
-only the dict, so all three agree. One exit rule follows: 1 when
-``pass`` is false, ``verdict`` is "counterexample" or ``boundaryOk`` is
-false, 2 on bad input or usage, else 0. ``--seed`` defaults to 0.
+sharpness interpolation. The last four compute a results dict once (a
+report's ``to_dict`` for ``search`` and ``probe``), and ``main`` sends
+that one dict down one output path: ``emit_report`` writes it for
+``--output``; ``--format json`` prints it, with or without ``--output``;
+else a text renderer reads only it. So all three agree. One exit rule
+follows: 1 when ``pass`` is false, ``verdict`` is "counterexample" or
+``boundaryOk`` is false, 2 on bad input or usage, else 0. ``--seed``
+defaults to 0.
 """
 
 from __future__ import annotations
@@ -185,8 +187,9 @@ def _render_verify(results: dict) -> None:
 
 
 def _cmd_search(args):
-    return implication_trial(args.dim, args.hyp, args.concl, trials=args.trials,
-                             seed=args.seed, pic_trials=args.pic_trials), None
+    report = implication_trial(args.dim, args.hyp, args.concl, trials=args.trials,
+                               seed=args.seed, pic_trials=args.pic_trials)
+    return report.to_dict(), report.config
 
 
 def _render_search(results: dict) -> None:
@@ -203,8 +206,9 @@ def _render_search(results: dict) -> None:
 
 
 def _cmd_probe(args):
-    return sharpness_probe(args.base, args.direction, steps=args.steps,
-                           seed=args.seed, iso_trials=args.iso_trials), None
+    report = sharpness_probe(args.base, args.direction, steps=args.steps,
+                             seed=args.seed, iso_trials=args.iso_trials)
+    return report.to_dict(), report.config
 
 
 def _render_probe(results: dict) -> None:
@@ -221,8 +225,8 @@ def _render_probe(results: dict) -> None:
               f"actual {entry['actual']} [{status}]")
 
 
-# subcommand -> (compute step, text renderer); compute returns a report (a results
-# dict or an object with to_dict) and its envelope config, None for the report's own
+# subcommand -> (compute step, text renderer); compute returns the results dict
+# and its envelope config
 _COMMANDS = {
     "analyze": (_cmd_analyze, _render_analyze),
     "verify": (_cmd_verify, _render_verify),
@@ -239,11 +243,9 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ParameterOutOfRange(f"the seed must be non-negative, got {args.seed}")
         compute, render = _COMMANDS[args.command]
-        report, config = compute(args)
+        results, config = compute(args)
         if args.output:
-            results = emit_report(report, args.output, seed=args.seed, config=config)["results"]
-        else:
-            results = report if isinstance(report, dict) else report.to_dict()
+            emit_report(results, args.output, args.seed, config)
         if args.format == "json":
             print(json.dumps(results, indent=2, sort_keys=True))
         else:

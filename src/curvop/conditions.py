@@ -67,6 +67,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .errors import FrameNotOrthonormal, ParameterOutOfRange
 from .secondkind import (
+    _eigenvalues,
     _first_kind_matrices,
     eigen_sym,
     lambda2_basis,
@@ -74,7 +75,7 @@ from .secondkind import (
     s20_basis,
     second_kind_matrix,
 )
-from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, _pair_index, _skew, ricci
+from .tensor import CurvatureTensor, _check_dim, _check_int, _check_seed, _pair_index, _ricci, _skew, ricci
 
 FRAME_TOL = 1e-12
 
@@ -309,6 +310,10 @@ _WARM = 8
 # Smallest step a line search may accept.
 _MIN_STEP = 1e-10
 
+# Iteration cap of each descent; a frame that reaches it is reported as not
+# converged.
+_MAX_ITER = 500
+
 # Frames per descent batch: it bounds the working set (the candidates of a
 # line-search pass and the per-pass gather of their tensors' matrices)
 # without changing any result.
@@ -322,8 +327,7 @@ def _tangent(frames: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v - np.matmul(frames, (sym + np.swapaxes(sym, -1, -2)) / 2.0)
 
 
-def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
-                   noise: np.ndarray, max_iter: int = 500):
+def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray, noise: np.ndarray):
     """Conjugate gradient descent on the Stiefel manifold, one frame per row.
 
     Frame i of the (m, n, 4) stack descends on tensor ``owner[i]``, whose
@@ -358,16 +362,16 @@ def _descend_batch(rmats: np.ndarray, owner: np.ndarray, frames: np.ndarray,
     frame's result does not depend on the rest of the batch.
 
     Returns (frames, values, iterations, converged) per frame, with
-    converged False exactly when the frame hit the iteration cap.
+    converged False exactly when the frame hit the iteration cap ``_MAX_ITER``.
     """
     m = frames.shape[0]
     f = frames.copy()
     value, products = _iso_values(rmats[owner], f)
     tangent_prev, direction_prev = np.empty_like(f), np.empty_like(f)
     step = np.ones(m)
-    iterations = np.full(m, max_iter)
+    iterations = np.full(m, _MAX_ITER)
     active = np.arange(m)
-    for iteration in range(max_iter):
+    for iteration in range(_MAX_ITER):
         if active.size == 0:
             break
         fa = f[active]
@@ -643,9 +647,16 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     return results
 
 
+def _ricci_minima(arrays: np.ndarray) -> np.ndarray:
+    """The smallest Ricci eigenvalue of an array or of each array of a
+    stack, from one stacked solve through the checks of ``eigen_sym``; an
+    array's value does not depend on its stack."""
+    return _eigenvalues(_ricci(arrays))[1][..., 0]
+
+
 def ricci_min(t: CurvatureTensor) -> float:
-    """Smallest eigenvalue of the Ricci contraction, via ``eigen_sym``."""
-    return float(eigen_sym(ricci(t), vectors=False).eigenvalues[0])
+    """Smallest eigenvalue of the Ricci contraction."""
+    return float(_ricci_minima(t.array))
 
 
 def _phi_coordinates() -> np.ndarray:

@@ -11,10 +11,11 @@ model and tabulates how the graded-positivity threshold and the frame
 minima move, confirming that the base sits exactly on the advertised
 boundary at t = 0.
 
-Reports serialize to a JSON envelope {tool, version, seed, config,
+A report's ``to_dict`` is its one serialization, the results that
+``emit_report`` wraps in a JSON envelope {tool, version, seed, config,
 results}, written in one atomic rename. A counterexample keeps only its
-seed material in memory; its tensor is replayed from it into its own
-entry of the envelope when the envelope is written.
+seed material in memory; ``TrialReport.to_dict`` replays its tensor from
+it into its own entry.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 # models.random_curvature is looked up on its module at each draw, so that a
 # wrapper installed there (bench/spans.py) sees every draw.
 from . import __version__, models
-from .conditions import min_isotropic_batch, ricci_min
+from .conditions import _ricci_minima, min_isotropic_batch, ricci_min
 from .errors import ParameterOutOfRange
 from .models import ModelSpec, build_model, constant_curvature, interpolate, parse_model, shift
 from .secondkind import (
@@ -49,7 +50,6 @@ from .tensor import (
     _check_dim,
     _check_int,
     _check_seed,
-    _ricci,
     to_dict,
     write_json_atomic,
 )
@@ -125,6 +125,9 @@ class TrialReport:
         return "consistent" if not self.counterexamples else "counterexample"
 
     def to_dict(self) -> dict:
+        """The report's results. Each counterexample entry carries its tensor
+        under "tensor", replayed from its seed material
+        (``replay_counterexample``) in the canonical form of a tensor file."""
         return {
             "dim": self.dim,
             "hypothesis": self.hypothesis,
@@ -133,7 +136,8 @@ class TrialReport:
             "trialsPassing": self.trials_passing,
             "shiftsApplied": self.shifts_applied,
             "cappedSearches": self.capped_searches,
-            "counterexamples": [c.to_dict() for c in self.counterexamples],
+            "counterexamples": [{**c.to_dict(), "tensor": to_dict(replay_counterexample(self, i))}
+                                for i, c in enumerate(self.counterexamples)],
             "verdict": self.verdict,
         }
 
@@ -143,13 +147,6 @@ def _unit_sphere(n: int) -> CurvatureTensor:
     """The unit-sphere tensor, the boost direction, built once per n;
     its array is read-only, like every tensor's."""
     return constant_curvature(n, 1.0)
-
-
-def _ricci_minima(arrays: np.ndarray) -> np.ndarray:
-    """The smallest Ricci eigenvalue of each array of a stack, from one
-    stacked solve through the checks of ``eigen_sym``; each equals
-    ``ricci_min`` on its tensor alone, bit for bit."""
-    return _eigenvalues(_ricci(arrays))[1][:, 0]
 
 
 def boost_to_hypothesis(t: CurvatureTensor,
@@ -421,24 +418,12 @@ def sharpness_probe(
     )
 
 
-def emit_report(report, path: str, seed: int | None = None, config: dict | None = None) -> dict:
-    """Write a report as a JSON envelope, atomically; returns the envelope.
-
-    Each TrialReport counterexample entry carries its tensor under
-    "tensor", replayed from its seed material (``replay_counterexample``)
-    in the canonical form of a tensor file. The envelope is the only file
-    written, in one atomic rename, so a failed write leaves nothing.
-    """
-    results = report.to_dict() if hasattr(report, "to_dict") else report
-    if isinstance(report, TrialReport):
-        for i, entry in enumerate(results["counterexamples"]):
-            entry["tensor"] = to_dict(replay_counterexample(report, i))
-    envelope = {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "seed": seed if seed is not None else getattr(report, "seed", None),
-        "config": config if config is not None else getattr(report, "config", {}),
-        "results": results,
-    }
+def emit_report(results: dict, path: str, seed: int | tuple, config: dict) -> dict:
+    """Write a results dict, a report's ``to_dict``, as a JSON envelope
+    {tool, version, seed, config, results}, atomically; returns the
+    envelope. The envelope is the only file written, in one atomic rename,
+    so a failed write leaves nothing."""
+    envelope = {"tool": TOOL_NAME, "version": __version__, "seed": seed, "config": config,
+                "results": results}
     write_json_atomic(envelope, path)
     return envelope

@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 from _acceptance_log import LINES
 
@@ -9,8 +7,7 @@ from curvop import conditions
 @pytest.fixture
 def capped_descent(monkeypatch):
     """Every descent stops after two iterations, so searches hit the cap."""
-    monkeypatch.setattr(conditions, "_descend_batch",
-                        functools.partial(conditions._descend_batch, max_iter=2))
+    monkeypatch.setattr(conditions, "_MAX_ITER", 2)
 
 
 def pytest_terminal_summary(terminalreporter):

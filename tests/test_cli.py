@@ -224,16 +224,22 @@ def test_json_stdout_is_the_written_results(tmp_path, capsys):
          "--seed", "123", "--pic-trials", "3"),
         ("probe", "--base", "cp2", "--direction", "flat:n=4", "--steps", "2",
          "--iso-trials", "4"),
+        ("analyze", "--model", "cp2", "--trials", "4"),
+        ("verify", "--dim", "5", "--trials", "3", "--model", "cp2"),
     ]
     for i, args in enumerate(runs):
         out = tmp_path / f"run{i}.json"
         cli.main([*args, "--format", "json", "--output", str(out)])
-        printed = json.loads(capsys.readouterr().out)
+        written = capsys.readouterr().out
+        # the same run without --output prints the same bytes
+        cli.main([*args, "--format", "json"])
+        assert capsys.readouterr().out == written
+        printed = json.loads(written)
         assert printed == json.loads(out.read_text())["results"]
         for cex in printed.get("counterexamples", []):
             assert curvop.from_dict(cex["tensor"]).dim == 4
     assert json.loads((tmp_path / "run0.json").read_text())["results"]["counterexamples"]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run0.json", "run1.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}.json" for i in range(len(runs))]
 
 
 def test_probe_boundary_ok_exit_zero(tmp_path):

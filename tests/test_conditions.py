@@ -403,7 +403,7 @@ def test_boundary_models_report_their_exact_minima(n, trials):
     assert min_isotropic(product, trials, seed=1).best_value == 2.0
 
 
-def test_descent_step_keeps_lowest_sufficient_candidate():
+def test_descent_step_keeps_lowest_sufficient_candidate(monkeypatch):
     # One iteration from random frames on S^5 x S^1: the kept frame is the
     # lowest of the four candidate steps that beat the noise guard, which is
     # not always the largest such step.
@@ -424,7 +424,8 @@ def test_descent_step_keeps_lowest_sufficient_candidate():
     assert ok.any(axis=1).all()
     lowest = np.where(ok, vals, np.inf).argmin(axis=1)
     assert (lowest != ok.argmax(axis=1)).any()
-    f, v, _, _ = _descend_batch(rmats, np.arange(m), frames, noise, max_iter=1)
+    monkeypatch.setattr(conditions, "_MAX_ITER", 1)
+    f, v, _, _ = _descend_batch(rmats, np.arange(m), frames, noise)
     assert np.array_equal(f, cands[np.arange(m), lowest])
     assert np.array_equal(v, vals[np.arange(m), lowest])
 
@@ -780,15 +781,15 @@ def _reference_descent(rmats, frames, noise, max_iter=500, min_step=1e-10):
     return f, value, iterations, converged
 
 
-def _assert_descent_matches_the_reference(tensors, starts_per_tensor, seed, max_iter=500):
+def _assert_descent_matches_the_reference(tensors, starts_per_tensor, seed):
     n = tensors[0].dim
     rmats = np.stack([_first_kind_matrices(t.array) for t in tensors])
     noise = np.array([1e-12 * max(1.0, t.max_abs()) for t in tensors])
     owner = np.repeat(np.arange(len(tensors)), starts_per_tensor)
     rng = np.random.default_rng(seed)
     starts = np.array([random_frame(n, 4, rng) for _ in owner])
-    got = _descend_batch(rmats, owner, starts, noise, max_iter=max_iter)
-    want = _reference_descent(rmats[owner], starts, noise[owner], max_iter=max_iter)
+    got = _descend_batch(rmats, owner, starts, noise)
+    want = _reference_descent(rmats[owner], starts, noise[owner], max_iter=conditions._MAX_ITER)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -796,7 +797,7 @@ def _assert_descent_matches_the_reference(tensors, starts_per_tensor, seed, max_
 
 @pytest.mark.parametrize("scale", [1.0, 16.0, 4096.0])
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
-def test_warm_up_reproduces_the_reference_descent_bit_for_bit(n, scale):
+def test_warm_up_reproduces_the_reference_descent_bit_for_bit(n, scale, monkeypatch):
     # Inside the warm-up the descent takes the plain steps, so the
     # first-order floor, the winner-only gradients and the shared matrix
     # stack must leave every frame, value, count and flag as they were. On
@@ -806,7 +807,8 @@ def test_warm_up_reproduces_the_reference_descent_bit_for_bit(n, scale):
     pred = parse_predicate("k4a0.5strict")
     tensors = [boost_to_hypothesis(curvop.random_curvature(n, seed=(81, n, i), scale=scale), pred)[0]
                for i in range(6)]
-    _assert_descent_matches_the_reference(tensors, 4, seed=n, max_iter=_WARM)
+    monkeypatch.setattr(conditions, "_MAX_ITER", _WARM)
+    _assert_descent_matches_the_reference(tensors, 4, seed=n)
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])

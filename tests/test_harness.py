@@ -31,7 +31,7 @@ from curvop.harness import (
     replay_counterexample,
     sharpness_probe,
 )
-from curvop.tensor import _pair_index
+from curvop.tensor import _pair_index, _ricci
 
 
 def test_parse_predicate_forms():
@@ -299,7 +299,7 @@ def test_hypothesis_names_keep_every_digit_of_alpha():
 def test_emit_report_envelope_holds_the_counterexample_tensors(tmp_path):
     rep = implication_trial(4, "k9a0strict", "ric", trials=2, seed=123)
     out = tmp_path / "search.json"
-    envelope = emit_report(rep, str(out), seed=123, config={"trials": 2})
+    envelope = emit_report(rep.to_dict(), str(out), 123, {"trials": 2})
     on_disk = json.loads(out.read_text())
     assert on_disk == envelope
     assert envelope["tool"] == "curvop"
@@ -321,7 +321,8 @@ def test_emit_report_envelope_holds_the_counterexample_tensors(tmp_path):
 def test_emit_report_pic_tensors_give_back_their_conclusion_values(tmp_path):
     seed, pic_trials = 123, 3
     rep = implication_trial(5, "k9a0strict", "pic", trials=12, seed=seed, pic_trials=pic_trials)
-    entries = emit_report(rep, str(tmp_path / "pic.json"))["results"]["counterexamples"]
+    envelope = emit_report(rep.to_dict(), str(tmp_path / "pic.json"), rep.seed, rep.config)
+    entries = envelope["results"]["counterexamples"]
     assert entries
     for c in entries:
         found = curvop.min_isotropic(curvop.from_dict(c["tensor"]), pic_trials,
@@ -332,7 +333,7 @@ def test_emit_report_pic_tensors_give_back_their_conclusion_values(tmp_path):
 def test_emit_report_consistent_run_writes_no_side_files(tmp_path):
     rep = implication_trial(4, "k4a0.5strict", "ric", trials=2, seed=1)
     out = tmp_path / "clean.json"
-    envelope = emit_report(rep, str(out), seed=1)
+    envelope = emit_report(rep.to_dict(), str(out), 1, rep.config)
     assert envelope["results"]["verdict"] == "consistent"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.json"]
 
@@ -422,7 +423,7 @@ def test_probe_spectra_and_ricci_minima_equal_each_blend_alone(base, n):
     blends = [curvop.interpolate(t_base, t_dir, t) for t in np.linspace(0.0, 1.0, 5)]
     arrays = np.stack([blend.array for blend in blends])
     stacked = harness._eigenvalues(harness._second_kind_matrices(arrays, curvop.s20_basis(n)))[1]
-    ricci_minima = harness._eigenvalues(harness._ricci(arrays))[1][:, 0]
+    ricci_minima = harness._eigenvalues(_ricci(arrays))[1][:, 0]
     rep = sharpness_probe(base, direction, steps=5, iso_trials=2)
     for blend, eigenvalues, ricci_minimum, row in zip(blends, stacked, ricci_minima, rep.rows):
         alone = eigen_sym(second_kind_matrix(blend), vectors=False)
@@ -475,7 +476,7 @@ def test_implication_trial_counts_capped_searches(capped_descent, tmp_path):
     assert rep.to_dict()["cappedSearches"] == 3
     weak = implication_trial(5, "k9a0strict", "pic", trials=40, seed=123, pic_trials=3)
     assert weak.counterexamples
-    envelope = emit_report(weak, str(tmp_path / "weak.json"))
+    envelope = emit_report(weak.to_dict(), str(tmp_path / "weak.json"), weak.seed, weak.config)
     assert envelope["results"]["cappedSearches"] == weak.capped_searches == 40
     # the n = 4 search is exact and runs no descent, so it cannot be capped
     assert implication_trial(4, "k4a0.5strict", "pic", trials=3, seed=5, pic_trials=2).capped_searches == 0

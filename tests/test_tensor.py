@@ -579,7 +579,7 @@ def test_numpy_integer_arguments_reach_reports_as_plain_ints(tmp_path):
     ]
     for i, report in enumerate(reports):
         path = str(tmp_path / f"report{i}.json")
-        envelope = curvop.emit_report(report, path)
+        envelope = curvop.emit_report(report.to_dict(), path, report.seed, report.config)
         with open(path) as handle:
             assert json.load(handle) == json.loads(json.dumps(envelope))
         assert all(type(v) is int for v in envelope["config"].values() if not isinstance(v, str))
