@@ -8,7 +8,9 @@ sharpness interpolation. The last four compute a results dict once (a
 report's ``to_dict`` for ``search`` and ``probe``), and ``main`` sends
 that one dict down one output path: ``emit_report`` writes it for
 ``--output``; ``--format json`` prints it, with or without ``--output``;
-else a text renderer reads only it. So all three agree. One exit rule
+else a text renderer reads only it. So all three agree. The CLI states
+every envelope's seed, ``--seed``, and config, the subcommand's
+arguments as run with names normalised. One exit rule
 follows: 1 when ``pass`` is false, ``verdict`` is "counterexample" or
 ``boundaryOk`` is false, 2 on bad input or usage, else 0. ``--seed``
 defaults to 0.
@@ -187,9 +189,11 @@ def _render_verify(results: dict) -> None:
 
 
 def _cmd_search(args):
-    report = implication_trial(args.dim, args.hyp, args.concl, trials=args.trials,
-                               seed=args.seed, pic_trials=args.pic_trials)
-    return report.to_dict(), report.config
+    results = implication_trial(args.dim, args.hyp, args.concl, trials=args.trials,
+                                seed=args.seed, pic_trials=args.pic_trials).to_dict()
+    return results, {"n": results["dim"], "hypothesis": results["hypothesis"],
+                     "conclusion": results["conclusion"], "trials": args.trials,
+                     "picTrials": args.pic_trials}
 
 
 def _render_search(results: dict) -> None:
@@ -206,9 +210,10 @@ def _render_search(results: dict) -> None:
 
 
 def _cmd_probe(args):
-    report = sharpness_probe(args.base, args.direction, steps=args.steps,
-                             seed=args.seed, iso_trials=args.iso_trials)
-    return report.to_dict(), report.config
+    results = sharpness_probe(args.base, args.direction, steps=args.steps,
+                              seed=args.seed, iso_trials=args.iso_trials).to_dict()
+    return results, {"base": results["base"], "direction": results["direction"],
+                     "steps": args.steps, "isoTrials": args.iso_trials}
 
 
 def _render_probe(results: dict) -> None:
@@ -226,7 +231,7 @@ def _render_probe(results: dict) -> None:
 
 
 # subcommand -> (compute step, text renderer); compute returns the results dict
-# and its envelope config
+# and its envelope config, the arguments as run with names in normalised form
 _COMMANDS = {
     "analyze": (_cmd_analyze, _render_analyze),
     "verify": (_cmd_verify, _render_verify),

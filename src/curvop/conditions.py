@@ -570,8 +570,9 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
     Result i equals ``min_isotropic(tensors[i], trials, seed=seeds[i])``
     bit for bit: the starts of all tensors descend together in fixed-size
     batches, and a frame's descent does not depend on its batch. Start
-    (i, trial) is the Gaussian (n, 4) block of ``default_rng((*seeds[i],
-    trial))``, byte for byte; ``_draw_starts`` draws every start of the
+    (i, trial) is the Gaussian (n, 4) block of ``default_rng((*material,
+    trial))``, byte for byte, with material ``_check_seed(seeds[i])`` (an
+    int n as (n,)); ``_draw_starts`` draws every start of the
     call from one pass of the seed hash. One stacked ``_retract`` retracts
     them all, with the bytes each gets alone. The seed values are six
     component reads per frame, equal to the kernel's bit for bit
@@ -605,7 +606,7 @@ def min_isotropic_batch(tensors, trials: int, seeds) -> list[FrameSearchResult]:
         return []
     n = tensors[0].dim
 
-    materials = [_check_seed(s if isinstance(s, (tuple, list)) else (s,)) for s in seeds]
+    materials = [_check_seed(s) for s in seeds]
     peak = np.array([t.max_abs() for t in tensors])
     # 2^power brings a max|R| in (0, 1) into [1, 2) and is 1 for max|R| >= 1.
     power = np.maximum(0, 1 - np.frexp(peak)[1])

@@ -11,11 +11,12 @@ model and tabulates how the graded-positivity threshold and the frame
 minima move, confirming that the base sits exactly on the advertised
 boundary at t = 0.
 
-A report's ``to_dict`` is its one serialization, the results that
-``emit_report`` wraps in a JSON envelope {tool, version, seed, config,
-results}, written in one atomic rename. A counterexample keeps only its
-seed material in memory; ``TrialReport.to_dict`` replays its tensor from
-it into its own entry.
+A report holds results only. Its ``to_dict`` is its one serialization,
+the results that ``emit_report`` wraps in a JSON envelope {tool,
+version, seed, config, results}, written in one atomic rename; the
+caller states the envelope's seed and config. A counterexample keeps
+only its seed material in memory; ``TrialReport.to_dict`` replays its
+tensor from it into its own entry.
 """
 
 from __future__ import annotations
@@ -35,12 +36,11 @@ from .secondkind import (
     PredicateSpec,
     Spectrum,
     _eigenvalues,
-    _k_alpha_bound,
+    _k_alpha_sign,
     _second_kind_matrices,
     _sign,
     alpha_star,
     eigen_sym,
-    k_alpha_value,
     parse_predicate,
     s20_basis,
     second_kind_matrix,
@@ -49,7 +49,6 @@ from .tensor import (
     CurvatureTensor,
     _check_dim,
     _check_int,
-    _check_seed,
     to_dict,
     write_json_atomic,
 )
@@ -111,8 +110,6 @@ class TrialReport:
     shifts_applied: int
     capped_searches: int
     counterexamples: tuple
-    seed: int
-    config: dict
 
     @property
     def trials_passing(self) -> int:
@@ -165,15 +162,15 @@ def boost_to_hypothesis(t: CurvatureTensor,
     spectrum is eigenvalue-only (no eigenvectors).
     """
     spectrum = eigen_sym(second_kind_matrix(t), vectors=False)
-    value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if _sign(value, _k_alpha_bound(spectrum, pred.k, pred.alpha)) >= pred.strict:
+    value, sign = _k_alpha_sign(spectrum, pred.k, pred.alpha)
+    if sign >= pred.strict:
         return t, spectrum, value, 0.0
     threshold = -value / (pred.k + pred.alpha)
     amount = threshold * (1.0 + _BOOST_MARGIN) + _BOOST_MARGIN * max(1.0, abs(threshold))
     shifted = shift(t, _unit_sphere(t.dim), amount)
     spectrum = eigen_sym(second_kind_matrix(shifted), vectors=False)
-    value = k_alpha_value(spectrum, pred.k, pred.alpha)
-    if _sign(value, _k_alpha_bound(spectrum, pred.k, pred.alpha)) < pred.strict:
+    value, sign = _k_alpha_sign(spectrum, pred.k, pred.alpha)
+    if sign < pred.strict:
         raise ParameterOutOfRange(
             f"a shift by {amount:.6g} left hypothesis {pred.name} failing at {value:.6g}"
         )
@@ -247,14 +244,6 @@ def implication_trial(
         shifts_applied=shifts,
         capped_searches=capped,
         counterexamples=tuple(counterexamples),
-        seed=seed,
-        config={
-            "n": n,
-            "hypothesis": hyp.name,
-            "conclusion": conclusion,
-            "trials": trials,
-            "picTrials": pic_trials,
-        },
     )
 
 
@@ -306,8 +295,6 @@ class ProbeReport:
     k: int
     rows: tuple
     boundary: dict
-    seed: int
-    config: dict
 
     @property
     def boundary_ok(self) -> bool:
@@ -352,8 +339,8 @@ def sharpness_probe(
     of the second-kind spectrum, the sampled isotropic minimum
     (dimension >= 4), and the smallest Ricci eigenvalue. One
     ``min_isotropic_batch`` call searches every row, row idx with seed
-    material (*seed, idx) for a tuple seed and (seed, idx) for an int, so
-    each row equals ``min_isotropic`` on its blend alone. The rows'
+    material (seed, idx) for the int ``seed``, so each row equals
+    ``min_isotropic`` on its blend alone. The rows'
     second-kind matrices are one stacked product, and their second-kind
     and Ricci spectra two stacked solves, through the kernels and checks of
     ``second_kind_matrix``, ``eigen_sym`` and ``ricci_min``, so each row
@@ -363,11 +350,9 @@ def sharpness_probe(
     a unit S^(n-1) x R, which puts alpha_star(n) there) within its rounding
     bound, and the isotropic (cp2) or Ricci (S^(n-1) x R) minimum exactly.
     """
-    # Checked values are plain ints, so the report serializes as it is.
     steps = _check_int(steps, "steps", 2)
     iso_trials = _check_int(iso_trials, "iso_trials", 1)
-    seed = _check_seed(seed)
-    material = seed if isinstance(seed, tuple) else (seed,)
+    seed = _check_int(seed, "each part of the seed material", 0)
     base_spec, dir_spec = parse_model(base), parse_model(direction)
     t_base = build_model(base_spec)
     t_dir = build_model(dir_spec)
@@ -379,7 +364,7 @@ def sharpness_probe(
     blends = [interpolate(t_base, t_dir, t) for t in ts]
     if n >= 4:
         searches = [(r.best_value, r.converged) for r in
-                    min_isotropic_batch(blends, iso_trials, [(*material, idx) for idx in range(steps)])]
+                    min_isotropic_batch(blends, iso_trials, [(seed, idx) for idx in range(steps)])]
     else:
         searches = [(None, None)] * steps
     arrays = np.stack([blend.array for blend in blends])
@@ -393,9 +378,8 @@ def sharpness_probe(
     cp2 = base_spec.kind == "cp2"
     if cp2 or _is_sphere_times_flat(base_spec):
         first, alpha = rows[0], (n - 2) / n  # 1/2 on cp2, where n = 4
-        value, bound = k_alpha_value(spectra[0], n, alpha), _k_alpha_bound(spectra[0], n, alpha)
         star_name = "alphaStar(4) = 1/2" if cp2 else f"alphaStar({n}) = (n-2)/n"
-        boundary[star_name] = (alpha, first.alpha_star, _sign(value, bound) == 0)
+        boundary[star_name] = (alpha, first.alpha_star, _k_alpha_sign(spectra[0], n, alpha)[1] == 0)
         # The Ricci check takes t = 0 through ``ricci_min``, the single-tensor
         # path, which row 0's stacked value equals bit for bit.
         min_name, minimum = (("isotropic minimum = 0", first.iso_min) if cp2
@@ -408,21 +392,15 @@ def sharpness_probe(
         k=n,
         rows=tuple(rows),
         boundary=boundary,
-        seed=seed,
-        config={
-            "base": base_spec.describe(),
-            "direction": dir_spec.describe(),
-            "steps": steps,
-            "isoTrials": iso_trials,
-        },
     )
 
 
-def emit_report(results: dict, path: str, seed: int | tuple, config: dict) -> dict:
+def emit_report(results: dict, path: str, seed: int, config: dict) -> dict:
     """Write a results dict, a report's ``to_dict``, as a JSON envelope
     {tool, version, seed, config, results}, atomically; returns the
-    envelope. The envelope is the only file written, in one atomic rename,
-    so a failed write leaves nothing."""
+    envelope. ``seed`` and ``config`` are the caller's: the seed and the
+    arguments of the run as it was made. The envelope is the only file
+    written, in one atomic rename, so a failed write leaves nothing."""
     envelope = {"tool": TOOL_NAME, "version": __version__, "seed": seed, "config": config,
                 "results": results}
     write_json_atomic(envelope, path)

@@ -150,8 +150,7 @@ def random_curvature(n: int, seed=0, scale: float = 1.0) -> CurvatureTensor:
     # an infinite scale passes here and is refused with the overflowing draw
     if not _check_real(scale, "scale", finite=False) > 0:
         raise ParameterOutOfRange(f"scale must be positive, got {scale}")
-    _check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     i, j = _pair_index(n)
     g = rng.standard_normal((len(i), len(i)))
     a = np.zeros((n, n, n, n))

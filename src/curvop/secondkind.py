@@ -247,9 +247,16 @@ def _k_alpha_bound(spectrum: Spectrum, k: int, alpha: float) -> float:
     return _ROUNDING_C * (k + alpha) * ev.shape[0] * _EPS * max(-float(ev[0]), float(ev[-1]))
 
 
+def _k_alpha_sign(spectrum: Spectrum, k: int, alpha: float) -> tuple[float, int]:
+    """The graded sum ``k_alpha_value`` and its ``_sign`` against its own
+    rounding bound ``_k_alpha_bound``: the one graded decision."""
+    value = k_alpha_value(spectrum, k, alpha)
+    return value, _sign(value, _k_alpha_bound(spectrum, k, alpha))
+
+
 def k_alpha_positive(spectrum: Spectrum, k: int, alpha: float, strict: bool) -> bool:
     """Decide (k+alpha)-positivity (strict) or -nonnegativity of a spectrum."""
-    return _sign(k_alpha_value(spectrum, k, alpha), _k_alpha_bound(spectrum, k, alpha)) >= strict
+    return _k_alpha_sign(spectrum, k, alpha)[1] >= strict
 
 
 @dataclass(frozen=True)
@@ -286,14 +293,13 @@ def alpha_star(spectrum: Spectrum, k: int) -> float | str:
     in [0,1] at which it is nonnegative. k runs over 1..N-1.
 
     Each end, sigma_k (alpha = 0) and sigma_k + lambda_{k+1} (alpha = 1),
-    takes its ``_sign`` against its own ``_k_alpha_bound``. Returns "always"
+    is decided by ``_k_alpha_sign``. Returns "always"
     when sigma_k is positive or both ends are zero; 0.0 when only sigma_k is
     zero; "unattainable" when the alpha = 1 end is negative, 1.0 when it is
     zero; and otherwise the ratio -sigma_k/lambda_{k+1}.
     """
-    sigma = k_alpha_value(spectrum, k, 0.0)
-    low = _sign(sigma, _k_alpha_bound(spectrum, k, 0.0))
-    high = _sign(k_alpha_value(spectrum, k, 1.0), _k_alpha_bound(spectrum, k, 1.0))
+    sigma, low = _k_alpha_sign(spectrum, k, 0.0)
+    high = _k_alpha_sign(spectrum, k, 1.0)[1]
     if low >= 0:
         return ALPHA_ALWAYS if low == 1 or high == 0 else 0.0
     if high == -1:

@@ -201,14 +201,14 @@ def _check_dim(n, least: int = 1) -> int:
         raise
 
 
-def _check_seed(seed):
+def _check_seed(seed) -> tuple:
     """Accept seed material for ``np.random.default_rng``: a non-negative
     int, or a tuple or list of them, under the integer rule; anything else
     raises ParameterOutOfRange, not the bare error NumPy would raise.
-    Returns the material in plain ints: an int, or a tuple of them."""
-    if isinstance(seed, (tuple, list)):
-        return tuple([_check_int(part, "each part of the seed material", 0) for part in seed])
-    return _check_int(seed, "each part of the seed material", 0)
+    Returns the material as a tuple of plain ints, an int n as (n,), which
+    ``default_rng`` takes to the same stream as n."""
+    parts = seed if isinstance(seed, (tuple, list)) else (seed,)
+    return tuple([_check_int(part, "each part of the seed material", 0) for part in parts])
 
 
 def _check_finite(a: np.ndarray) -> None:

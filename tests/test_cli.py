@@ -242,6 +242,28 @@ def test_json_stdout_is_the_written_results(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"run{i}.json" for i in range(len(runs))]
 
 
+def test_envelopes_state_the_seed_and_the_normalised_config_as_run(tmp_path, capsys):
+    # config is the subcommand's arguments as run, names in their normalised form
+    runs = [
+        (("search", "--dim", "4", "--hyp", "k4a0.50strict", "--concl", "ric", "--trials", "3",
+          "--seed", "7"),
+         7, {"n": 4, "hypothesis": "k4a0.5strict", "conclusion": "ric", "trials": 3, "picTrials": 5}),
+        (("probe", "--base", "product:(sphere:n=4,k=1)x(flat:n=1)", "--direction", "sphere:n=5,k=1",
+          "--steps", "2", "--iso-trials", "4", "--seed", "2"),
+         2, {"base": "product:(sphere:n=4,k=1.0)x(flat:n=1)", "direction": "sphere:n=5,k=1.0",
+             "steps": 2, "isoTrials": 4}),
+        (("analyze", "--model", "cp2", "--trials", "4", "--seed", "5"), 5, {"trials": 4}),
+        (("verify", "--dim", "5", "--trials", "3", "--seed", "9"),
+         9, {"dim": 5, "trials": 3, "tolIdentity": 1e-08}),
+    ]
+    for i, (args, seed, config) in enumerate(runs):
+        out = tmp_path / f"run{i}.json"
+        assert cli.main([*args, "--output", str(out)]) == 0
+        envelope = check_envelope(out)
+        assert (envelope["seed"], envelope["config"]) == (seed, config)
+    capsys.readouterr()
+
+
 def test_probe_boundary_ok_exit_zero(tmp_path):
     out = tmp_path / "probe.json"
     proc = run_cli(

@@ -118,7 +118,7 @@ def test_implication_trial_is_deterministic():
     assert a.trials_attempted == 5
     assert a.trials_passing == 5
     assert a.verdict == "consistent"
-    assert a.dim == 4 and a.seed == 11
+    assert a.dim == 4
     assert a.hypothesis == "k4a0.5strict" and a.conclusion == "ric"
 
 
@@ -321,7 +321,7 @@ def test_emit_report_envelope_holds_the_counterexample_tensors(tmp_path):
 def test_emit_report_pic_tensors_give_back_their_conclusion_values(tmp_path):
     seed, pic_trials = 123, 3
     rep = implication_trial(5, "k9a0strict", "pic", trials=12, seed=seed, pic_trials=pic_trials)
-    envelope = emit_report(rep.to_dict(), str(tmp_path / "pic.json"), rep.seed, rep.config)
+    envelope = emit_report(rep.to_dict(), str(tmp_path / "pic.json"), seed, {"trials": 12})
     entries = envelope["results"]["counterexamples"]
     assert entries
     for c in entries:
@@ -333,7 +333,7 @@ def test_emit_report_pic_tensors_give_back_their_conclusion_values(tmp_path):
 def test_emit_report_consistent_run_writes_no_side_files(tmp_path):
     rep = implication_trial(4, "k4a0.5strict", "ric", trials=2, seed=1)
     out = tmp_path / "clean.json"
-    envelope = emit_report(rep.to_dict(), str(out), 1, rep.config)
+    envelope = emit_report(rep.to_dict(), str(out), 1, {"trials": 2})
     assert envelope["results"]["verdict"] == "consistent"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.json"]
 
@@ -384,30 +384,17 @@ def test_sphere_times_circle_probe_rows_are_exact(n):
     assert [row.iso_min for row in rep.rows] == [2.0, 3.0, 4.0]
 
 
-def _assert_probe_rows_equal_separate_searches(base, n, seed, prefix):
-    direction = f"sphere:n={n},k=1"
-    rep = sharpness_probe(base, direction, steps=4, seed=seed, iso_trials=8)
-    t_base, t_dir = curvop.build_model(base), curvop.build_model(direction)
-    for idx, row in enumerate(rep.rows):
-        alone = curvop.min_isotropic(curvop.interpolate(t_base, t_dir, row.t), 8, seed=(*prefix, idx))
-        assert np.float64(row.iso_min).tobytes() == np.float64(alone.best_value).tobytes()
-        assert row.converged == alone.converged
-
-
-_PROBE_BASES = [("cp2", 4), ("product:(sphere:n=4,k=1)x(flat:n=1)", 5)]
-
-
-@pytest.mark.parametrize(("base", "n"), _PROBE_BASES)
+@pytest.mark.parametrize(("base", "n"), [("cp2", 4), ("product:(sphere:n=4,k=1)x(flat:n=1)", 5)])
 def test_probe_rows_equal_separate_searches_bit_for_bit(base, n):
     # The probe searches all rows in one batch; row idx is the search of its
     # blend alone with seed material (seed, idx).
-    _assert_probe_rows_equal_separate_searches(base, n, 13, (13,))
-
-
-@pytest.mark.parametrize(("base", "n"), _PROBE_BASES)
-def test_probe_rows_of_a_tuple_seed_extend_its_material(base, n):
-    # Row idx of a probe with seed (1, 2) searches with material (1, 2, idx).
-    _assert_probe_rows_equal_separate_searches(base, n, (1, 2), (1, 2))
+    direction = f"sphere:n={n},k=1"
+    rep = sharpness_probe(base, direction, steps=4, seed=13, iso_trials=8)
+    t_base, t_dir = curvop.build_model(base), curvop.build_model(direction)
+    for idx, row in enumerate(rep.rows):
+        alone = curvop.min_isotropic(curvop.interpolate(t_base, t_dir, row.t), 8, seed=(13, idx))
+        assert np.float64(row.iso_min).tobytes() == np.float64(alone.best_value).tobytes()
+        assert row.converged == alone.converged
 
 
 _STACKED_BASES = [("cp2", 4), *((f"product:(sphere:n={n - 1},k=1)x(flat:n=1)", n) for n in range(4, 9)),
@@ -476,7 +463,7 @@ def test_implication_trial_counts_capped_searches(capped_descent, tmp_path):
     assert rep.to_dict()["cappedSearches"] == 3
     weak = implication_trial(5, "k9a0strict", "pic", trials=40, seed=123, pic_trials=3)
     assert weak.counterexamples
-    envelope = emit_report(weak.to_dict(), str(tmp_path / "weak.json"), weak.seed, weak.config)
+    envelope = emit_report(weak.to_dict(), str(tmp_path / "weak.json"), 123, {"trials": 40})
     assert envelope["results"]["cappedSearches"] == weak.capped_searches == 40
     # the n = 4 search is exact and runs no descent, so it cannot be capped
     assert implication_trial(4, "k4a0.5strict", "pic", trials=3, seed=5, pic_trials=2).capped_searches == 0

@@ -525,6 +525,8 @@ _H = "k4a0.5strict"
                  id="probe-iso-trials-float"),
     pytest.param(lambda: curvop.sharpness_probe("flat:n=3", "sphere:n=3", 2, seed=1.5), ParameterOutOfRange,
                  id="probe-seed-float"),
+    pytest.param(lambda: curvop.sharpness_probe("flat:n=3", "sphere:n=3", 2, seed=(1, 2)), ParameterOutOfRange,
+                 id="probe-seed-tuple"),
     pytest.param(lambda: _CP2.component(1.0, 2, 1, 2), IndexOutOfRange, id="component-index-float"),
     pytest.param(lambda: curvop.isotropic_value(_T4, [[1, 0], [0]]), FrameNotOrthonormal,
                  id="isotropic-value-ragged-frame"),
@@ -575,11 +577,13 @@ def test_numpy_integer_arguments_reach_reports_as_plain_ints(tmp_path):
     reports = [
         curvop.implication_trial(i64(4), _H, "ric", i32(2), seed=i64(1)),
         curvop.implication_trial(i64(4), "k4a0.1strict", "pic", i32(3), seed=i64(1), pic_trials=i32(2)),
-        curvop.sharpness_probe("flat:n=3", "sphere:n=3", i64(2), seed=(i64(1), i32(2)), iso_trials=i32(2)),
+        curvop.sharpness_probe("flat:n=3", "sphere:n=3", i64(2), seed=i64(1), iso_trials=i32(2)),
     ]
     for i, report in enumerate(reports):
         path = str(tmp_path / f"report{i}.json")
-        envelope = curvop.emit_report(report.to_dict(), path, report.seed, report.config)
+        results = report.to_dict()
+        config = {"n": results["dim"]} if "dim" in results else {"k": results["k"]}
+        envelope = curvop.emit_report(results, path, 1, config)
         with open(path) as handle:
             assert json.load(handle) == json.loads(json.dumps(envelope))
         assert all(type(v) is int for v in envelope["config"].values() if not isinstance(v, str))
